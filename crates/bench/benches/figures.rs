@@ -4,19 +4,22 @@
 //! as a performance budget for the harness itself.
 
 use moe_bench::timing::Runner;
+use moe_trace::Tracer;
 use std::hint::black_box;
 
 fn main() {
     let r = Runner::from_args();
 
-    for id in moe_bench::all_experiment_ids() {
+    for id in moe_bench::REGISTRY.iter().map(|e| e.id()) {
         // fig15 routes real tokens through the executor for tens of
         // seconds; it is exercised (once) but not iterated.
         if id == "fig15" {
             continue;
         }
         r.bench(&format!("figures/{id}"), || {
-            black_box(moe_bench::run_experiment(id, true).expect("known id"))
+            black_box(
+                moe_bench::run_experiment(id, true, &mut Tracer::disabled()).expect("known id"),
+            )
         });
     }
 

@@ -1,5 +1,5 @@
-//! Shared experiment plumbing: automatic device placement and the paper's
-//! standard workload grids.
+//! Shared experiment plumbing: automatic device placement, the paper's
+//! standard workload grids, and A/B throughput comparisons.
 
 use moe_gpusim::device::Cluster;
 use moe_gpusim::memory::check_fits;
@@ -7,6 +7,8 @@ use moe_gpusim::parallel::ParallelPlan;
 use moe_gpusim::perfmodel::{EngineOptions, PerfModel, RunMetrics};
 use moe_model::ModelConfig;
 use moe_tensor::Precision;
+
+use crate::report::{num, Table};
 
 /// Batch sizes evaluated throughout the paper (Section 3.2).
 pub const PAPER_BATCHES: [usize; 4] = [1, 16, 32, 64];
@@ -76,6 +78,50 @@ pub fn run_or_oom(
     model
         .run(batch, input, output, &mut moe_trace::Tracer::disabled(), 0)
         .ok()
+}
+
+/// Throughput of two engines over `(x, batch, input, output)` points, as
+/// `(x, a tok/s, b tok/s)` rows. Every point must fit both engines.
+pub fn ab_series(
+    a: &PerfModel,
+    b: &PerfModel,
+    points: impl IntoIterator<Item = (usize, usize, usize, usize)>,
+) -> Vec<(usize, f64, f64)> {
+    let tok_s = |m: &PerfModel, batch, input, output| {
+        run_or_oom(m, batch, input, output)
+            .expect("A/B point fits")
+            .throughput_tok_s
+    };
+    points
+        .into_iter()
+        .map(|(x, batch, input, output)| {
+            (
+                x,
+                tok_s(a, batch, input, output),
+                tok_s(b, batch, input, output),
+            )
+        })
+        .collect()
+}
+
+/// Render an [`ab_series`] as `columns = [x, a, b, gain]`, the gain column
+/// being `gain(a, b)` as a percentage.
+pub fn gain_table(
+    name: &str,
+    columns: [&str; 4],
+    s: &[(usize, f64, f64)],
+    gain: impl Fn(f64, f64) -> f64,
+) -> Table {
+    let mut t = Table::new(name, &columns);
+    for &(x, a, b) in s {
+        t.row(vec![
+            x.to_string(),
+            num(a),
+            num(b),
+            format!("{}%", num(100.0 * gain(a, b))),
+        ]);
+    }
+    t
 }
 
 #[cfg(test)]

@@ -5,9 +5,9 @@ use moe_gpusim::parallel::ParallelPlan;
 use moe_model::registry::mixtral_8x7b;
 use moe_tensor::Precision;
 
-use crate::common::{place_with_plan, PAPER_BATCHES, PAPER_LENGTHS};
+use crate::common::{ab_series, gain_table, place_with_plan, PAPER_BATCHES, PAPER_LENGTHS};
 use crate::experiment::{ExpCtx, Experiment};
-use crate::report::{num, ExperimentReport, Table};
+use crate::report::{ExperimentReport, Table};
 
 /// Fixed placement: both precisions on TP2 so the comparison is apples to
 /// apples (fp16 Mixtral cannot fit one 80 GB H100).
@@ -27,47 +27,16 @@ pub fn length_series(fast: bool) -> Vec<(usize, f64, f64)> {
 }
 
 fn series(points: Vec<(usize, usize, usize, usize)>) -> Vec<(usize, f64, f64)> {
-    let f16 = place_with_plan(
-        &mixtral_8x7b(),
-        Precision::F16,
-        ParallelPlan::tensor(TP),
-        true,
-    )
-    .expect("valid plan");
-    let f8 = place_with_plan(
-        &mixtral_8x7b(),
-        Precision::Fp8E4M3,
-        ParallelPlan::tensor(TP),
-        true,
-    )
-    .expect("valid plan");
-    points
-        .into_iter()
-        .map(|(x, batch, input, output)| {
-            let a = f16
-                .run(batch, input, output, &mut moe_trace::Tracer::disabled(), 0)
-                .expect("fits TP2")
-                .throughput_tok_s;
-            let b = f8
-                .run(batch, input, output, &mut moe_trace::Tracer::disabled(), 0)
-                .expect("fits TP2")
-                .throughput_tok_s;
-            (x, a, b)
-        })
-        .collect()
+    let place = |precision| {
+        place_with_plan(&mixtral_8x7b(), precision, ParallelPlan::tensor(TP), true)
+            .expect("valid plan")
+    };
+    ab_series(&place(Precision::F16), &place(Precision::Fp8E4M3), points)
 }
 
 fn table(name: &str, x_label: &str, s: &[(usize, f64, f64)]) -> Table {
-    let mut t = Table::new(name, &[x_label, "FP16 tok/s", "FP8 tok/s", "FP8 gain"]);
-    for &(x, a, b) in s {
-        t.row(vec![
-            x.to_string(),
-            num(a),
-            num(b),
-            format!("{}%", num(100.0 * (b / a - 1.0))),
-        ]);
-    }
-    t
+    let columns = [x_label, "FP16 tok/s", "FP8 tok/s", "FP8 gain"];
+    gain_table(name, columns, s, |fp16, fp8| fp8 / fp16 - 1.0)
 }
 
 /// Build the report.

@@ -5,9 +5,9 @@ use moe_gpusim::parallel::ParallelPlan;
 use moe_model::registry::mixtral_8x7b;
 use moe_tensor::Precision;
 
-use crate::common::{place_with_plan, PAPER_BATCHES, PAPER_LENGTHS};
+use crate::common::{ab_series, gain_table, place_with_plan, PAPER_BATCHES, PAPER_LENGTHS};
 use crate::experiment::{ExpCtx, Experiment};
-use crate::report::{num, ExperimentReport, Table};
+use crate::report::{ExperimentReport, Table};
 
 /// `(x, fused tok/s, unfused tok/s)` series.
 pub fn batch_series(fast: bool) -> Vec<(usize, f64, f64)> {
@@ -22,50 +22,21 @@ pub fn length_series(fast: bool) -> Vec<(usize, f64, f64)> {
 }
 
 fn series(points: Vec<(usize, usize, usize, usize)>) -> Vec<(usize, f64, f64)> {
-    let fused = place_with_plan(
-        &mixtral_8x7b(),
-        Precision::F16,
-        ParallelPlan::tensor(4),
-        true,
-    )
-    .expect("valid plan");
-    let unfused = place_with_plan(
-        &mixtral_8x7b(),
-        Precision::F16,
-        ParallelPlan::tensor(4),
-        false,
-    )
-    .expect("valid plan");
-    points
-        .into_iter()
-        .map(|(x, batch, input, output)| {
-            let a = fused
-                .run(batch, input, output, &mut moe_trace::Tracer::disabled(), 0)
-                .expect("fits TP4")
-                .throughput_tok_s;
-            let b = unfused
-                .run(batch, input, output, &mut moe_trace::Tracer::disabled(), 0)
-                .expect("fits TP4")
-                .throughput_tok_s;
-            (x, a, b)
-        })
-        .collect()
+    let place = |fused| {
+        place_with_plan(
+            &mixtral_8x7b(),
+            Precision::F16,
+            ParallelPlan::tensor(4),
+            fused,
+        )
+        .expect("valid plan")
+    };
+    ab_series(&place(true), &place(false), points)
 }
 
 fn table(name: &str, x_label: &str, s: &[(usize, f64, f64)]) -> Table {
-    let mut t = Table::new(
-        name,
-        &[x_label, "Fused tok/s", "Unfused tok/s", "Fused gain"],
-    );
-    for &(x, a, b) in s {
-        t.row(vec![
-            x.to_string(),
-            num(a),
-            num(b),
-            format!("{}%", num(100.0 * (a / b - 1.0))),
-        ]);
-    }
-    t
+    let columns = [x_label, "Fused tok/s", "Unfused tok/s", "Fused gain"];
+    gain_table(name, columns, s, |fused, unfused| fused / unfused - 1.0)
 }
 
 /// Build the report.

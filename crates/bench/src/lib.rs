@@ -21,29 +21,11 @@ pub mod timing;
 pub use experiment::{run_all, ExpCtx, Experiment, REGISTRY};
 pub use report::{ExperimentReport, Table};
 
-/// All registered experiment ids, in paper order (thin shim over
-/// [`experiment::REGISTRY`]).
-pub fn all_experiment_ids() -> Vec<&'static str> {
-    experiment::REGISTRY.iter().map(|e| e.id()).collect()
-}
-
-/// Run one experiment by id (thin shim over [`experiment::run_one`] with
-/// a disabled tracer).
-pub fn run_experiment(id: &str, fast: bool) -> Option<ExperimentReport> {
-    experiment::find(id).map(|e| experiment::run_one(e, fast, &mut moe_trace::Tracer::disabled()))
-}
-
 /// Run one experiment by id, recording its simulated work into `tracer`
-/// (thin shim over [`experiment::run_one`]).
-///
-/// Experiments with fully traced hot paths (`fig5` through the cost
-/// model, `ext-qps` through the serving loop) emit engine/scheduler/
-/// request spans; every experiment that records simulated time
-/// additionally gets one root span on [`moe_trace::BENCH_TRACK`]
-/// covering all of it, so a multi-experiment trace reads as a tiled
-/// timeline of experiment blocks. With a disabled tracer this is exactly
-/// [`run_experiment`].
-pub fn run_experiment_traced(
+/// (pass [`moe_trace::Tracer::disabled`] for none; the report is
+/// identical either way). `None` for an unknown id. See
+/// [`experiment::run_one`] for the root span each traced run gets.
+pub fn run_experiment(
     id: &str,
     fast: bool,
     tracer: &mut moe_trace::Tracer,

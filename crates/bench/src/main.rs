@@ -95,8 +95,8 @@ fn main() -> ExitCode {
     let ok = match target.as_str() {
         "list" => {
             println!("available experiments:");
-            for id in moe_bench::all_experiment_ids() {
-                println!("  {id}");
+            for e in moe_bench::REGISTRY {
+                println!("  {}", e.id());
             }
             true
         }
@@ -116,7 +116,7 @@ fn main() -> ExitCode {
             }
             true
         }
-        id => match moe_bench::run_experiment_traced(id, fast, &mut tracer) {
+        id => match moe_bench::run_experiment(id, fast, &mut tracer) {
             Some(report) => {
                 if json {
                     println!("{}", moe_json::to_string_pretty(&report));

@@ -94,6 +94,16 @@ impl EventHeap {
         self.sift_up(self.items.len() - 1);
     }
 
+    /// Schedule a generation-0 event (every source but step ends).
+    pub fn push_at(&mut self, t_s: f64, source: Source, id: u64) {
+        self.push(Event {
+            t_s,
+            source,
+            id,
+            gen: 0,
+        });
+    }
+
     /// The earliest event without removing it.
     pub fn peek(&self) -> Option<&Event> {
         self.items.first()

@@ -1,13 +1,18 @@
-//! One serving replica: a continuous-batching [`Scheduler`] priced by a
-//! [`PerfModel`], stepped asynchronously by the cluster event loop.
+//! One serving replica: a [`StepCore`] stepped asynchronously by the
+//! cluster event loop.
 //!
-//! Unlike `moe_runtime::SimServer`, which owns its clock and runs to
-//! completion, a replica exposes *step boundaries*: the simulator starts
-//! a step (planning admissions/preemptions and pricing it), learns its
-//! completion time, and commits it when the cluster clock reaches that
-//! time. Requests dispatched while a step is in flight join the
-//! scheduler's waiting queue and are picked up by the next plan — the
-//! same semantics as a real engine accepting work mid-iteration.
+//! The core plans, prices and commits steps exactly as
+//! `moe_runtime::SimServer` does; the replica only decides *when*. It
+//! exposes step boundaries: the simulator starts a step (planning
+//! admissions/preemptions and pricing it through the simulation's shared
+//! [`PriceCache`]), learns its completion time, and commits it when the
+//! cluster clock reaches that time. Requests dispatched while a step is
+//! in flight join the scheduler's waiting queue and are picked up by the
+//! next plan — the same semantics as a real engine accepting work
+//! mid-iteration. Around the core the replica keeps what only a cluster
+//! member has: liveness, a slowdown factor, the step generation that
+//! invalidates stale completion events, and the mapping from scheduler
+//! ids to cluster request ids.
 //!
 //! The replica also models *prefix-cache locality* without token-level
 //! KV: a bounded LRU of shared-prefix group ids. A dispatched request
@@ -18,74 +23,19 @@
 
 use std::collections::BTreeMap;
 
-use moe_gpusim::perfmodel::{PerfModel, Phase};
+use moe_gpusim::perfmodel::PerfModel;
 use moe_runtime::request::{Request, RequestId};
-use moe_runtime::scheduler::{Scheduler, SchedulerConfig, StepPlan};
+use moe_runtime::scheduler::SchedulerConfig;
+use moe_runtime::step::{Finished, PlannedStep, PriceCache, StepCore, StepShape};
 
 use crate::router::ReplicaLoad;
 use crate::workload::ClusterRequest;
 
-/// Cluster-side bookkeeping for one request resident on a replica.
-#[derive(Debug, Clone)]
-pub(crate) struct ActiveRequest {
-    /// Trace-level id.
-    pub cluster_id: u64,
-    /// Full (undiscounted) prompt length, for reporting.
-    pub prompt_len: usize,
-    /// First-token timestamp once its prefill committed.
-    pub first_token_s: Option<f64>,
-}
-
-/// A request that finished on this replica.
-#[derive(Debug, Clone)]
-pub(crate) struct FinishedRequest {
-    pub cluster_id: u64,
-    pub prompt_len: usize,
-    pub generated: usize,
-    pub first_token_s: f64,
-    pub finish_s: f64,
-}
-
-/// Memoized step pricing, shared by every replica of one simulation.
-///
-/// All replicas run the same [`PerfModel`], so a step's cost is a pure
-/// function of its shape: `(tokens, batch)` for prefill, `(batch,
-/// mean context)` for decode. At cluster scale the same few thousand
-/// shapes recur across hundreds of thousands of steps, and the
-/// per-layer cost walk in `forward_time` dominates the event loop —
-/// memoizing it cuts pricing to a map lookup. Cached values are the
-/// *nominal* times; the per-replica slowdown factor is applied by the
-/// caller, so straggler windows never pollute the shared cache.
-/// Determinism is untouched: a hit returns bit-identically what the
-/// model would recompute.
-#[derive(Debug, Default)]
-pub(crate) struct PriceCache {
-    map: BTreeMap<(u8, u64, u64), f64>,
-}
-
-impl PriceCache {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn get_or_price(&mut self, key: (u8, u64, u64), price: impl FnOnce() -> f64) -> f64 {
-        if let Some(&dt) = self.map.get(&key) {
-            return dt;
-        }
-        let dt = price();
-        self.map.insert(key, dt);
-        dt
-    }
-}
-
 /// The step currently executing on the replica.
 #[derive(Debug)]
 struct InFlight {
-    plan: StepPlan,
+    step: PlannedStep,
     end_s: f64,
-    /// Step label + batch size for tracing ("prefill"/"decode").
-    kind: &'static str,
-    batch: usize,
     start_s: f64,
     /// Monotonic step generation, matched against heap entries so a
     /// completion event scheduled for a step that a crash wiped out is
@@ -97,9 +47,7 @@ struct InFlight {
 #[derive(Debug)]
 pub(crate) struct Replica {
     pub id: usize,
-    model: PerfModel,
-    cfg: SchedulerConfig,
-    scheduler: Scheduler,
+    core: StepCore,
     in_flight: Option<InFlight>,
     pub alive: bool,
     /// Step-time multiplier (1 = nominal; >1 while a slowdown fault is
@@ -110,8 +58,8 @@ pub(crate) struct Replica {
     prefix_lru: BTreeMap<u64, u64>,
     lru_clock: u64,
     prefix_capacity: usize,
-    /// Scheduler-local id -> cluster request bookkeeping.
-    active: BTreeMap<RequestId, ActiveRequest>,
+    /// Scheduler id -> cluster request id, for resident requests.
+    active: BTreeMap<RequestId, u64>,
     /// Generation of the most recently started step (see [`InFlight::gen`]).
     step_gen: u64,
     pub prefix_hits: u64,
@@ -123,9 +71,7 @@ impl Replica {
     pub fn new(id: usize, model: PerfModel, cfg: SchedulerConfig, prefix_capacity: usize) -> Self {
         Self {
             id,
-            model,
-            scheduler: Scheduler::new(cfg),
-            cfg,
+            core: StepCore::new(model, cfg),
             in_flight: None,
             alive: true,
             slowdown: 1.0,
@@ -142,18 +88,13 @@ impl Replica {
 
     /// Queued + running requests (the router's coarse load signal).
     pub fn outstanding(&self) -> usize {
-        self.scheduler.num_waiting() + self.scheduler.num_running()
+        self.core.scheduler().num_waiting() + self.core.scheduler().num_running()
     }
 
     /// Requests still waiting for their prefill (the router's
     /// TTFT-predictive load signal).
     pub fn queued(&self) -> usize {
-        self.scheduler.num_waiting()
-    }
-
-    /// Completion time of the in-flight step, if one is executing.
-    pub fn step_end_s(&self) -> Option<f64> {
-        self.in_flight.as_ref().map(|f| f.end_s)
+        self.core.scheduler().num_waiting()
     }
 
     /// Generation of the in-flight step, if one is executing. A heap
@@ -185,16 +126,9 @@ impl Replica {
             }
         }
         let sched_id = self
-            .scheduler
+            .core
             .submit(Request::new(effective, req.max_new_tokens));
-        self.active.insert(
-            sched_id,
-            ActiveRequest {
-                cluster_id: req.id,
-                prompt_len: req.prompt_len,
-                first_token_s: None,
-            },
-        );
+        self.active.insert(sched_id, req.id);
         sched_id
     }
 
@@ -227,133 +161,66 @@ impl Replica {
     /// Cancel a request (router timeout). True if it was still active.
     pub fn cancel(&mut self, sched_id: RequestId) -> bool {
         self.active.remove(&sched_id);
-        self.scheduler.cancel(sched_id)
+        self.core.cancel(sched_id)
     }
 
-    /// If idle, alive and holding work, plan and price the next step
-    /// (through the shared [`PriceCache`]); returns its completion time.
-    /// `None` when nothing starts.
-    pub fn try_start_step(&mut self, now_s: f64, prices: &mut PriceCache) -> Option<f64> {
-        if !self.alive || self.in_flight.is_some() || !self.scheduler.has_work() {
+    /// If idle and alive, plan and price the next step (through the
+    /// shared [`PriceCache`]); returns its completion time and
+    /// generation. `None` when nothing starts.
+    pub fn try_start_step(&mut self, now_s: f64, prices: &mut PriceCache) -> Option<(f64, u64)> {
+        if !self.alive || self.in_flight.is_some() {
             return None;
         }
-        let plan = self.scheduler.plan_step();
-        let (dt, kind, batch) = match &plan {
-            StepPlan::Prefill { ids, tokens } => {
-                let batch = ids.len().max(1);
-                let per_seq = tokens.div_ceil(batch);
-                let model = &self.model;
-                (
-                    prices.get_or_price((0, *tokens as u64, batch as u64), || {
-                        model.forward_time(*tokens, batch, per_seq, Phase::Prefill)
-                    }),
-                    "prefill",
-                    batch,
-                )
-            }
-            StepPlan::Decode { ids } => {
-                let batch = ids.len().max(1);
-                let ctx_sum: usize = ids
-                    .iter()
-                    .filter_map(|id| self.scheduler.seq(*id))
-                    .map(|s| s.context_len())
-                    .sum();
-                let mean_ctx = (ctx_sum / batch).max(1);
-                let model = &self.model;
-                (
-                    prices.get_or_price((1, batch as u64, mean_ctx as u64), || {
-                        model.decode_step_time(batch, mean_ctx)
-                    }),
-                    "decode",
-                    batch,
-                )
-            }
-            StepPlan::Idle => {
-                // Work exists but nothing can be admitted with an empty
-                // running set: the request cannot ever fit this replica's
-                // KV pool. A configuration error, not a runtime state.
-                debug_assert!(
-                    self.scheduler.num_running() > 0 || !self.scheduler.has_work(),
-                    "replica {} wedged: waiting work that can never be admitted",
-                    self.id
-                );
-                return None;
-            }
+        let Some(step) = self.core.plan(prices) else {
+            // Nothing runs. Waiting work here would be a request that can
+            // never fit this replica's KV pool: a configuration error,
+            // not a runtime state.
+            debug_assert!(
+                self.outstanding() == 0,
+                "replica {} wedged: waiting work that can never be admitted",
+                self.id
+            );
+            return None;
         };
-        let end_s = now_s + dt * self.slowdown;
+        let end_s = now_s + step.dt_s * self.slowdown;
         self.step_gen += 1;
         self.in_flight = Some(InFlight {
-            plan,
+            step,
             end_s,
-            kind,
-            batch,
             start_s: now_s,
             gen: self.step_gen,
         });
-        Some(end_s)
+        Some((end_s, self.step_gen))
     }
 
     /// Commit the in-flight step at its completion time. Returns the
-    /// requests that finished, plus the step's trace label
-    /// `(kind, batch, start_s)`.
-    pub fn complete_step(&mut self) -> (Vec<FinishedRequest>, Option<(&'static str, usize, f64)>) {
-        let Some(flight) = self.in_flight.take() else {
-            return (Vec::new(), None);
-        };
-        let now_s = flight.end_s;
-        let mut finished = Vec::new();
-        match flight.plan {
-            StepPlan::Prefill { ids, .. } => {
-                let done = self.scheduler.commit_prefill(&ids);
-                for id in &ids {
-                    if let Some(a) = self.active.get_mut(id) {
-                        a.first_token_s.get_or_insert(now_s);
-                    }
-                }
-                for id in done {
-                    self.finish(id, now_s, &mut finished);
-                }
+    /// requests that finished, with `id` mapped to the cluster request
+    /// id, plus the step's shape and start time for tracing.
+    pub fn complete_step(&mut self) -> Option<(Vec<Finished>, StepShape, f64)> {
+        let flight = self.in_flight.take()?;
+        let shape = flight.step.shape;
+        let mut done = self.core.commit(flight.step, flight.end_s);
+        done.retain_mut(|f| match self.active.remove(&f.id) {
+            Some(cluster_id) => {
+                f.id = cluster_id;
+                true
             }
-            StepPlan::Decode { ids } => {
-                for id in ids {
-                    if self.scheduler.commit_decode(id) {
-                        self.finish(id, now_s, &mut finished);
-                    }
-                }
-            }
-            StepPlan::Idle => {}
-        }
-        (finished, Some((flight.kind, flight.batch, flight.start_s)))
-    }
-
-    fn finish(&mut self, id: RequestId, now_s: f64, out: &mut Vec<FinishedRequest>) {
-        let Some(active) = self.active.remove(&id) else {
-            return; // canceled while the step was in flight
-        };
-        let Some(seq) = self.scheduler.seq(id) else {
-            return;
-        };
-        self.completed += 1;
-        out.push(FinishedRequest {
-            cluster_id: active.cluster_id,
-            prompt_len: active.prompt_len,
-            generated: seq.generated,
-            first_token_s: active.first_token_s.unwrap_or(now_s),
-            finish_s: now_s,
+            None => false,
         });
+        self.completed += done.len();
+        Some((done, shape, flight.start_s))
     }
 
     /// Kill the replica: the in-flight step is lost, every resident
     /// request fails back to the caller for retry, the scheduler and
-    /// prefix cache restart cold.
-    pub fn crash(&mut self) -> Vec<ActiveRequest> {
+    /// prefix cache restart cold. Returns the failed cluster request ids.
+    pub fn crash(&mut self) -> Vec<u64> {
         self.alive = false;
         self.in_flight = None;
         self.slowdown = 1.0;
         self.prefix_lru.clear();
-        let failed: Vec<ActiveRequest> = std::mem::take(&mut self.active).into_values().collect();
-        self.scheduler = Scheduler::new(self.cfg);
-        failed
+        self.core.reset();
+        std::mem::take(&mut self.active).into_values().collect()
     }
 
     /// Bring a crashed replica back, empty and cold.
@@ -393,13 +260,13 @@ mod tests {
         }
     }
 
-    fn run_to_drain(r: &mut Replica, mut now: f64) -> (Vec<FinishedRequest>, f64) {
+    fn run_to_drain(r: &mut Replica, mut now: f64) -> (Vec<Finished>, f64) {
         let mut prices = PriceCache::new();
         let mut done = Vec::new();
         let mut guard = 0;
-        while let Some(end) = r.try_start_step(now, &mut prices) {
+        while let Some((end, _)) = r.try_start_step(now, &mut prices) {
             now = end;
-            let (fin, _) = r.complete_step();
+            let (fin, ..) = r.complete_step().expect("step in flight");
             done.extend(fin);
             guard += 1;
             assert!(guard < 100_000);
@@ -478,13 +345,13 @@ mod tests {
         r.enqueue(&req(10, 128, 64));
         r.enqueue(&req(11, 128, 64));
         let mut prices = PriceCache::new();
-        let end = r.try_start_step(0.0, &mut prices).expect("step starts");
+        let (end, _) = r.try_start_step(0.0, &mut prices).expect("step starts");
         assert!(end > 0.0);
         let failed = r.crash();
         assert_eq!(failed.len(), 2);
         assert!(!r.alive);
         assert_eq!(r.outstanding(), 0);
-        assert!(r.step_end_s().is_none());
+        assert!(r.current_gen().is_none());
         assert!(
             r.try_start_step(1.0, &mut prices).is_none(),
             "dead replicas don't step"
@@ -502,7 +369,7 @@ mod tests {
         r.try_start_step(0.0, &mut PriceCache::new())
             .expect("step starts");
         assert!(r.cancel(sid));
-        let (done, _) = r.complete_step();
+        let (done, ..) = r.complete_step().expect("step in flight");
         assert!(done.is_empty(), "canceled request must not complete");
     }
 
@@ -511,14 +378,14 @@ mod tests {
         let mut prices = PriceCache::new();
         let mut a = test_replica(0);
         a.enqueue(&req(0, 256, 1));
-        let nominal = a.try_start_step(0.0, &mut prices).expect("step");
+        let (nominal, _) = a.try_start_step(0.0, &mut prices).expect("step");
 
         // The second replica reuses the shared cache: the scaled cost
         // must come out of the cached nominal price.
         let mut b = test_replica(0);
         b.slowdown = 3.0;
         b.enqueue(&req(0, 256, 1));
-        let slowed = b.try_start_step(0.0, &mut prices).expect("step");
+        let (slowed, _) = b.try_start_step(0.0, &mut prices).expect("step");
         assert!((slowed - 3.0 * nominal).abs() < 1e-9 * nominal.max(1.0));
     }
 }

@@ -45,12 +45,13 @@ use moe_runtime::metrics::LatencySummary;
 use moe_runtime::request::RequestId;
 use moe_runtime::scheduler::SchedulerConfig;
 use moe_runtime::simserver::scheduler_config_for;
+use moe_runtime::step::{Finished, PriceCache};
 use moe_trace::{Category, Histogram, Tracer};
 
 use crate::ctrl::{ControlAction, ControlHook, ControlObs, ReplicaObs};
 use crate::events::{sort_round, Event, EventHeap, Source};
 use crate::fault::{FaultEvent, FaultPlan};
-use crate::replica::{FinishedRequest, PriceCache, Replica};
+use crate::replica::Replica;
 use crate::router::{mix, ReplicaLoad, RoutePolicy, Router, RouterConfig};
 use crate::workload::{ArrivalSource, RequestTrace, TraceSource};
 use crate::{CONTROL_TRACK, REPLICA_TRACK_BASE, ROUTER_TRACK};
@@ -562,29 +563,14 @@ impl ClusterSim {
     /// drains everything due and reschedules the cursor.
     fn schedule_initial(&mut self) {
         if let Some(ev) = self.faults.events.get(self.fault_idx) {
-            self.heap.push(Event {
-                t_s: ev.t_s(),
-                source: Source::Fault,
-                id: 0,
-                gen: 0,
-            });
+            self.heap.push_at(ev.t_s(), Source::Fault, 0);
         }
         self.pending_arrival = self.source.next_request();
         if let Some(req) = &self.pending_arrival {
-            self.heap.push(Event {
-                t_s: req.arrival_s,
-                source: Source::Arrival,
-                id: 0,
-                gen: 0,
-            });
+            self.heap.push_at(req.arrival_s, Source::Arrival, 0);
         }
         if self.controller.is_some() {
-            self.heap.push(Event {
-                t_s: self.ctrl_interval_s,
-                source: Source::Control,
-                id: 0,
-                gen: 0,
-            });
+            self.heap.push_at(self.ctrl_interval_s, Source::Control, 0);
         }
     }
 
@@ -639,51 +625,27 @@ impl ClusterSim {
                 continue; // retired slots are beyond fault reach
             }
             self.events += 1;
-            match ev {
+            let mut failed = Vec::new();
+            let (name, args) = match ev {
                 FaultEvent::Crash { .. } => {
                     if !self.replicas[idx].alive {
                         continue;
                     }
                     self.crashes += 1;
-                    let failed = self.replicas[idx].crash();
-                    self.refresh_load(idx);
-                    self.trace_instant(
-                        REPLICA_TRACK_BASE.saturating_add(idx as u32),
-                        "crash",
-                        now,
-                        vec![("lost", failed.len().into())],
-                    );
-                    for a in failed {
-                        self.requeue_after_crash(a.cluster_id, now);
-                    }
+                    failed = self.replicas[idx].crash();
+                    ("crash", vec![("lost", failed.len().into())])
                 }
                 FaultEvent::Recover { .. } => {
                     self.replicas[idx].recover();
-                    self.refresh_load(idx);
-                    self.trace_instant(
-                        REPLICA_TRACK_BASE.saturating_add(idx as u32),
-                        "recover",
-                        now,
-                        vec![],
-                    );
+                    ("recover", vec![])
                 }
                 FaultEvent::SlowdownStart { factor, .. } => {
                     self.replicas[idx].slowdown = factor.max(1.0);
-                    self.trace_instant(
-                        REPLICA_TRACK_BASE.saturating_add(idx as u32),
-                        "slowdown",
-                        now,
-                        vec![("factor", factor.into())],
-                    );
+                    ("slowdown", vec![("factor", factor.into())])
                 }
                 FaultEvent::SlowdownEnd { .. } => {
                     self.replicas[idx].slowdown = 1.0;
-                    self.trace_instant(
-                        REPLICA_TRACK_BASE.saturating_add(idx as u32),
-                        "full-speed",
-                        now,
-                        vec![],
-                    );
+                    ("full-speed", vec![])
                 }
                 FaultEvent::Preempt { .. } => {
                     // Spot reclaim: a crash that also retires the slot —
@@ -691,31 +653,23 @@ impl ClusterSim {
                     // stops accruing device-seconds for good.
                     self.preemptions += 1;
                     self.dynamic_fleet = true;
-                    let failed = self.replicas[idx].crash();
+                    failed = self.replicas[idx].crash();
                     self.meta[idx].retired_s = Some(now);
                     self.meta[idx].extra_s = 0.0; // no migration tail on reclaim
                     self.cur_devices = self.cur_devices.saturating_sub(self.meta[idx].devices);
-                    self.refresh_load(idx);
-                    self.trace_instant(
-                        REPLICA_TRACK_BASE.saturating_add(idx as u32),
-                        "preempt",
-                        now,
-                        vec![("lost", failed.len().into())],
-                    );
-                    for a in failed {
-                        self.requeue_after_crash(a.cluster_id, now);
-                    }
+                    ("preempt", vec![("lost", failed.len().into())])
                 }
+            };
+            self.refresh_load(idx);
+            let track = REPLICA_TRACK_BASE.saturating_add(idx as u32);
+            self.trace_instant(track, name, now, args);
+            for id in failed {
+                self.requeue_after_crash(id, now);
             }
         }
         // Reschedule the cursor for the next pending fault.
         if let Some(ev) = self.faults.events.get(self.fault_idx) {
-            self.heap.push(Event {
-                t_s: ev.t_s(),
-                source: Source::Fault,
-                id: 0,
-                gen: 0,
-            });
+            self.heap.push_at(ev.t_s(), Source::Fault, 0);
         }
     }
 
@@ -735,12 +689,7 @@ impl ClusterSim {
         let ready = now + self.cfg.router.backoff_s * f64::from(1u32 << exp);
         lv.state = ReqState::Backoff;
         self.retry_count += 1;
-        self.heap.push(Event {
-            t_s: ready,
-            source: Source::Retry,
-            id: cluster_id,
-            gen: 0,
-        });
+        self.heap.push_at(ready, Source::Retry, cluster_id);
         self.trace_instant(
             ROUTER_TRACK,
             "retry",
@@ -756,32 +705,31 @@ impl ClusterSim {
             return;
         }
         self.events += 1;
-        let (finished, step) = self.replicas[idx].complete_step();
-        if let Some((kind, batch, start_s)) = step {
+        if let Some((finished, shape, start_s)) = self.replicas[idx].complete_step() {
             if self.tracer.is_enabled() {
                 let track = REPLICA_TRACK_BASE.saturating_add(idx as u32);
                 self.tracer.span_with(
                     track,
                     Category::Step,
-                    kind,
+                    shape.label(),
                     start_s,
                     now - start_s,
-                    vec![("batch", batch.into())],
+                    vec![("batch", shape.batch().into())],
                 );
             }
-        }
-        for f in finished {
-            self.finish_request(idx, f);
+            for f in finished {
+                self.finish_request(idx, f);
+            }
         }
         self.refresh_load(idx);
         self.dirty.push(idx);
         self.maybe_retire(idx, now);
     }
 
-    /// Stream one completion into the aggregates and retire its live
-    /// entry.
-    fn finish_request(&mut self, replica: usize, f: FinishedRequest) {
-        let Some(lv) = self.live.remove(&f.cluster_id) else {
+    /// Stream one completion (`f.id` is the cluster request id) into the
+    /// aggregates and retire its live entry.
+    fn finish_request(&mut self, replica: usize, f: Finished) {
+        let Some(lv) = self.live.remove(&f.id) else {
             return;
         };
         let offset = self.cfg.latency_offset_s;
@@ -793,14 +741,14 @@ impl ClusterSim {
             self.itl_hist
                 .record((f.finish_s - f.first_token_s) / (f.generated - 1) as f64);
         }
-        self.tokens += (f.prompt_len + f.generated) as u64;
+        self.tokens += (lv.req.prompt_len + f.generated) as u64;
         self.completed += 1;
         if self.cfg.retain_outputs {
             self.outputs.push(ClusterOutput {
-                id: f.cluster_id,
+                id: f.id,
                 replica,
                 attempts: lv.attempts,
-                prompt_len: f.prompt_len,
+                prompt_len: lv.req.prompt_len,
                 generated: f.generated,
                 arrival_s: lv.req.arrival_s,
                 first_token_s: f.first_token_s,
@@ -833,12 +781,8 @@ impl ClusterSim {
             self.submitted += 1;
             let id = req.id;
             if self.cfg.router.ttft_timeout_s > 0.0 {
-                self.heap.push(Event {
-                    t_s: req.arrival_s + self.cfg.router.ttft_timeout_s,
-                    source: Source::Timeout,
-                    id,
-                    gen: 0,
-                });
+                let deadline = req.arrival_s + self.cfg.router.ttft_timeout_s;
+                self.heap.push_at(deadline, Source::Timeout, id);
             }
             self.queue.push_back(id);
             self.live.insert(
@@ -857,12 +801,7 @@ impl ClusterSim {
             self.pending_arrival = self.source.next_request();
         }
         if let Some(req) = &self.pending_arrival {
-            self.heap.push(Event {
-                t_s: req.arrival_s,
-                source: Source::Arrival,
-                id: 0,
-                gen: 0,
-            });
+            self.heap.push_at(req.arrival_s, Source::Arrival, 0);
         }
     }
 
@@ -996,21 +935,13 @@ impl ClusterSim {
         self.dirty.dedup();
         let dirty = std::mem::take(&mut self.dirty);
         for &idx in &dirty {
-            if self.replicas[idx]
-                .try_start_step(now, &mut self.prices)
-                .is_some()
-            {
-                if let (Some(end), Some(gen)) = (
-                    self.replicas[idx].step_end_s(),
-                    self.replicas[idx].current_gen(),
-                ) {
-                    self.heap.push(Event {
-                        t_s: end,
-                        source: Source::StepEnd,
-                        id: idx as u64,
-                        gen,
-                    });
-                }
+            if let Some((end, gen)) = self.replicas[idx].try_start_step(now, &mut self.prices) {
+                self.heap.push(Event {
+                    t_s: end,
+                    source: Source::StepEnd,
+                    id: idx as u64,
+                    gen,
+                });
                 self.refresh_load(idx);
             }
         }
@@ -1125,12 +1056,8 @@ impl ClusterSim {
         }
         self.controller = Some(hook);
         if self.pending_arrival.is_some() || !self.live.is_empty() {
-            self.heap.push(Event {
-                t_s: now + self.ctrl_interval_s,
-                source: Source::Control,
-                id: 0,
-                gen: 0,
-            });
+            self.heap
+                .push_at(now + self.ctrl_interval_s, Source::Control, 0);
         }
     }
 
@@ -1141,6 +1068,7 @@ impl ClusterSim {
                 let spec = *spec;
                 let idx = self.replicas.len();
                 let devices = spec.model.options().plan.degree;
+                let ready_s = now + spec.ready_delay_s.max(0.0);
                 let mut replica =
                     Replica::new(idx, spec.model, spec.sched, self.cfg.prefix_capacity);
                 replica.alive = false; // provisioning until the ready event
@@ -1154,7 +1082,7 @@ impl ClusterSim {
                     devices,
                     generation: spec.generation,
                     born_s: now,
-                    ready_s: now + spec.ready_delay_s.max(0.0),
+                    ready_s,
                     draining: false,
                     retired_s: None,
                     spot: spec.spot,
@@ -1165,12 +1093,7 @@ impl ClusterSim {
                 self.peak_devices = self.peak_devices.max(self.cur_devices);
                 self.reconfigs += 1;
                 self.dynamic_fleet = true;
-                self.heap.push(Event {
-                    t_s: now + spec.ready_delay_s.max(0.0),
-                    source: Source::Reconfig,
-                    id: idx as u64,
-                    gen: 0,
-                });
+                self.heap.push_at(ready_s, Source::Reconfig, idx as u64);
                 if self.tracer.is_enabled() {
                     let track = REPLICA_TRACK_BASE.saturating_add(idx as u32);
                     self.tracer.name_track(track, &format!("replica {idx}"));

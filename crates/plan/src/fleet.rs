@@ -26,10 +26,9 @@
 
 use moe_gpusim::cap;
 use moe_json::ToJson;
-use moe_trace::Tracer;
 
 use crate::candidate::order_key;
-use crate::planner::{plan_traced, PlanFailure, PlanReport};
+use crate::planner::{plan, PlanFailure, PlanReport};
 use crate::score::{queueing_inflation, CandidateScore, WorkloadSketch, MAX_RHO};
 use crate::spec::{FleetSpec, PlannerSpec};
 
@@ -249,19 +248,11 @@ fn recommendation_rank(m: &MixedScore) -> (u8, u64, Vec<(String, MixedPartKey)>)
     )
 }
 
-/// Plan a (possibly mixed) fleet without tracing.
-pub fn plan_fleet(spec: &PlannerSpec) -> Result<FleetPlanReport, PlanFailure> {
-    plan_fleet_traced(spec, &mut Tracer::disabled())
-}
-
 /// Plan a (possibly mixed) fleet: run the classic planner per pool, then
 /// compose per-class frontier picks into blended mixed deployments.
 /// Uniform fleets work too — the blend frontier then contains the
 /// single-class deployments.
-pub fn plan_fleet_traced(
-    spec: &PlannerSpec,
-    tracer: &mut Tracer,
-) -> Result<FleetPlanReport, PlanFailure> {
+pub fn plan_fleet(spec: &PlannerSpec) -> Result<FleetPlanReport, PlanFailure> {
     if spec.fleet.pools.is_empty() {
         return Err(PlanFailure::InvalidSpec("fleet has zero pools".into()));
     }
@@ -286,7 +277,7 @@ pub fn plan_fleet_traced(
             },
             ..spec.clone()
         };
-        let outcome = plan_traced(&sub, tracer);
+        let outcome = plan(&sub);
         let (feasible, failure, frontier, report) = match outcome {
             Ok(report) => {
                 sketch.get_or_insert(report.sketch);

@@ -43,7 +43,7 @@ pub mod spec;
 pub const PLANNER_TRACK: moe_trace::TrackId = 3;
 
 pub use candidate::{enumerate_shapes, CandidateConfig};
-pub use fleet::{plan_fleet, plan_fleet_traced, ClassPlan, FleetPlanReport, MixedPart, MixedScore};
+pub use fleet::{plan_fleet, ClassPlan, FleetPlanReport, MixedPart, MixedScore};
 pub use planner::{plan, plan_traced, sketch_of, PlanFailure, PlanReport};
 pub use refine::RefinedScore;
 pub use score::{accuracy_proxy, score_candidate, CandidateScore, Infeasible, WorkloadSketch};

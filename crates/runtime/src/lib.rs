@@ -9,9 +9,12 @@
 //! * a **continuous-batching scheduler**: FCFS admission of prefills under
 //!   a token budget, batched decode for running sequences,
 //!   recompute-style preemption under memory pressure ([`scheduler`]);
-//! * a **simulated server** that drives the scheduler with step times from
-//!   the `moe-gpusim` performance model and reports per-request TTFT /
-//!   ITL / E2E and aggregate throughput ([`simserver`]);
+//! * the **step core** every simulated serving loop shares: plan a step,
+//!   price it through a shape-keyed cache, commit it, report finished
+//!   requests with their first-token times ([`step`]);
+//! * a **simulated server** that drives the step core on its own clock
+//!   and reports per-request TTFT / ITL / E2E and aggregate throughput
+//!   ([`simserver`]);
 //! * a **live server** that runs the same scheduler over the *real*
 //!   `moe-engine` executor on down-scaled models, proving the scheduling
 //!   machinery does not change model outputs ([`liveserver`]);
@@ -27,6 +30,7 @@ pub mod prefixcache;
 pub mod request;
 pub mod scheduler;
 pub mod simserver;
+pub mod step;
 
 pub use blockmgr::BlockManager;
 pub use request::{Request, RequestId, RequestOutput, SeqState};

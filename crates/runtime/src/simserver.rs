@@ -1,6 +1,6 @@
-//! The simulated serving engine: the continuous-batching scheduler driven
-//! by a clock that advances by `moe-gpusim` step costs. This is the piece
-//! that stands in for "vLLM on H100" in every timing experiment.
+//! The simulated serving engine: the [`StepCore`] driven by one clock
+//! that advances by `moe-gpusim` step costs. This is the piece that
+//! stands in for "vLLM on H100" in every timing experiment.
 
 use std::collections::BTreeMap;
 
@@ -9,9 +9,10 @@ use moe_gpusim::perfmodel::PerfModel;
 use moe_json::{FromJson, ToJson};
 use moe_trace::{Category, Tracer, ENGINE_TRACK, REQUEST_TRACK_BASE, SCHED_TRACK};
 
-use crate::metrics::{mean, LatencySummary};
+use crate::metrics::LatencySummary;
 use crate::request::{Request, RequestId, RequestOutput};
-use crate::scheduler::{SchedEvent, Scheduler, SchedulerConfig, StepPlan};
+use crate::scheduler::{SchedEvent, SchedulerConfig};
+use crate::step::{Finished, PriceCache, StepCore};
 
 /// Aggregate results of one simulated serving run.
 #[derive(Debug, Clone, PartialEq, ToJson, FromJson)]
@@ -49,21 +50,6 @@ impl SimReport {
             outputs,
         }
     }
-
-    /// Mean time-to-first-token across requests.
-    pub fn mean_ttft_s(&self) -> f64 {
-        self.ttft.mean_s
-    }
-
-    /// Mean inter-token latency across requests.
-    pub fn mean_itl_s(&self) -> f64 {
-        self.itl.mean_s
-    }
-
-    /// Mean end-to-end latency across requests.
-    pub fn mean_e2e_s(&self) -> f64 {
-        mean(&self.outputs.iter().map(|o| o.e2e_s()).collect::<Vec<_>>())
-    }
 }
 
 /// Derive a scheduler config whose KV pool matches the device memory left
@@ -99,18 +85,18 @@ pub fn scheduler_config_for(model: &PerfModel, max_seq: usize) -> SchedulerConfi
     }
 }
 
-/// The simulated server.
+/// The simulated server: a [`StepCore`] driven on one clock that runs to
+/// completion.
 #[derive(Debug)]
 pub struct SimServer {
-    model: PerfModel,
-    scheduler: Scheduler,
+    core: StepCore,
+    prices: PriceCache,
     /// Requests not yet visible to the scheduler (future arrivals),
     /// sorted by arrival time.
     pending: Vec<(Request, RequestId)>,
-    /// External id -> scheduler id mapping is the identity (ids are
-    /// assigned here and passed through).
+    /// Delivered, unfinished requests. External ids equal scheduler ids
+    /// (ids are assigned here and passed through).
     arrivals: BTreeMap<RequestId, Request>,
-    first_token: BTreeMap<RequestId, f64>,
     clock_s: f64,
     steps: usize,
     next_external: RequestId,
@@ -123,11 +109,10 @@ pub struct SimServer {
 impl SimServer {
     pub fn new(model: PerfModel, cfg: SchedulerConfig) -> Self {
         Self {
-            model,
-            scheduler: Scheduler::new(cfg),
+            core: StepCore::new(model, cfg),
+            prices: PriceCache::new(),
             pending: Vec::new(),
             arrivals: BTreeMap::new(),
-            first_token: BTreeMap::new(),
             clock_s: 0.0,
             steps: 0,
             next_external: 0,
@@ -143,7 +128,7 @@ impl SimServer {
     }
 
     pub fn model(&self) -> &PerfModel {
-        &self.model
+        self.core.model()
     }
 
     /// Queue a request for its arrival time.
@@ -162,7 +147,7 @@ impl SimServer {
         while let Some((req, _)) = self.pending.first() {
             if req.arrival_s <= self.clock_s + 1e-12 {
                 let (req, ext_id) = self.pending.remove(0);
-                let sched_id = self.scheduler.submit(req.clone());
+                let sched_id = self.core.submit(req.clone());
                 debug_assert_eq!(
                     sched_id, ext_id,
                     "scheduler ids must track submission order"
@@ -177,7 +162,7 @@ impl SimServer {
     /// Execute one engine step; returns false when fully drained.
     pub fn step(&mut self) -> bool {
         self.deliver_arrivals();
-        if !self.scheduler.has_work() {
+        if !self.core.scheduler().has_work() {
             if let Some((req, _)) = self.pending.first() {
                 // Jump to the next arrival.
                 self.clock_s = req.arrival_s;
@@ -186,81 +171,30 @@ impl SimServer {
             return false;
         }
 
-        let plan = self.scheduler.plan_step();
+        let planned = self.core.plan(&mut self.prices);
         let step_start_s = self.clock_s;
         // Admissions/preemptions happen at the step boundary just planned.
         self.emit_sched_events(step_start_s);
-        match plan {
-            StepPlan::Prefill { ids, tokens } => {
-                let batch = ids.len();
-                let per_seq = tokens.div_ceil(batch);
-                let dt = self.model.forward_time(
-                    tokens,
-                    batch,
-                    per_seq,
-                    moe_gpusim::perfmodel::Phase::Prefill,
-                );
+        match planned {
+            Some(step) => {
                 if self.tracer.is_enabled() {
-                    let parts = self.model.forward_parts(
-                        tokens,
-                        batch,
-                        per_seq,
-                        moe_gpusim::perfmodel::Phase::Prefill,
-                    );
-                    parts.emit(
+                    step.shape.forward_parts(self.core.model()).emit(
                         &mut self.tracer,
                         ENGINE_TRACK,
-                        "prefill",
+                        step.shape.label(),
                         step_start_s,
-                        vec![("batch", batch.into()), ("tokens", tokens.into())],
+                        step.shape.trace_args(),
                     );
                 }
-                self.clock_s += dt;
-                for id in self.scheduler.commit_prefill(&ids) {
-                    self.finish(id);
-                }
-                for &id in &ids {
-                    self.first_token.entry(id).or_insert(self.clock_s);
+                self.clock_s += step.dt_s;
+                for f in self.core.commit(step, self.clock_s) {
+                    self.finish(f);
                 }
             }
-            StepPlan::Decode { ids } => {
-                let batch = ids.len();
-                let mean_ctx = (ids
-                    .iter()
-                    .map(|id| self.scheduler.seq(*id).expect("running").context_len()) // lint:allow(no-panic-in-lib) -- scheduler invariant: ids in the decode plan are running
-                    .sum::<usize>()
-                    / batch)
-                    .max(1);
-                let dt = self.model.decode_step_time(batch, mean_ctx);
-                if self.tracer.is_enabled() {
-                    let parts = self.model.forward_parts(
-                        batch,
-                        batch,
-                        mean_ctx,
-                        moe_gpusim::perfmodel::Phase::Decode,
-                    );
-                    parts.emit(
-                        &mut self.tracer,
-                        ENGINE_TRACK,
-                        "decode",
-                        step_start_s,
-                        vec![("batch", batch.into()), ("mean_ctx", mean_ctx.into())],
-                    );
-                }
-                self.clock_s += dt;
-                for id in ids {
-                    if self.scheduler.commit_decode(id) {
-                        self.finish(id);
-                    }
-                }
-            }
-            StepPlan::Idle => {
-                if let Some((req, _)) = self.pending.first() {
-                    self.clock_s = self.clock_s.max(req.arrival_s);
-                } else {
-                    return false;
-                }
-            }
+            None => match self.pending.first() {
+                Some((req, _)) => self.clock_s = self.clock_s.max(req.arrival_s),
+                None => return false,
+            },
         }
         // Completions land at the post-step clock.
         self.emit_sched_events(self.clock_s);
@@ -276,30 +210,23 @@ impl SimServer {
         if !self.tracer.is_enabled() {
             return;
         }
-        for ev in self.scheduler.drain_events() {
-            match ev {
-                SchedEvent::Admitted { id, context_tokens } => self.tracer.instant(
-                    SCHED_TRACK,
-                    Category::Sched,
+        for ev in self.core.drain_events() {
+            let (name, args) = match ev {
+                SchedEvent::Admitted { id, context_tokens } => (
                     "admit",
-                    t_s,
                     vec![("req", id.into()), ("tokens", context_tokens.into())],
                 ),
-                SchedEvent::Preempted { id, preemptions } => self.tracer.instant(
-                    SCHED_TRACK,
-                    Category::Sched,
+                SchedEvent::Preempted { id, preemptions } => (
                     "preempt",
-                    t_s,
                     vec![("req", id.into()), ("preemptions", preemptions.into())],
                 ),
-                SchedEvent::Finished { id, generated } => self.tracer.instant(
-                    SCHED_TRACK,
-                    Category::Sched,
+                SchedEvent::Finished { id, generated } => (
                     "finish",
-                    t_s,
                     vec![("req", id.into()), ("generated", generated.into())],
                 ),
-            }
+            };
+            self.tracer
+                .instant(SCHED_TRACK, Category::Sched, name, t_s, args);
         }
     }
 
@@ -309,25 +236,28 @@ impl SimServer {
             return;
         }
         let t = self.clock_s;
-        let used = self.scheduler.blocks().used_blocks() as f64;
+        let sched = self.core.scheduler();
+        let used = sched.blocks().used_blocks() as f64;
         self.tracer.counter("kv-blocks-used", t, used);
         self.tracer
-            .counter("running-seqs", t, self.scheduler.num_running() as f64);
+            .counter("running-seqs", t, sched.num_running() as f64);
         self.tracer
-            .counter("waiting-seqs", t, self.scheduler.num_waiting() as f64);
+            .counter("waiting-seqs", t, sched.num_waiting() as f64);
     }
 
-    fn finish(&mut self, id: RequestId) {
-        let seq = self.scheduler.seq(id).expect("finished seq exists"); // lint:allow(no-panic-in-lib) -- scheduler invariant: finished ids remain in the table
-        let req = &self.arrivals[&id];
+    fn finish(&mut self, f: Finished) {
+        let Some(req) = self.arrivals.remove(&f.id) else {
+            return;
+        };
+        let id = f.id;
         let output = RequestOutput {
             id,
             prompt_len: req.prompt_len,
-            generated: seq.generated,
+            generated: f.generated,
             arrival_s: req.arrival_s,
-            first_token_s: *self.first_token.get(&id).unwrap_or(&self.clock_s),
-            finish_s: self.clock_s,
-            preemptions: seq.preemptions,
+            first_token_s: f.first_token_s,
+            finish_s: f.finish_s,
+            preemptions: f.preemptions,
         };
         if self.tracer.is_enabled() {
             // Per-request lifecycle chain on the request's own lane:
@@ -366,22 +296,6 @@ impl SimServer {
         self.outputs.push(output);
     }
 
-    /// Run to completion, returning the report and the (possibly
-    /// disabled) tracer that was installed.
-    fn run_consume(mut self) -> (SimReport, Tracer) {
-        let mut guard = 0u64;
-        while self.step() {
-            guard += 1;
-            assert!(guard < 50_000_000, "simulation livelock");
-        }
-        self.outputs.sort_by_key(|o| o.id);
-        let tracer = std::mem::take(&mut self.tracer);
-        (
-            SimReport::from_outputs(self.outputs, self.clock_s, self.steps),
-            tracer,
-        )
-    }
-
     /// Run until every submitted request completes, recording into
     /// `tracer` (callers wanting no tracing pass
     /// [`Tracer::disabled`]).
@@ -393,12 +307,17 @@ impl SimServer {
     /// there is no recording overhead.
     pub fn run(mut self, tracer: &mut Tracer) -> SimReport {
         std::mem::swap(&mut self.tracer, tracer);
-        self.scheduler.set_record_events(self.tracer.is_enabled());
+        self.core.set_record_events(self.tracer.is_enabled());
         self.tracer.name_track(ENGINE_TRACK, "engine");
         self.tracer.name_track(SCHED_TRACK, "scheduler");
-        let (report, finished) = self.run_consume();
-        *tracer = finished;
-        report
+        let mut guard = 0u64;
+        while self.step() {
+            guard += 1;
+            assert!(guard < 50_000_000, "simulation livelock");
+        }
+        std::mem::swap(&mut self.tracer, tracer);
+        self.outputs.sort_by_key(|o| o.id);
+        SimReport::from_outputs(self.outputs, self.clock_s, self.steps)
     }
 }
 
@@ -555,7 +474,7 @@ mod tests {
         let report = serve_static_batch(olmoe_server(), 4, 64, 16, &mut Tracer::disabled());
         let worst = report.outputs.iter().map(|o| o.e2e_s()).fold(0.0, f64::max);
         assert!((report.e2e.max_s - worst).abs() < 1e-12);
-        assert!(report.mean_ttft_s() <= report.mean_e2e_s());
+        assert!(report.ttft.mean_s <= report.e2e.mean_s);
         assert!(report.steps > 0);
     }
 }

@@ -10,7 +10,8 @@
 #[test]
 fn fig5_fast_is_byte_identical_across_runs() {
     let render = || {
-        let report = moe_bench::run_experiment("fig5", true).expect("fig5 is registered");
+        let report = moe_bench::run_experiment("fig5", true, &mut moe_trace::Tracer::disabled())
+            .expect("fig5 is registered");
         moe_json::to_string_pretty(&report)
     };
     let first = render();
@@ -26,7 +27,8 @@ fn fig5_fast_is_byte_identical_across_runs() {
 /// disk are a faithful, stable encoding of the measured grid.
 #[test]
 fn fig5_fast_report_roundtrips_exactly() {
-    let report = moe_bench::run_experiment("fig5", true).expect("fig5 is registered");
+    let report = moe_bench::run_experiment("fig5", true, &mut moe_trace::Tracer::disabled())
+        .expect("fig5 is registered");
     let json = moe_json::to_string_pretty(&report);
     let back: moe_bench::ExperimentReport = moe_json::from_str(&json).expect("parses back");
     assert_eq!(moe_json::to_string_pretty(&back), json);
@@ -34,8 +36,7 @@ fn fig5_fast_report_roundtrips_exactly() {
 
 fn traced_fig5() -> (String, String) {
     let mut tracer = moe_trace::Tracer::new(Box::new(moe_trace::MemorySink::new()));
-    let report =
-        moe_bench::run_experiment_traced("fig5", true, &mut tracer).expect("fig5 is registered");
+    let report = moe_bench::run_experiment("fig5", true, &mut tracer).expect("fig5 is registered");
     let trace = moe_trace::chrome_trace_json(&tracer.snapshot(), tracer.tracks());
     (moe_json::to_string_pretty(&report), trace)
 }
@@ -61,7 +62,8 @@ fn fig5_fast_trace_is_byte_identical_across_runs() {
 #[test]
 fn fig5_fast_tracing_does_not_perturb_report() {
     let plain = moe_json::to_string_pretty(
-        &moe_bench::run_experiment("fig5", true).expect("fig5 is registered"),
+        &moe_bench::run_experiment("fig5", true, &mut moe_trace::Tracer::disabled())
+            .expect("fig5 is registered"),
     );
     let (traced, trace) = traced_fig5();
     assert_eq!(plain, traced, "tracing changed the report bytes");
@@ -74,7 +76,7 @@ fn fig5_fast_tracing_does_not_perturb_report() {
 #[test]
 fn fig5_fast_trace_covers_simulated_time() {
     let mut tracer = moe_trace::Tracer::new(Box::new(moe_trace::MemorySink::new()));
-    moe_bench::run_experiment_traced("fig5", true, &mut tracer).expect("fig5 is registered");
+    moe_bench::run_experiment("fig5", true, &mut tracer).expect("fig5 is registered");
     let events = tracer.snapshot();
     assert!(!events.is_empty());
     for track in [moe_trace::ENGINE_TRACK, moe_trace::BENCH_TRACK] {
@@ -85,7 +87,7 @@ fn fig5_fast_trace_covers_simulated_time() {
 
 fn traced_cluster() -> (String, String) {
     let mut tracer = moe_trace::Tracer::new(Box::new(moe_trace::MemorySink::new()));
-    let report = moe_bench::run_experiment_traced("ext-cluster", true, &mut tracer)
+    let report = moe_bench::run_experiment("ext-cluster", true, &mut tracer)
         .expect("ext-cluster is registered");
     let trace = moe_trace::chrome_trace_json(&tracer.snapshot(), tracer.tracks());
     (moe_json::to_string_pretty(&report), trace)
@@ -113,8 +115,8 @@ fn ext_cluster_fast_report_and_trace_are_byte_identical_across_runs() {
 
 fn traced_plan() -> (String, String) {
     let mut tracer = moe_trace::Tracer::new(Box::new(moe_trace::MemorySink::new()));
-    let report = moe_bench::run_experiment_traced("ext-plan", true, &mut tracer)
-        .expect("ext-plan is registered");
+    let report =
+        moe_bench::run_experiment("ext-plan", true, &mut tracer).expect("ext-plan is registered");
     let trace = moe_trace::chrome_trace_json(&tracer.snapshot(), tracer.tracks());
     (moe_json::to_string_pretty(&report), trace)
 }
@@ -143,7 +145,8 @@ fn ext_plan_fast_report_and_trace_are_byte_identical_across_runs() {
 #[test]
 fn ext_plan_fast_tracing_does_not_perturb_report() {
     let plain = moe_json::to_string_pretty(
-        &moe_bench::run_experiment("ext-plan", true).expect("ext-plan is registered"),
+        &moe_bench::run_experiment("ext-plan", true, &mut moe_trace::Tracer::disabled())
+            .expect("ext-plan is registered"),
     );
     let (traced, trace) = traced_plan();
     assert_eq!(plain, traced, "tracing changed the ext-plan report");
@@ -161,7 +164,8 @@ fn ext_plan_fast_tracing_does_not_perturb_report() {
 #[test]
 fn ext_cluster_fast_tracing_does_not_perturb_report() {
     let plain = moe_json::to_string_pretty(
-        &moe_bench::run_experiment("ext-cluster", true).expect("ext-cluster is registered"),
+        &moe_bench::run_experiment("ext-cluster", true, &mut moe_trace::Tracer::disabled())
+            .expect("ext-cluster is registered"),
     );
     let (traced, trace) = traced_cluster();
     assert_eq!(plain, traced, "tracing changed the ext-cluster report");
@@ -266,8 +270,8 @@ fn thread_count_matrix_is_byte_identical() {
 
 fn traced_ctrl() -> (String, String) {
     let mut tracer = moe_trace::Tracer::new(Box::new(moe_trace::MemorySink::new()));
-    let report = moe_bench::run_experiment_traced("ext-ctrl", true, &mut tracer)
-        .expect("ext-ctrl is registered");
+    let report =
+        moe_bench::run_experiment("ext-ctrl", true, &mut tracer).expect("ext-ctrl is registered");
     let trace = moe_trace::chrome_trace_json(&tracer.snapshot(), tracer.tracks());
     (moe_json::to_string_pretty(&report), trace)
 }
@@ -306,8 +310,8 @@ fn ext_ctrl_fast_report_and_trace_are_byte_identical_across_thread_counts() {
 
 fn traced_mem() -> (String, String) {
     let mut tracer = moe_trace::Tracer::new(Box::new(moe_trace::MemorySink::new()));
-    let report = moe_bench::run_experiment_traced("ext-mem", true, &mut tracer)
-        .expect("ext-mem is registered");
+    let report =
+        moe_bench::run_experiment("ext-mem", true, &mut tracer).expect("ext-mem is registered");
     let trace = moe_trace::chrome_trace_json(&tracer.snapshot(), tracer.tracks());
     (moe_json::to_string_pretty(&report), trace)
 }
@@ -343,8 +347,8 @@ fn ext_mem_fast_report_and_trace_are_byte_identical_across_thread_counts() {
 
 fn traced_cap() -> (String, String) {
     let mut tracer = moe_trace::Tracer::new(Box::new(moe_trace::MemorySink::new()));
-    let report = moe_bench::run_experiment_traced("ext-cap", true, &mut tracer)
-        .expect("ext-cap is registered");
+    let report =
+        moe_bench::run_experiment("ext-cap", true, &mut tracer).expect("ext-cap is registered");
     let trace = moe_trace::chrome_trace_json(&tracer.snapshot(), tracer.tracks());
     (moe_json::to_string_pretty(&report), trace)
 }

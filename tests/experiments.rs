@@ -1,11 +1,16 @@
 //! Integration tests over the experiment harness: every registered
 //! table/figure regenerates, produces well-formed reports, and serializes.
 
-use moe_bench::{all_experiment_ids, run_experiment};
+use moe_bench::{ExperimentReport, REGISTRY};
+use moe_trace::Tracer;
+
+fn fast_report(id: &str) -> Option<ExperimentReport> {
+    moe_bench::run_experiment(id, true, &mut Tracer::disabled())
+}
 
 #[test]
 fn every_paper_artifact_is_registered() {
-    let ids = all_experiment_ids();
+    let ids: Vec<&str> = REGISTRY.iter().map(|e| e.id()).collect();
     // Table 1 plus figures 1 and 3-18 (fig 2 is a schematic).
     let expected = [
         "table1",
@@ -42,13 +47,13 @@ fn every_paper_artifact_is_registered() {
 
 #[test]
 fn unknown_experiment_is_none() {
-    assert!(run_experiment("fig99", true).is_none());
+    assert!(fast_report("fig99").is_none());
 }
 
 #[test]
 fn all_experiments_produce_wellformed_reports() {
-    for id in all_experiment_ids() {
-        let report = run_experiment(id, true).expect("registered id runs");
+    for id in REGISTRY.iter().map(|e| e.id()) {
+        let report = fast_report(id).expect("registered id runs");
         assert_eq!(report.id, id);
         assert!(!report.title.is_empty());
         assert!(!report.tables.is_empty(), "{id}: no tables");
@@ -75,15 +80,15 @@ fn all_experiments_produce_wellformed_reports() {
 #[test]
 fn reports_are_deterministic() {
     for id in ["table1", "fig1", "fig5", "fig13", "fig17"] {
-        let a = run_experiment(id, true).expect("registered");
-        let b = run_experiment(id, true).expect("registered");
+        let a = fast_report(id).expect("registered");
+        let b = fast_report(id).expect("registered");
         assert_eq!(a, b, "{id} not reproducible");
     }
 }
 
 #[test]
 fn csv_export_roundtrips_columns() {
-    let report = run_experiment("table1", true).expect("registered");
+    let report = fast_report("table1").expect("registered");
     let csv = report.tables[0].to_csv();
     let header = csv.lines().next().expect("non-empty CSV");
     assert_eq!(header.split(',').count(), report.tables[0].columns.len());
