@@ -4,6 +4,12 @@
 //! writes `BENCH_cluster.json` at the repo root. CI runs this as the
 //! cluster-core timing smoke; `docs/SCALE.md` explains each field.
 //!
+//! The `trajectory` array is an append-only history, like
+//! `BENCH_par.json`'s: entries marked `"committed": true` are carried
+//! forward verbatim, each run appends its own fresh entry, and a file
+//! with no history is seeded with the committed pre-heap baseline.
+//! `tests/bench_history.rs` pins the ordering and the baseline.
+//!
 //! Wall-clock is read here and in the other `benches/` targets only —
 //! these numbers describe the simulator's own speed and never feed
 //! simulated time.
@@ -11,6 +17,7 @@
 use std::hint::black_box;
 use std::time::Instant;
 
+use moe_bench::timing::committed_history;
 use moe_cluster::{
     generate, run_sharded, ArrivalProcess, ClusterConfig, ClusterReport, ClusterSim, FaultPlan,
     RoutePolicy, ShardPlan, TenantSpec, WorkloadSpec, WorkloadStream,
@@ -188,6 +195,26 @@ fn main() {
     let host_cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_cluster.json");
+    let mut trajectory = committed_history(path, "trajectory");
+    if trajectory.is_empty() {
+        trajectory.push(Json::Obj(vec![
+            ("core".into(), Json::Str(BASELINE_LABEL.into())),
+            ("events_per_s".into(), Json::Float(BASELINE_EVENTS_PER_S)),
+            ("committed".into(), Json::Bool(true)),
+        ]));
+    }
+    trajectory.push(Json::Obj(vec![
+        (
+            "core".into(),
+            Json::Str("indexed event heap + streaming aggregation".into()),
+        ),
+        ("events_per_s".into(), Json::Float(events_per_s)),
+        ("events".into(), Json::Int(report.events as i128)),
+        ("wall_s".into(), Json::Float(best_wall)),
+        ("speedup_vs_baseline".into(), Json::Float(speedup)),
+        ("committed".into(), Json::Bool(false)),
+    ]));
     let json = Json::Obj(vec![
         (
             "bench".into(),
@@ -197,27 +224,7 @@ fn main() {
         ("requests".into(), Json::Int(REQUESTS as i128)),
         ("host_cores".into(), Json::Int(host_cores as i128)),
         ("reps".into(), Json::Int(reps as i128)),
-        (
-            "trajectory".into(),
-            Json::Arr(vec![
-                Json::Obj(vec![
-                    ("core".into(), Json::Str(BASELINE_LABEL.into())),
-                    ("events_per_s".into(), Json::Float(BASELINE_EVENTS_PER_S)),
-                    ("committed".into(), Json::Bool(true)),
-                ]),
-                Json::Obj(vec![
-                    (
-                        "core".into(),
-                        Json::Str("indexed event heap + streaming aggregation".into()),
-                    ),
-                    ("events_per_s".into(), Json::Float(events_per_s)),
-                    ("events".into(), Json::Int(report.events as i128)),
-                    ("wall_s".into(), Json::Float(best_wall)),
-                    ("speedup_vs_baseline".into(), Json::Float(speedup)),
-                    ("committed".into(), Json::Bool(false)),
-                ]),
-            ]),
-        ),
+        ("trajectory".into(), Json::Arr(trajectory)),
         (
             "memory".into(),
             Json::Obj(vec![
@@ -230,7 +237,6 @@ fn main() {
         ),
         ("sharded_identical_across_workers".into(), Json::Bool(true)),
     ]);
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_cluster.json");
     std::fs::write(path, json.render_pretty() + "\n").expect("write BENCH_cluster.json");
     println!("-> BENCH_cluster.json");
 }

@@ -16,6 +16,7 @@
 //! pool has one worker and the ratio is ~1.0 by construction, so each
 //! entry records `host_cores` and states it in its `note`.
 
+use moe_bench::timing::committed_history;
 use moe_json::Json;
 use std::hint::black_box;
 use std::time::Instant;
@@ -39,37 +40,6 @@ fn time_run_all(workers: usize, reps: usize) -> f64 {
     }
     moe_par::set_workers_for_test(0);
     best
-}
-
-/// Prior committed entries of `BENCH_par.json`, oldest first. Entries
-/// with `"committed": true` are carried forward verbatim; a previous
-/// run's own uncommitted tail entry is dropped (re-measuring replaces
-/// it). The pre-history flat layout — one measurement object at the top
-/// level — is wrapped as the committed origin entry.
-fn committed_history(path: &str) -> Vec<Json> {
-    let Ok(text) = std::fs::read_to_string(path) else {
-        return Vec::new();
-    };
-    let Ok(doc) = moe_json::parse(&text) else {
-        return Vec::new();
-    };
-    match doc.get("history") {
-        Some(Json::Arr(entries)) => entries
-            .iter()
-            .filter(|e| matches!(e.get("committed"), Some(Json::Bool(true))))
-            .cloned()
-            .collect(),
-        _ => match doc {
-            // Legacy flat file: the object *is* the original measurement.
-            Json::Obj(pairs) if doc.get("serial_s").is_some() => {
-                let mut origin: Vec<(String, Json)> =
-                    pairs.into_iter().filter(|(k, _)| k != "bench").collect();
-                origin.push(("committed".into(), Json::Bool(true)));
-                vec![Json::Obj(origin)]
-            }
-            _ => Vec::new(),
-        },
-    }
 }
 
 fn main() {
@@ -119,7 +89,7 @@ fn main() {
         ("committed".into(), Json::Bool(false)),
     ]);
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_par.json");
-    let mut history = committed_history(path);
+    let mut history = committed_history(path, "history");
     history.push(entry);
     let json = Json::Obj(vec![
         ("bench".into(), Json::Str("moe-bench all --fast".into())),

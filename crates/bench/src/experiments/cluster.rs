@@ -87,20 +87,12 @@ fn run_point(
     report
 }
 
-/// One QPS-sweep row: `(policy, qps, report)`.
-pub fn sweep_rows(fast: bool) -> Vec<(RoutePolicy, f64, ClusterReport)> {
-    sweep_rows_traced(fast, &mut Tracer::disabled())
-}
-
-/// [`sweep_rows`] with tracing: every `(policy, qps)` point runs through
-/// `ClusterSim::run` (router decisions, per-replica step spans,
-/// queue counters), gets a grouping span on [`BENCH_TRACK`], and advances
-/// the tracer base by the point's makespan so points tile one monotone
-/// timeline. With a disabled tracer this is exactly [`sweep_rows`].
-pub fn sweep_rows_traced(
-    fast: bool,
-    tracer: &mut Tracer,
-) -> Vec<(RoutePolicy, f64, ClusterReport)> {
+/// QPS-sweep rows `(policy, qps, report)`. Every point runs through
+/// `ClusterSim::run` (router decisions, per-replica step spans, queue
+/// counters) and, when `tracer` is enabled, gets a grouping span on
+/// [`BENCH_TRACK`] and advances the tracer base by the point's makespan
+/// so points tile one monotone timeline.
+pub fn sweep_rows(fast: bool, tracer: &mut Tracer) -> Vec<(RoutePolicy, f64, ClusterReport)> {
     let rates: &[f64] = if fast {
         &[60.0, 100.0]
     } else {
@@ -126,16 +118,12 @@ pub fn sweep_rows_traced(
     rows
 }
 
-/// One fault-sweep row: `(scenario label, report)`.
-pub fn fault_rows(fast: bool) -> Vec<(&'static str, ClusterReport)> {
-    fault_rows_traced(fast, &mut Tracer::disabled())
-}
-
-/// [`fault_rows`] with tracing (same contract as [`sweep_rows_traced`]).
+/// Fault-sweep rows `(scenario label, report)`, traced like
+/// [`sweep_rows`].
 ///
 /// All scenarios route with least-outstanding at a moderate load; the
 /// crash takes one of four replicas down for two seconds mid-run.
-pub fn fault_rows_traced(fast: bool, tracer: &mut Tracer) -> Vec<(&'static str, ClusterReport)> {
+pub fn fault_rows(fast: bool, tracer: &mut Tracer) -> Vec<(&'static str, ClusterReport)> {
     let requests: usize = if fast { 150 } else { 400 };
     // Near saturation: replicas hold real queue depth, so a crash loses
     // a visible slice of in-flight work rather than one straggler.
@@ -185,7 +173,7 @@ fn build(fast: bool, tracer: &mut Tracer) -> ExperimentReport {
             "Cost dev-ms/tok",
         ],
     );
-    for (policy, qps, r) in sweep_rows_traced(fast, tracer) {
+    for (policy, qps, r) in sweep_rows(fast, tracer) {
         sweep.row(vec![
             policy.label().to_string(),
             num(qps),
@@ -209,7 +197,7 @@ fn build(fast: bool, tracer: &mut Tracer) -> ExperimentReport {
             "p99 E2E",
         ],
     );
-    for (label, r) in fault_rows_traced(fast, tracer) {
+    for (label, r) in fault_rows(fast, tracer) {
         faults.row(vec![
             label.to_string(),
             format!("{}/{}", r.completed, r.submitted),
@@ -238,7 +226,7 @@ mod tests {
 
     #[test]
     fn fault_sweep_retries_bound_tail_instead_of_dropping() {
-        let rows = fault_rows(true);
+        let rows = fault_rows(true, &mut Tracer::disabled());
         let get = |label: &str| {
             rows.iter()
                 .find(|(l, _)| *l == label)
@@ -263,7 +251,7 @@ mod tests {
 
     #[test]
     fn sweep_covers_every_policy_at_every_rate() {
-        let rows = sweep_rows(true);
+        let rows = sweep_rows(true, &mut Tracer::disabled());
         assert_eq!(rows.len(), 2 * RoutePolicy::all().len());
         for (_, _, r) in &rows {
             assert_eq!(r.completed, r.submitted, "healthy sweep completes all");

@@ -193,17 +193,13 @@ fn build_multinode() -> ExperimentReport {
 }
 
 /// QPS study: Poisson arrivals at several offered loads; returns
-/// `(qps, mean_ttft_s, p95_ttft_s, mean_itl_s, makespan_s)`.
-pub fn qps_rows(fast: bool) -> Vec<(f64, f64, f64, f64, f64)> {
-    qps_rows_traced(fast, &mut Tracer::disabled())
-}
-
-/// [`qps_rows`] with tracing: each offered-load point runs through
-/// `SimServer::run` (engine steps, scheduler decisions and
-/// per-request lifecycle spans), gets a grouping span on [`BENCH_TRACK`],
-/// and advances the tracer base by the point's makespan so points tile one
-/// monotone timeline. With a disabled tracer this is exactly [`qps_rows`].
-pub fn qps_rows_traced(fast: bool, tracer: &mut Tracer) -> Vec<(f64, f64, f64, f64, f64)> {
+/// `(qps, mean_ttft_s, p95_ttft_s, mean_itl_s, makespan_s)`. Each
+/// offered-load point runs through `SimServer::run` (engine steps,
+/// scheduler decisions and per-request lifecycle spans) and, when
+/// `tracer` is enabled, gets a grouping span on [`BENCH_TRACK`] and
+/// advances the tracer base by the point's makespan so points tile one
+/// monotone timeline.
+pub fn qps_rows(fast: bool, tracer: &mut Tracer) -> Vec<(f64, f64, f64, f64, f64)> {
     let rates: &[f64] = if fast {
         &[1.0, 8.0]
     } else {
@@ -246,7 +242,7 @@ pub fn qps_rows_traced(fast: bool, tracer: &mut Tracer) -> Vec<(f64, f64, f64, f
 }
 
 /// Build the QPS report while recording every offered-load point into
-/// `tracer` (see [`qps_rows_traced`]).
+/// `tracer` (see [`qps_rows`]).
 fn build_qps(fast: bool, tracer: &mut Tracer) -> ExperimentReport {
     let mut report = ExperimentReport::new(ExtQps.id(), ExtQps.title());
     let mut t = Table::new(
@@ -259,7 +255,7 @@ fn build_qps(fast: bool, tracer: &mut Tracer) -> ExperimentReport {
             "Makespan",
         ],
     );
-    for (qps, ttft, p95, itl, makespan) in qps_rows_traced(fast, tracer) {
+    for (qps, ttft, p95, itl, makespan) in qps_rows(fast, tracer) {
         t.row(vec![
             num(qps),
             secs(ttft),
@@ -321,7 +317,7 @@ mod tests {
 
     #[test]
     fn qps_latency_grows_with_load() {
-        let rows = qps_rows(true);
+        let rows = qps_rows(true, &mut Tracer::disabled());
         let low = rows.first().expect("rows");
         let high = rows.last().expect("rows");
         assert!(high.1 > low.1, "mean TTFT must grow with load");

@@ -8,7 +8,7 @@ use moe_trace::{Category, Tracer, BENCH_TRACK, ENGINE_TRACK};
 
 use crate::common::{auto_place, SWEEP_BATCHES};
 use crate::experiment::{ExpCtx, Experiment};
-use crate::report::{tput_cell, ExperimentReport, Table};
+use crate::report::{batch_grid_table, ExperimentReport};
 
 /// Registry handle.
 pub struct Fig05;
@@ -35,19 +35,16 @@ pub const OUT_LEN: usize = 1024;
 /// Throughput grid: `(batch, topk) -> Option<tok/s>` for one model. The
 /// placement is fixed per model at the largest batch so the whole grid is
 /// comparable.
-pub fn sweep(base: &ModelConfig, fast: bool) -> Vec<(usize, usize, Option<f64>)> {
-    sweep_traced(base, fast, &mut Tracer::disabled())
-}
-
-/// [`sweep`] with tracing: every sweep point runs through the unified
-/// `PerfModel::run`, gets a grouping span on [`BENCH_TRACK`] labelled
-/// with the grid coordinates, and advances the tracer base by the
-/// point's end-to-end latency so consecutive points tile one monotone
-/// simulated timeline. With a disabled tracer the grid is scored
-/// concurrently on the work-stealing pool (the cost model is pure
-/// arithmetic, so points are independent); `map_collect` returns points
-/// in grid order, making both paths produce identical vectors.
-pub fn sweep_traced(
+///
+/// With an enabled tracer every point runs through `PerfModel::run`,
+/// gets a grouping span on [`BENCH_TRACK`] labelled with the grid
+/// coordinates, and advances the tracer base by the point's end-to-end
+/// latency so consecutive points tile one monotone simulated timeline.
+/// With a disabled tracer the grid is scored concurrently on the
+/// work-stealing pool (the cost model is pure arithmetic, so points are
+/// independent); `map_collect` returns points in grid order, making both
+/// paths produce identical vectors.
+pub fn sweep(
     base: &ModelConfig,
     fast: bool,
     tracer: &mut Tracer,
@@ -111,31 +108,6 @@ pub fn sweep_traced(
     out
 }
 
-fn grid_table(name: &str, grid: &[(usize, usize, Option<f64>)]) -> Table {
-    let mut topks: Vec<usize> = grid.iter().map(|g| g.1).collect();
-    topks.sort_unstable();
-    topks.dedup();
-    let mut batches: Vec<usize> = grid.iter().map(|g| g.0).collect();
-    batches.sort_unstable();
-    batches.dedup();
-
-    let mut cols = vec!["Batch".to_string()];
-    cols.extend(topks.iter().map(|k| format!("TopK={k}")));
-    let mut t = Table::new(
-        format!("{name} — throughput (tok/s) vs batch x TopK"),
-        &cols.iter().map(|s| s.as_str()).collect::<Vec<_>>(),
-    );
-    for &b in &batches {
-        let mut row = vec![b.to_string()];
-        for &k in &topks {
-            let v = grid.iter().find(|g| g.0 == b && g.1 == k).and_then(|g| g.2);
-            row.push(tput_cell(v));
-        }
-        t.row(row);
-    }
-    t
-}
-
 /// Build the report while recording the full sweep into `tracer` (engine
 /// step spans on track 0, per-point grouping spans on the bench track).
 fn build(fast: bool, tracer: &mut Tracer) -> ExperimentReport {
@@ -143,8 +115,12 @@ fn build(fast: bool, tracer: &mut Tracer) -> ExperimentReport {
     tracer.name_track(ENGINE_TRACK, "engine");
     tracer.name_track(BENCH_TRACK, "bench");
     for base in [deepseek_v2_lite(), qwen15_moe_a27b()] {
-        let grid = sweep_traced(&base, fast, tracer);
-        report.table(grid_table(&base.name, &grid));
+        let grid = sweep(&base, fast, tracer);
+        report.table(batch_grid_table(
+            format!("{} — throughput (tok/s) vs batch x TopK", base.name),
+            &grid,
+            |k| format!("TopK={k}"),
+        ));
     }
     report.note(
         "Throughput decreases as TopK grows at every batch size; the relative drop is \
@@ -162,9 +138,9 @@ mod tests {
     #[test]
     fn traced_sweep_matches_plain_and_tiles_timeline() {
         let base = deepseek_v2_lite();
-        let plain = sweep(&base, true);
+        let plain = sweep(&base, true, &mut Tracer::disabled());
         let mut tracer = Tracer::new(Box::new(MemorySink::new()));
-        let traced = sweep_traced(&base, true, &mut tracer);
+        let traced = sweep(&base, true, &mut tracer);
         assert_eq!(plain, traced, "tracing must not perturb results");
         let events = tracer.snapshot();
         assert!(!events.is_empty());
@@ -175,7 +151,7 @@ mod tests {
     #[test]
     fn throughput_decreases_with_topk() {
         for base in [deepseek_v2_lite(), qwen15_moe_a27b()] {
-            let grid = sweep(&base, true);
+            let grid = sweep(&base, true, &mut Tracer::disabled());
             for &batch in &[1usize, 64] {
                 let series: Vec<f64> = grid
                     .iter()
@@ -192,7 +168,7 @@ mod tests {
 
     #[test]
     fn throughput_increases_with_batch() {
-        let grid = sweep(&deepseek_v2_lite(), true);
+        let grid = sweep(&deepseek_v2_lite(), true, &mut Tracer::disabled());
         let at = |b: usize, k: usize| {
             grid.iter()
                 .find(|g| g.0 == b && g.1 == k)
@@ -212,7 +188,7 @@ mod tests {
         // EXPERIMENTS.md: vLLM's batch-1 decode is host-overhead-bound,
         // ours is weight-traffic-bound).
         for base in [deepseek_v2_lite(), qwen15_moe_a27b()] {
-            let grid = sweep(&base, true);
+            let grid = sweep(&base, true, &mut Tracer::disabled());
             let at = |b: usize, k: usize| {
                 grid.iter()
                     .find(|g| g.0 == b && g.1 == k)

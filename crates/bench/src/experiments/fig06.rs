@@ -7,7 +7,7 @@ use moe_tensor::Precision;
 
 use crate::common::{auto_place, PAPER_LENGTHS, SWEEP_BATCHES};
 use crate::experiment::{ExpCtx, Experiment};
-use crate::report::{tput_cell, ExperimentReport, Table};
+use crate::report::{batch_grid_table, ExperimentReport};
 
 /// Throughput grid `(batch, len) -> Option<tok/s>`; input = output = len.
 pub fn sweep(base: &ModelConfig, fast: bool) -> Vec<(usize, usize, Option<f64>)> {
@@ -38,32 +38,6 @@ pub fn sweep(base: &ModelConfig, fast: bool) -> Vec<(usize, usize, Option<f64>)>
     out
 }
 
-fn grid_table(name: &str, grid: &[(usize, usize, Option<f64>)]) -> Table {
-    let mut lens: Vec<usize> = grid.iter().map(|g| g.1).collect();
-    lens.sort_unstable();
-    lens.dedup();
-    let mut batches: Vec<usize> = grid.iter().map(|g| g.0).collect();
-    batches.sort_unstable();
-    batches.dedup();
-
-    let mut cols = vec!["Batch".to_string()];
-    cols.extend(lens.iter().map(|l| format!("in/out {l}")));
-    let mut t = Table::new(
-        format!("{name} — throughput (tok/s)"),
-        &cols.iter().map(|s| s.as_str()).collect::<Vec<_>>(),
-    );
-    for &b in &batches {
-        let mut row = vec![b.to_string()];
-        for &l in &lens {
-            row.push(tput_cell(
-                grid.iter().find(|g| g.0 == b && g.1 == l).and_then(|g| g.2),
-            ));
-        }
-        t.row(row);
-    }
-    t
-}
-
 /// Build the report.
 /// Registry handle.
 pub struct Fig06;
@@ -83,7 +57,11 @@ impl Experiment for Fig06 {
 fn build(fast: bool) -> ExperimentReport {
     let mut report = ExperimentReport::new(Fig06.id(), Fig06.title());
     for base in [deepseek_v2_lite(), qwen15_moe_a27b()] {
-        report.table(grid_table(&base.name, &sweep(&base, fast)));
+        report.table(batch_grid_table(
+            format!("{} — throughput (tok/s)", base.name),
+            &sweep(&base, fast),
+            |l| format!("in/out {l}"),
+        ));
     }
     report.note(
         "Shorter sequences deliver higher throughput at every batch size, and the \

@@ -1,11 +1,9 @@
 //! Figure 7: throughput vs FFN dimension (one panel per expert count),
 //! Mixtral-8x7B skeleton, batch 16, in/out 2048, 4 H100s.
 
-use moe_model::variants::{ACTIVE_COUNTS, EXPERT_COUNTS, FFN_DIMS};
-
-use super::sweep59::{at, run_grid, GridResult};
+use super::sweep59::{pivot_panels, run_grid, Axis};
 use crate::experiment::{ExpCtx, Experiment};
-use crate::report::{tput_cell, ExperimentReport, Table};
+use crate::report::ExperimentReport;
 
 /// Build the report (panels: expert count; rows: FFN dim; columns: TopK).
 /// Registry handle.
@@ -26,11 +24,8 @@ impl Experiment for Fig07 {
 fn build(fast: bool) -> ExperimentReport {
     let grid = run_grid(fast);
     let mut report = ExperimentReport::new(Fig07.id(), Fig07.title());
-    for &e in &EXPERT_COUNTS {
-        if !grid.iter().any(|g| g.num_experts == e) {
-            continue;
-        }
-        report.table(panel(&grid, e));
+    for t in pivot_panels(&grid, Axis::Experts, Axis::FfnDim, Axis::TopK) {
+        report.table(t);
     }
     report.note(
         "Throughput declines steeply as the FFN dimension grows (paper: ~50% average from \
@@ -38,30 +33,6 @@ fn build(fast: bool) -> ExperimentReport {
          cells reproduce the figure's missing points.",
     );
     report
-}
-
-fn panel(grid: &[GridResult], e: usize) -> Table {
-    let mut cols = vec!["FFN dim".to_string()];
-    cols.extend(ACTIVE_COUNTS.iter().map(|k| format!("TopK={k}")));
-    let mut t = Table::new(
-        format!("{e} experts — throughput (tok/s)"),
-        &cols.iter().map(|s| s.as_str()).collect::<Vec<_>>(),
-    );
-    for &ffn in &FFN_DIMS {
-        if !grid.iter().any(|g| g.ffn_dim == ffn && g.num_experts == e) {
-            continue;
-        }
-        let mut row = vec![ffn.to_string()];
-        for &k in &ACTIVE_COUNTS {
-            if grid.iter().any(|g| g.top_k == k) {
-                row.push(tput_cell(at(grid, ffn, e, k)));
-            } else {
-                row.push("-".into());
-            }
-        }
-        t.row(row);
-    }
-    t
 }
 
 #[cfg(test)]

@@ -1,11 +1,9 @@
 //! Figure 8: throughput vs number of experts (one panel per FFN
 //! dimension), Mixtral-8x7B skeleton, batch 16, in/out 2048, 4 H100s.
 
-use moe_model::variants::{ACTIVE_COUNTS, EXPERT_COUNTS, FFN_DIMS};
-
-use super::sweep59::{at, run_grid, GridResult};
+use super::sweep59::{pivot_panels, run_grid, Axis};
 use crate::experiment::{ExpCtx, Experiment};
-use crate::report::{tput_cell, ExperimentReport, Table};
+use crate::report::ExperimentReport;
 
 /// Build the report (panels: FFN dim; rows: expert count; columns: TopK).
 /// Registry handle.
@@ -26,11 +24,8 @@ impl Experiment for Fig08 {
 fn build(fast: bool) -> ExperimentReport {
     let grid = run_grid(fast);
     let mut report = ExperimentReport::new(Fig08.id(), Fig08.title());
-    for &ffn in &FFN_DIMS {
-        if !grid.iter().any(|g| g.ffn_dim == ffn) {
-            continue;
-        }
-        report.table(panel(&grid, ffn));
+    for t in pivot_panels(&grid, Axis::FfnDim, Axis::Experts, Axis::TopK) {
+        report.table(t);
     }
     report.note(
         "At small FFN dimensions, growing the expert pool 8 -> 64 maintains throughput \
@@ -41,33 +36,10 @@ fn build(fast: bool) -> ExperimentReport {
     report
 }
 
-fn panel(grid: &[GridResult], ffn: usize) -> Table {
-    let mut cols = vec!["#Experts".to_string()];
-    cols.extend(ACTIVE_COUNTS.iter().map(|k| format!("TopK={k}")));
-    let mut t = Table::new(
-        format!("FFN {ffn} — throughput (tok/s)"),
-        &cols.iter().map(|s| s.as_str()).collect::<Vec<_>>(),
-    );
-    for &e in &EXPERT_COUNTS {
-        if !grid.iter().any(|g| g.ffn_dim == ffn && g.num_experts == e) {
-            continue;
-        }
-        let mut row = vec![e.to_string()];
-        for &k in &ACTIVE_COUNTS {
-            if grid.iter().any(|g| g.top_k == k) {
-                row.push(tput_cell(at(grid, ffn, e, k)));
-            } else {
-                row.push("-".into());
-            }
-        }
-        t.row(row);
-    }
-    t
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::sweep59::at;
 
     #[test]
     fn panels_by_ffn_dim() {

@@ -1,11 +1,9 @@
 //! Figure 9: throughput vs number of active experts (one panel per FFN
 //! dimension), Mixtral-8x7B skeleton, batch 16, in/out 2048, 4 H100s.
 
-use moe_model::variants::{ACTIVE_COUNTS, EXPERT_COUNTS, FFN_DIMS};
-
-use super::sweep59::{at, run_grid, GridResult};
+use super::sweep59::{pivot_panels, run_grid, Axis};
 use crate::experiment::{ExpCtx, Experiment};
-use crate::report::{tput_cell, ExperimentReport, Table};
+use crate::report::ExperimentReport;
 
 /// Build the report (panels: FFN dim; rows: TopK; columns: expert count).
 /// Registry handle.
@@ -26,11 +24,8 @@ impl Experiment for Fig09 {
 fn build(fast: bool) -> ExperimentReport {
     let grid = run_grid(fast);
     let mut report = ExperimentReport::new(Fig09.id(), Fig09.title());
-    for &ffn in &FFN_DIMS {
-        if !grid.iter().any(|g| g.ffn_dim == ffn) {
-            continue;
-        }
-        report.table(panel(&grid, ffn));
+    for t in pivot_panels(&grid, Axis::FfnDim, Axis::TopK, Axis::Experts) {
+        report.table(t);
     }
     report.note(
         "Single-active-expert configurations deliver the highest throughput everywhere; \
@@ -40,33 +35,10 @@ fn build(fast: bool) -> ExperimentReport {
     report
 }
 
-fn panel(grid: &[GridResult], ffn: usize) -> Table {
-    let mut cols = vec!["TopK".to_string()];
-    cols.extend(EXPERT_COUNTS.iter().map(|e| format!("{e} experts")));
-    let mut t = Table::new(
-        format!("FFN {ffn} — throughput (tok/s)"),
-        &cols.iter().map(|s| s.as_str()).collect::<Vec<_>>(),
-    );
-    for &k in &ACTIVE_COUNTS {
-        if !grid.iter().any(|g| g.ffn_dim == ffn && g.top_k == k) {
-            continue;
-        }
-        let mut row = vec![k.to_string()];
-        for &e in &EXPERT_COUNTS {
-            if grid.iter().any(|g| g.num_experts == e) {
-                row.push(tput_cell(at(grid, ffn, e, k)));
-            } else {
-                row.push("-".into());
-            }
-        }
-        t.row(row);
-    }
-    t
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::sweep59::at;
 
     #[test]
     fn single_active_always_fastest() {

@@ -30,7 +30,7 @@ use moe_plan::{plan, FleetSpec, PlanReport, PlannerSpec, SearchMode, SearchSpace
 use moe_trace::Tracer;
 
 use crate::experiment::{ExpCtx, Experiment};
-use crate::report::{num, secs, ExperimentReport, Table};
+use crate::report::{num, secs, yes_no, ExperimentReport, Table};
 
 /// Registry handle.
 pub struct ExtMem;
@@ -179,10 +179,6 @@ pub fn cliff_reports() -> (PlanReport, PlanReport) {
 
 fn pct(v: f64) -> String {
     format!("{:.1}%", v * 100.0)
-}
-
-fn yes_no(v: bool) -> String {
-    if v { "yes" } else { "no" }.to_string()
 }
 
 fn artifact_table(artifact: &TraceArtifact) -> Table {

@@ -31,7 +31,7 @@ use moe_tensor::Precision;
 use moe_trace::Tracer;
 
 use crate::experiment::{ExpCtx, Experiment};
-use crate::report::{num, secs, ExperimentReport, Table};
+use crate::report::{num, secs, yes_no, ExperimentReport, Table};
 
 /// Registry handle.
 pub struct ExtPlan;
@@ -168,10 +168,6 @@ fn refined_table(report: &PlanReport) -> Table {
         ]);
     }
     t
-}
-
-fn yes_no(v: bool) -> String {
-    if v { "yes" } else { "no" }.to_string()
 }
 
 /// Score the four degree-4 fp16 placements of `model` at the headline

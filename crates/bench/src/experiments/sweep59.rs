@@ -8,6 +8,7 @@ use moe_model::variants::{mixtral_variant, ACTIVE_COUNTS, EXPERT_COUNTS, FFN_DIM
 use moe_tensor::Precision;
 
 use crate::common::place_with_plan;
+use crate::report::{tput_cell, Table};
 
 /// Batch/lengths from the figure captions.
 pub const BATCH: usize = 16;
@@ -62,6 +63,93 @@ pub fn at(grid: &[GridResult], ffn: usize, e: usize, k: usize) -> Option<f64> {
     grid.iter()
         .find(|g| g.ffn_dim == ffn && g.num_experts == e && g.top_k == k)
         .and_then(|g| g.throughput)
+}
+
+/// One axis of the grid, for pivoting it into figure panels.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Axis {
+    FfnDim,
+    Experts,
+    TopK,
+}
+
+impl Axis {
+    /// Every value the full grid sweeps on this axis, ascending.
+    fn values(self) -> &'static [usize] {
+        match self {
+            Axis::FfnDim => &FFN_DIMS,
+            Axis::Experts => &EXPERT_COUNTS,
+            Axis::TopK => &ACTIVE_COUNTS,
+        }
+    }
+
+    fn of(self, g: &GridResult) -> usize {
+        match self {
+            Axis::FfnDim => g.ffn_dim,
+            Axis::Experts => g.num_experts,
+            Axis::TopK => g.top_k,
+        }
+    }
+
+    /// Header of the row-label column when rows run along this axis.
+    fn header(self) -> &'static str {
+        match self {
+            Axis::FfnDim => "FFN dim",
+            Axis::Experts => "#Experts",
+            Axis::TopK => "TopK",
+        }
+    }
+
+    /// One value's label, as a panel title or a column heading.
+    fn label(self, v: usize) -> String {
+        match self {
+            Axis::FfnDim => format!("FFN {v}"),
+            Axis::Experts => format!("{v} experts"),
+            Axis::TopK => format!("TopK={v}"),
+        }
+    }
+}
+
+/// Pivot the grid into one throughput table per `panel` value it covers.
+/// Rows run along `rows` (values with no point in the panel are skipped),
+/// columns along `cols` (a value the grid never sweeps renders as `-`),
+/// and missing points render as OOM.
+pub fn pivot_panels(grid: &[GridResult], panel: Axis, rows: Axis, cols: Axis) -> Vec<Table> {
+    let mut head = vec![rows.header().to_string()];
+    head.extend(cols.values().iter().map(|&c| cols.label(c)));
+    let head: Vec<&str> = head.iter().map(String::as_str).collect();
+    let mut tables = Vec::new();
+    for &p in panel.values() {
+        if !grid.iter().any(|g| panel.of(g) == p) {
+            continue;
+        }
+        let mut t = Table::new(format!("{} — throughput (tok/s)", panel.label(p)), &head);
+        for &r in rows.values() {
+            let in_panel: Vec<&GridResult> = grid
+                .iter()
+                .filter(|g| panel.of(g) == p && rows.of(g) == r)
+                .collect();
+            if in_panel.is_empty() {
+                continue;
+            }
+            let mut row = vec![r.to_string()];
+            for &c in cols.values() {
+                row.push(if grid.iter().any(|g| cols.of(g) == c) {
+                    tput_cell(
+                        in_panel
+                            .iter()
+                            .find(|g| cols.of(g) == c)
+                            .and_then(|g| g.throughput),
+                    )
+                } else {
+                    "-".into()
+                });
+            }
+            t.row(row);
+        }
+        tables.push(t);
+    }
+    tables
 }
 
 #[cfg(test)]

@@ -178,6 +178,41 @@ pub fn tput_cell(v: Option<f64>) -> String {
     }
 }
 
+/// Pivot a `(batch, x, Option<tok/s>)` sweep into a table titled
+/// `title`: one row per batch, one column per `x` (headed by `x_label`),
+/// both ascending, with OOM for missing points.
+pub fn batch_grid_table(
+    title: String,
+    grid: &[(usize, usize, Option<f64>)],
+    x_label: impl Fn(usize) -> String,
+) -> Table {
+    let mut xs: Vec<usize> = grid.iter().map(|g| g.1).collect();
+    xs.sort_unstable();
+    xs.dedup();
+    let mut batches: Vec<usize> = grid.iter().map(|g| g.0).collect();
+    batches.sort_unstable();
+    batches.dedup();
+
+    let mut cols = vec!["Batch".to_string()];
+    cols.extend(xs.iter().map(|&x| x_label(x)));
+    let mut t = Table::new(title, &cols.iter().map(|s| s.as_str()).collect::<Vec<_>>());
+    for &b in &batches {
+        let mut row = vec![b.to_string()];
+        for &x in &xs {
+            row.push(tput_cell(
+                grid.iter().find(|g| g.0 == b && g.1 == x).and_then(|g| g.2),
+            ));
+        }
+        t.row(row);
+    }
+    t
+}
+
+/// `yes`/`no` cell for a boolean column.
+pub fn yes_no(v: bool) -> String {
+    if v { "yes" } else { "no" }.to_string()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

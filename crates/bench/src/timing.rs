@@ -1,11 +1,13 @@
 //! A minimal micro-benchmark runner used by the `benches/` targets,
-//! replacing the external criterion dependency.
+//! replacing the external criterion dependency, and the reader that lets
+//! those targets append to the `BENCH_*.json` ledgers.
 //!
 //! Wall-clock time is read here and only here: the benches directory is
 //! the one place the `no-wall-clock` lint rule allows it, because these
 //! numbers describe the harness's own speed — they never feed simulated
 //! time or a report.
 
+use moe_json::Json;
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -58,6 +60,28 @@ impl Runner {
             fmt_secs(min),
             times.len()
         );
+    }
+}
+
+/// Committed entries of the append-only ledger array `key` in the
+/// `BENCH_*.json` file at `path`, oldest first. Entries marked
+/// `"committed": true` are carried forward verbatim; a previous run's own
+/// uncommitted tail entry is dropped (re-measuring replaces it). A
+/// missing or unparsable file has no history.
+pub fn committed_history(path: &str, key: &str) -> Vec<Json> {
+    let Ok(text) = std::fs::read_to_string(path) else {
+        return Vec::new();
+    };
+    let Ok(doc) = moe_json::parse(&text) else {
+        return Vec::new();
+    };
+    match doc.get(key) {
+        Some(Json::Arr(entries)) => entries
+            .iter()
+            .filter(|e| matches!(e.get("committed"), Some(Json::Bool(true))))
+            .cloned()
+            .collect(),
+        _ => Vec::new(),
     }
 }
 

@@ -1,8 +1,8 @@
 //! # moe-gpusim
 //!
-//! An analytical roofline + discrete-event performance model of a zoo of
-//! accelerators: the paper's testbed (NVIDIA H100 SXM5, Cerebras CS-3)
-//! plus consumer/edge classes (RTX 4090, M2 Ultra, Jetson AGX Orin),
+//! An analytical roofline model with a flow-shop pipeline recurrence of a
+//! zoo of accelerators: the paper's testbed (NVIDIA H100 SXM5, Cerebras
+//! CS-3) plus consumer/edge classes (RTX 4090, M2 Ultra, Jetson AGX Orin),
 //! each described as a declarative [`device::DeviceProfile`] capability
 //! record (see `docs/DEVICES.md`). This crate is the substitution for
 //! the physical hardware (see `DESIGN.md`): it predicts *time*, *memory*
@@ -22,8 +22,9 @@
 //! * expert residency across an HBM budget plus offload tiers, with
 //!   prefetch-overlap stall pricing for non-resident experts
 //!   ([`residency`], consumed by [`perfmodel`] and `moe-mem`),
-//! * tensor/pipeline/expert parallelism with ring-collective costs and a
-//!   discrete-event pipeline simulation ([`parallel`], [`des`]),
+//! * tensor/pipeline/expert parallelism with ring-collective costs
+//!   ([`parallel`]) and a flow-shop recurrence for the pipelined-prefill
+//!   makespan ([`perfmodel`]),
 //! * end-to-end serving metrics — TTFT, ITL, E2E latency, throughput —
 //!   composed per layer and per phase ([`perfmodel`]),
 //! * a speculative-decoding cycle model ([`spec`]),
@@ -38,7 +39,6 @@
 
 pub mod cap;
 pub mod convert;
-pub mod des;
 pub mod device;
 pub mod memory;
 pub mod moecost;

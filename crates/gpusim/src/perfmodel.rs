@@ -8,7 +8,6 @@ use moe_tensor::Precision;
 
 use moe_trace::{Tracer, TrackId};
 
-use crate::des::simulate_pipeline;
 use crate::device::Cluster;
 use crate::memory::{check_fits_resident, MemoryFootprint, OomError};
 use crate::moecost::{expected_distinct_experts, imbalance_factor, moe_layer_cost, router_skew};
@@ -99,6 +98,27 @@ impl EngineOptions {
         self.residency = Some(residency);
         self
     }
+}
+
+/// Makespan of `microbatches` items flowing in order through a linear
+/// pipeline with per-stage service times `stage_s` and `comm_s` per hop
+/// between adjacent stages (a permutation flow shop). Each stage serves
+/// microbatches FIFO:
+/// `end = free[s].max(arrive) + t[s]; free[s] = end; arrive = end + comm`.
+/// Unlike the closed-form `(m + s - 1) * t` bubble formula, this holds
+/// for imbalanced stages.
+fn flow_shop_makespan(stage_s: &[f64], comm_s: f64, microbatches: usize) -> f64 {
+    let mut free = vec![0.0f64; stage_s.len()];
+    let mut end = 0.0f64;
+    for _ in 0..microbatches {
+        let mut arrive = 0.0f64;
+        for (free, &t) in free.iter_mut().zip(stage_s) {
+            end = free.max(arrive) + t;
+            *free = end;
+            arrive = end + comm_s;
+        }
+    }
+    end
 }
 
 /// Serving metrics for one (batch, input, output) run, following the
@@ -434,38 +454,6 @@ impl PerfModel {
         (attn, ffn + stall, ep_comm, tp_comm)
     }
 
-    /// Time for one transformer layer on one device, including collectives.
-    fn layer_time(
-        &self,
-        tokens: usize,
-        batch: usize,
-        ctx: usize,
-        phase: Phase,
-        moe_layer: bool,
-    ) -> f64 {
-        let (attn, ffn, ep_comm, tp_comm) = self.layer_parts(tokens, batch, ctx, phase, moe_layer);
-        attn + (ffn + ep_comm) + tp_comm
-    }
-
-    /// Time for the stack of `layers` starting at `first_layer`, used for
-    /// pipeline stages.
-    fn layers_time(
-        &self,
-        first_layer: usize,
-        layers: usize,
-        tokens: usize,
-        batch: usize,
-        ctx: usize,
-        phase: Phase,
-    ) -> f64 {
-        let mut t = 0.0;
-        for l in first_layer..first_layer + layers {
-            let moe_layer = self.config.moe.is_some() && l >= self.config.first_k_dense_layers;
-            t += self.layer_time(tokens, batch, ctx, phase, moe_layer);
-        }
-        t
-    }
-
     /// LM head + embedding costs; the head only projects the tokens that
     /// actually sample (the last one of each sequence).
     fn head_time(&self, batch: usize) -> f64 {
@@ -480,86 +468,73 @@ impl PerfModel {
     /// One full forward pass over `tokens` rows at context `ctx`,
     /// including the per-step host-side overhead.
     pub fn forward_time(&self, tokens: usize, batch: usize, ctx: usize, phase: Phase) -> f64 {
-        self.opts.framework_overhead_s + self.device_forward_time(tokens, batch, ctx, phase)
+        self.price(tokens, batch, ctx, phase).total_s
     }
 
-    /// Device-only time of one forward pass (no host overhead).
-    pub fn device_forward_time(
-        &self,
-        tokens: usize,
-        batch: usize,
-        ctx: usize,
-        phase: Phase,
-    ) -> f64 {
-        let l = self.config.num_layers;
-        match self.opts.plan.mode {
-            ParallelMode::Tensor => {
-                self.layers_time(0, l, tokens, batch, ctx, phase) + self.head_time(batch)
+    /// The one pricing walk over the layer stack: every layer is priced
+    /// once by [`Self::layer_parts`], and that one call feeds both the
+    /// forward time (`total_s`) and the work decomposition.
+    ///
+    /// The time sums `attn + (ffn + ep_comm) + tp_comm` per layer into
+    /// per-stage sums (one stage outside pipeline mode). Pipeline prefill
+    /// splits the batch into microbatches and takes the flow-shop makespan
+    /// of the stages; pipeline decode traverses every stage sequentially
+    /// (the paper's flat PP) and pays one P2P hop per stage boundary. The
+    /// head is added last and the host overhead in front. The parts weight
+    /// each layer term by the microbatch count; the bubble and the rescale
+    /// of overlapped work are left to [`Self::forward_parts`].
+    fn price(&self, tokens: usize, batch: usize, ctx: usize, phase: Phase) -> StepParts {
+        let layers = self.config.num_layers;
+        let pipeline = self.opts.plan.mode == ParallelMode::Pipeline;
+        let pipelined = pipeline && phase == Phase::Prefill;
+        let stages = if pipeline { self.opts.plan.degree } else { 1 };
+        let per_stage = layers.div_ceil(stages);
+        let microbatches = if pipelined { batch.clamp(1, 8) } else { 1 };
+        let mb_tokens = tokens.div_ceil(microbatches);
+        let mb_batch = batch.div_ceil(microbatches);
+        let mult = microbatches as f64;
+        let mut parts = StepParts {
+            overhead_s: self.opts.framework_overhead_s,
+            ..StepParts::default()
+        };
+        let mut serial = 0.0;
+        let mut stage_times = Vec::new();
+        for s in 0..stages {
+            let first = s * per_stage;
+            let mut stage = 0.0;
+            for layer in first..first + per_stage.min(layers.saturating_sub(first)) {
+                let moe_layer =
+                    self.config.moe.is_some() && layer >= self.config.first_k_dense_layers;
+                let (attn, ffn, ep_comm, tp_comm) =
+                    self.layer_parts(mb_tokens, mb_batch, ctx, phase, moe_layer);
+                stage += attn + (ffn + ep_comm) + tp_comm;
+                parts.attn_s += mult * attn;
+                parts.ffn_s += mult * ffn;
+                parts.moe_comm_s += mult * ep_comm;
+                parts.tp_comm_s += mult * tp_comm;
             }
-            ParallelMode::Pipeline => {
-                let stages = self.opts.plan.degree;
-                let per_stage = l.div_ceil(stages);
-                match phase {
-                    Phase::Prefill => {
-                        // Split the batch into microbatches and pipeline them.
-                        let microbatches = batch.clamp(1, 8);
-                        let mb_tokens = tokens.div_ceil(microbatches);
-                        let mb_batch = batch.div_ceil(microbatches);
-                        let stage_times: Vec<f64> = (0..stages)
-                            .map(|s| {
-                                let first = s * per_stage;
-                                let n = per_stage.min(l.saturating_sub(first));
-                                self.layers_time(first, n, mb_tokens, mb_batch, ctx, phase)
-                            })
-                            .collect();
-                        let comm = p2p_time(
-                            &self.cluster.effective_link(self.opts.plan.degree),
-                            (mb_tokens * self.config.hidden_size) as f64 * 2.0,
-                        );
-                        simulate_pipeline(&stage_times, comm, microbatches) + self.head_time(batch)
-                    }
-                    Phase::Decode => {
-                        // A decode step traverses every stage sequentially;
-                        // no intra-batch pipelining (the paper's flat PP).
-                        let mut t = 0.0;
-                        for s in 0..stages {
-                            let first = s * per_stage;
-                            let n = per_stage.min(l.saturating_sub(first));
-                            t += self.layers_time(first, n, tokens, batch, ctx, phase);
-                        }
-                        t += (stages - 1) as f64
-                            * p2p_time(
-                                &self.cluster.effective_link(self.opts.plan.degree),
-                                (tokens * self.config.hidden_size) as f64 * 2.0,
-                            );
-                        t + self.head_time(batch)
-                    }
-                }
+            serial += stage;
+            if pipelined {
+                stage_times.push(stage);
             }
         }
-    }
-
-    /// Accumulate per-layer component times over the whole layer stack
-    /// into `parts`, with every term weighted by `mult` (the microbatch
-    /// replication factor in pipeline prefill).
-    fn accum_layer_parts(
-        &self,
-        parts: &mut StepParts,
-        tokens: usize,
-        batch: usize,
-        ctx: usize,
-        phase: Phase,
-        mult: f64,
-    ) {
-        for l in 0..self.config.num_layers {
-            let moe_layer = self.config.moe.is_some() && l >= self.config.first_k_dense_layers;
-            let (attn, ffn, ep_comm, tp_comm) =
-                self.layer_parts(tokens, batch, ctx, phase, moe_layer);
-            parts.attn_s += mult * attn;
-            parts.ffn_s += mult * ffn;
-            parts.moe_comm_s += mult * ep_comm;
-            parts.tp_comm_s += mult * tp_comm;
-        }
+        let device = if pipeline {
+            let hop = p2p_time(
+                &self.cluster.effective_link(stages),
+                (mb_tokens * self.config.hidden_size) as f64 * 2.0,
+            );
+            parts.tp_comm_s += ((stages - 1) * microbatches) as f64 * hop;
+            if pipelined {
+                flow_shop_makespan(&stage_times, hop, microbatches)
+            } else {
+                serial + (stages - 1) as f64 * hop
+            }
+        } else {
+            serial
+        };
+        parts.head_s = self.head_time(batch);
+        parts.total_s = parts.overhead_s + (device + parts.head_s);
+        parts
     }
 
     /// Additive decomposition of one forward pass for tracing.
@@ -578,50 +553,8 @@ impl PerfModel {
         ctx: usize,
         phase: Phase,
     ) -> StepParts {
-        let total = self.forward_time(tokens, batch, ctx, phase);
-        let mut parts = StepParts {
-            overhead_s: self.opts.framework_overhead_s,
-            total_s: total,
-            ..StepParts::default()
-        };
-        match self.opts.plan.mode {
-            ParallelMode::Tensor => {
-                self.accum_layer_parts(&mut parts, tokens, batch, ctx, phase, 1.0);
-                parts.head_s = self.head_time(batch);
-            }
-            ParallelMode::Pipeline => {
-                let stages = self.opts.plan.degree;
-                let hop = p2p_time(
-                    &self.cluster.effective_link(stages),
-                    (tokens * self.config.hidden_size) as f64 * 2.0,
-                );
-                match phase {
-                    Phase::Prefill => {
-                        let microbatches = batch.clamp(1, 8);
-                        let mb_tokens = tokens.div_ceil(microbatches);
-                        let mb_batch = batch.div_ceil(microbatches);
-                        self.accum_layer_parts(
-                            &mut parts,
-                            mb_tokens,
-                            mb_batch,
-                            ctx,
-                            phase,
-                            microbatches as f64,
-                        );
-                        let mb_hop = p2p_time(
-                            &self.cluster.effective_link(stages),
-                            (mb_tokens * self.config.hidden_size) as f64 * 2.0,
-                        );
-                        parts.tp_comm_s += ((stages - 1) * microbatches) as f64 * mb_hop;
-                    }
-                    Phase::Decode => {
-                        self.accum_layer_parts(&mut parts, tokens, batch, ctx, phase, 1.0);
-                        parts.tp_comm_s += (stages - 1) as f64 * hop;
-                    }
-                }
-                parts.head_s = self.head_time(batch);
-            }
-        }
+        let mut parts = self.price(tokens, batch, ctx, phase);
+        let total = parts.total_s;
         let work = parts.component_sum_s();
         if work > total && work > 0.0 {
             // Pipelined overlap: summed device work exceeds the makespan.
@@ -1060,6 +993,8 @@ mod tests {
                 ParallelPlan::tensor(4).with_expert_parallel(),
             ),
             model_on(qwen15_moe_a27b(), 4, ParallelPlan::pipeline(4)),
+            // 27 layers, the first dense: an uneven last stage, mixed stack.
+            model_on(deepseek_v2_lite(), 2, ParallelPlan::pipeline(2)),
         ];
         for m in &cases {
             for (tokens, batch, ctx, phase) in [
@@ -1068,8 +1003,9 @@ mod tests {
             ] {
                 let parts = m.forward_parts(tokens, batch, ctx, phase);
                 let total = m.forward_time(tokens, batch, ctx, phase);
-                assert!(
-                    (parts.total_s - total).abs() < 1e-15,
+                assert_eq!(
+                    parts.total_s.to_bits(),
+                    total.to_bits(),
                     "total mismatch: {} vs {total}",
                     parts.total_s
                 );
@@ -1255,5 +1191,74 @@ mod tests {
         );
         // And CS-3 is absolutely faster per step.
         assert!(cs3.decode_step_time(1, 1024) < h100.decode_step_time(1, 1024));
+    }
+
+    #[test]
+    fn flow_shop_exact_imbalanced_case() {
+        // By hand: stage 0 ends at 1, 2, 3; stage 1 (arrivals 1.5, 2.5,
+        // 3.5) ends at 11.5, 21.5, 31.5; stage 2 (arrivals 12, 22, 32)
+        // ends at 13, 23, 33.
+        assert_eq!(flow_shop_makespan(&[1.0, 10.0, 1.0], 0.5, 3), 33.0);
+    }
+
+    #[test]
+    fn uniform_flow_shop_matches_bubble_formula() {
+        // m microbatches through s uniform stages: (m + s - 1) * t.
+        for (s, m) in [(1usize, 1usize), (4, 1), (4, 8), (2, 16)] {
+            let t = 3.0;
+            let got = flow_shop_makespan(&vec![t; s], 0.0, m);
+            let expect = (m + s - 1) as f64 * t;
+            assert!(
+                (got - expect).abs() < 1e-9,
+                "s={s} m={m}: {got} vs {expect}"
+            );
+        }
+    }
+
+    #[test]
+    fn slowest_stage_gates_flow_shop_throughput() {
+        // One slow stage dominates: makespan ~ m * t_slow for large m.
+        let got = flow_shop_makespan(&[1.0, 10.0, 1.0], 0.0, 100);
+        assert!(got >= 100.0 * 10.0);
+        assert!(got < 100.0 * 10.0 + 25.0);
+    }
+
+    #[test]
+    fn flow_shop_comm_adds_per_hop() {
+        let base = flow_shop_makespan(&[1.0, 1.0, 1.0], 0.0, 1);
+        let with_comm = flow_shop_makespan(&[1.0, 1.0, 1.0], 0.5, 1);
+        assert!((with_comm - base - 2.0 * 0.5).abs() < 1e-9);
+    }
+
+    /// Deterministic randomized stage-time vector with `1..=5` stages.
+    fn rand_stage_times(rng: &mut moe_tensor::rng::DetRng) -> Vec<f64> {
+        let n = 1 + rng.next_below(5);
+        (0..n).map(|_| 0.1 + rng.next_f64() * 9.9).collect()
+    }
+
+    #[test]
+    fn randomized_flow_shop_monotone_in_microbatches() {
+        let mut rng = moe_tensor::rng::rng_from_seed(0xde_51);
+        for _ in 0..64 {
+            let times = rand_stage_times(&mut rng);
+            let m = 1 + rng.next_below(19);
+            let a = flow_shop_makespan(&times, 0.05, m);
+            let b = flow_shop_makespan(&times, 0.05, m + 1);
+            assert!(b >= a - 1e-9);
+        }
+    }
+
+    #[test]
+    fn randomized_flow_shop_lower_bounds() {
+        let mut rng = moe_tensor::rng::rng_from_seed(0xde_52);
+        for _ in 0..64 {
+            let times = rand_stage_times(&mut rng);
+            let m = 1 + rng.next_below(19);
+            let got = flow_shop_makespan(&times, 0.0, m);
+            let sum: f64 = times.iter().sum();
+            let max = times.iter().cloned().fold(0.0, f64::max);
+            assert!(got >= sum - 1e-9);
+            assert!(got >= m as f64 * max - 1e-9);
+        }
     }
 }

@@ -6,11 +6,11 @@
 //! layer's compute window and stall only by the overshoot, while missed
 //! experts are synchronous, fully exposed loads. This module replays the
 //! same schedule on an explicit event timeline with the offload link as a
-//! serializing [`Resource`], which both validates the closed form (a free
-//! link reproduces it exactly) and prices what the closed form cannot: a
-//! congested link where consecutive prefetches queue behind each other.
+//! serializing resource (the time it next falls free), which both
+//! validates the closed form (a free link reproduces it exactly) and
+//! prices what the closed form cannot: a congested link where consecutive
+//! prefetches queue behind each other.
 
-use moe_gpusim::des::Resource;
 use moe_gpusim::device::Interconnect;
 
 /// One layer's demand on the prefetch pipeline.
@@ -71,16 +71,18 @@ pub fn analytic_stall(link: Interconnect, window_s: f64, demand: LayerDemand) ->
 /// layer `l` starts computing; layer 0 has no window, so its prefetch is
 /// fully exposed. Miss loads are synchronous and also occupy the link.
 pub fn simulate_prefetch(layers: &[LayerDemand], link: Interconnect) -> PrefetchOutcome {
-    let mut link_res = Resource::new();
+    // When the link next falls free; a transfer starts no earlier.
+    let mut link_free = 0.0f64;
+    let mut transfer = |at: f64, bytes: f64| {
+        link_free = link_free.max(at) + link_time(link, bytes);
+        link_free
+    };
     let mut t = 0.0f64;
     let mut stall = 0.0f64;
 
     // Layer 0's prefetch has no preceding compute to hide under.
     let mut prefetch_done = match layers.first() {
-        Some(d) if d.prefetch_bytes > 0.0 => {
-            let (_, end) = link_res.acquire(t, link_time(link, d.prefetch_bytes));
-            end
-        }
+        Some(d) if d.prefetch_bytes > 0.0 => transfer(t, d.prefetch_bytes),
         _ => t,
     };
 
@@ -92,16 +94,13 @@ pub fn simulate_prefetch(layers: &[LayerDemand], link: Interconnect) -> Prefetch
         }
         // Synchronous miss loads: fully exposed, and they hold the link.
         if d.miss_bytes > 0.0 {
-            let (_, end) = link_res.acquire(t, link_time(link, d.miss_bytes));
+            let end = transfer(t, d.miss_bytes);
             stall += end - t;
             t = end;
         }
         // Issue the next layer's prefetch to overlap this compute.
         prefetch_done = match layers.get(l + 1) {
-            Some(next) if next.prefetch_bytes > 0.0 => {
-                let (_, end) = link_res.acquire(t, link_time(link, next.prefetch_bytes));
-                end
-            }
+            Some(next) if next.prefetch_bytes > 0.0 => transfer(t, next.prefetch_bytes),
             _ => t,
         };
         t += d.compute_s;

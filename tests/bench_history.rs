@@ -32,8 +32,9 @@ fn string(v: Option<&Json>) -> Option<&str> {
 
 /// Committed pre-heap baseline (commit 1a3a2ba): the linear five-source
 /// scan core at 119,150 events/s. Mirrors `BASELINE_EVENTS_PER_S` in
-/// `crates/bench/benches/cluster.rs` — the bench harness re-asserts the
-/// same constant when it rewrites the file.
+/// `crates/bench/benches/cluster.rs` — the bench harness seeds a file
+/// with no history with the same constant, and otherwise carries the
+/// committed entries forward verbatim.
 const PRE_HEAP_BASELINE_EVENTS_PER_S: f64 = 119_150.0;
 
 #[test]
