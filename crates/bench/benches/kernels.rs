@@ -1,6 +1,12 @@
-//! Kernel microbenchmarks: GEMM, quantized GEMV, softmax, top-k routing.
+//! Kernel microbenchmarks: GEMM, quantized GEMV, softmax, top-k routing,
+//! and the engine's own kernels at the shapes of the Fig. 15 analogue.
 
 use moe_bench::timing::Runner;
+use moe_engine::attention::{attention_forward, AttentionParams};
+use moe_engine::moe::expert_forward_batch;
+use moe_engine::{ContiguousKv, KvStore, ModelWeights};
+use moe_eval::activation::analogue_config;
+use moe_model::registry::deepseek_vl2_tiny;
 use moe_tensor::matrix::gemv;
 use moe_tensor::ops::softmax_inplace;
 use moe_tensor::topk::top_k_softmax;
@@ -46,4 +52,34 @@ fn main() {
             black_box(top_k_softmax(&logits, k))
         });
     }
+
+    // Engine shapes: the DeepSeek-VL2-Tiny analogue (hidden 64, 4 query
+    // and 2 KV heads of 16, experts 32 wide, vocab 256, 32-token chunks).
+    let cfg = analogue_config(&deepseek_vl2_tiny());
+    let weights = ModelWeights::init(&cfg, 42);
+    let layer = &weights.layers[0];
+    let x = Matrix::random(32, cfg.hidden_size, 4, 0.5);
+    r.bench("gemv/64x64", || black_box(gemv(&layer.wq, x.row(0))));
+    r.bench("matmul_transposed/32x64x256", || {
+        black_box(x.matmul_transposed(&weights.lm_head))
+    });
+    let group = x.gather_rows(&[0, 1, 2]);
+    r.bench("expert_ffn/3x64x32", || {
+        black_box(expert_forward_batch(&layer.experts[0], &group))
+    });
+    let params = AttentionParams {
+        num_heads: cfg.num_heads,
+        num_kv_heads: cfg.num_kv_heads,
+        head_dim: cfg.head_dim,
+        rope_theta: cfg.rope_theta,
+    };
+    let history = Matrix::random(63, cfg.hidden_size, 5, 0.5);
+    let positions: Vec<usize> = (0..63).collect();
+    let mut kv = ContiguousKv::new(1, params.kv_dim());
+    attention_forward(&params, layer, &history, &positions, &mut kv, 0);
+    let row = x.gather_rows(&[0]);
+    r.bench("attention_row/ctx64", || {
+        kv.truncate(63);
+        black_box(attention_forward(&params, layer, &row, &[63], &mut kv, 0))
+    });
 }

@@ -7,8 +7,8 @@
 //! cached tokens at positions `<=` the query's position (the cache is
 //! append-only, so position equals cache index).
 
-use moe_tensor::matrix::{dot, gemv};
-use moe_tensor::ops::{rope_inplace, softmax_inplace};
+use moe_tensor::matrix::{dot_rows, gemv_rows};
+use moe_tensor::ops::{rope_heads_inplace, softmax_inplace};
 use moe_tensor::Matrix;
 
 use crate::kvcache::KvStore;
@@ -38,57 +38,78 @@ impl AttentionParams {
     }
 }
 
-/// Attention for a single (already-normed) row at absolute position `pos`:
-/// project QKV, apply RoPE, append to the cache, attend causally, project
-/// out. Returns the output row.
-pub fn attention_row(
-    params: &AttentionParams,
-    w: &LayerWeights,
-    x_row: &[f32],
-    pos: usize,
-    kv: &mut dyn KvStore,
-    layer: usize,
-) -> Vec<f32> {
-    debug_assert_eq!(kv.kv_dim(), params.kv_dim(), "cache width mismatch");
-    let hd = params.head_dim;
-    let scale = 1.0 / (hd as f32).sqrt();
+/// One batch of rows on their way through attention: the Q/K/V
+/// projections of every row, computed up front as batched GEMVs (a row's
+/// projection does not depend on the cache), and the attention context
+/// each row accumulates.
+struct Rows {
+    q: Matrix,
+    k: Matrix,
+    v: Matrix,
+    ctx: Matrix,
+}
 
-    let mut q = gemv(&w.wq, x_row);
-    let mut k = gemv(&w.wk, x_row);
-    let v = gemv(&w.wv, x_row);
-
-    for head in 0..params.num_heads {
-        rope_inplace(&mut q[head * hd..(head + 1) * hd], pos, params.rope_theta);
-    }
-    for head in 0..params.num_kv_heads {
-        rope_inplace(&mut k[head * hd..(head + 1) * hd], pos, params.rope_theta);
-    }
-    kv.write(layer, pos, &k, &v);
-
-    // Attend: each query head against its KV-head group, over all cached
-    // positions <= pos.
-    let ctx = pos + 1;
-    let mut attn_acc = vec![0.0f32; params.q_dim()];
-    let group = params.group_size();
-    let mut scores = vec![0.0f32; ctx];
-    for head in 0..params.num_heads {
-        let kv_head = head / group;
-        let q_h = &q[head * hd..(head + 1) * hd];
-        for (t, s) in scores.iter_mut().enumerate() {
-            let k_t = &kv.key(layer, t)[kv_head * hd..(kv_head + 1) * hd];
-            *s = dot(q_h, k_t) * scale;
+impl Rows {
+    fn project(params: &AttentionParams, w: &LayerWeights, x: &Matrix) -> Self {
+        Self {
+            q: gemv_rows(&w.wq, x),
+            k: gemv_rows(&w.wk, x),
+            v: gemv_rows(&w.wv, x),
+            ctx: Matrix::zeros(x.rows(), params.q_dim()),
         }
-        softmax_inplace(&mut scores);
-        let acc = &mut attn_acc[head * hd..(head + 1) * hd];
-        for (t, &s) in scores.iter().enumerate() {
-            let v_t = &kv.value(layer, t)[kv_head * hd..(kv_head + 1) * hd];
-            for (a, vv) in acc.iter_mut().zip(v_t) {
-                *a += s * vv;
+    }
+
+    /// Row `r` at absolute position `pos`: apply RoPE, append its K/V to
+    /// the cache, and attend causally (each query head against its
+    /// KV-head group, over all cached positions `<= pos`).
+    fn attend(
+        &mut self,
+        params: &AttentionParams,
+        r: usize,
+        pos: usize,
+        kv: &mut dyn KvStore,
+        layer: usize,
+    ) {
+        debug_assert_eq!(kv.kv_dim(), params.kv_dim(), "cache width mismatch");
+        let hd = params.head_dim;
+        let scale = 1.0 / (hd as f32).sqrt();
+        rope_heads_inplace(
+            self.q.row_mut(r),
+            self.k.row_mut(r),
+            hd,
+            pos,
+            params.rope_theta,
+        );
+        kv.write(layer, pos, self.k.row(r), self.v.row(r));
+        let kv: &dyn KvStore = kv;
+
+        let group = params.group_size();
+        let mut scores = vec![0.0f32; pos + 1];
+        let ctx = self.ctx.row_mut(r);
+        for head in 0..params.num_heads {
+            let kv_head = head / group;
+            let q_h = &self.q.row(r)[head * hd..(head + 1) * hd];
+            dot_rows(&mut scores, q_h, -0.0, |t| {
+                &kv.key(layer, t)[kv_head * hd..(kv_head + 1) * hd]
+            });
+            for s in scores.iter_mut() {
+                *s *= scale;
+            }
+            softmax_inplace(&mut scores);
+            let acc = &mut ctx[head * hd..(head + 1) * hd];
+            for (t, &s) in scores.iter().enumerate() {
+                let v_t = &kv.value(layer, t)[kv_head * hd..(kv_head + 1) * hd];
+                for (a, vv) in acc.iter_mut().zip(v_t) {
+                    *a += s * vv;
+                }
             }
         }
     }
 
-    gemv(&w.wo, &attn_acc)
+    /// The output projection of every row's context.
+    fn output(self, w: &LayerWeights) -> Matrix {
+        gemv_rows(&w.wo, &self.ctx)
+    }
 }
 
 /// Run attention for `x` (`[T x hidden]`, already normed) at absolute
@@ -104,12 +125,11 @@ pub fn attention_forward(
     layer: usize,
 ) -> Matrix {
     assert_eq!(x.rows(), positions.len(), "one position per row");
-    let mut out = Matrix::zeros(x.rows(), w.wo.rows());
-    for (row, &pos) in positions.iter().enumerate() {
-        let o = attention_row(params, w, x.row(row), pos, kv, layer);
-        out.row_mut(row).copy_from_slice(&o);
+    let mut rows = Rows::project(params, w, x);
+    for (r, &pos) in positions.iter().enumerate() {
+        rows.attend(params, r, pos, kv, layer);
     }
-    out
+    rows.output(w)
 }
 
 /// Batched attention across *independent sequences*: row `r` of `x` is one
@@ -125,12 +145,11 @@ pub fn attention_forward_multi(
 ) -> Matrix {
     assert_eq!(x.rows(), positions.len(), "one position per row");
     assert_eq!(x.rows(), kvs.len(), "one KV cache per row");
-    let mut out = Matrix::zeros(x.rows(), w.wo.rows());
-    for (row, (&pos, kv)) in positions.iter().zip(kvs.iter_mut()).enumerate() {
-        let o = attention_row(params, w, x.row(row), pos, *kv, layer);
-        out.row_mut(row).copy_from_slice(&o);
+    let mut rows = Rows::project(params, w, x);
+    for (r, (&pos, kv)) in positions.iter().zip(kvs.iter_mut()).enumerate() {
+        rows.attend(params, r, pos, *kv, layer);
     }
-    out
+    rows.output(w)
 }
 
 #[cfg(test)]

@@ -15,8 +15,7 @@
 //! top-k-then-softmax or DeepSeek-style softmax-then-top-k.
 
 use moe_model::{MoeConfig, RouterKind};
-use moe_par as par;
-use moe_tensor::matrix::gemv;
+use moe_tensor::matrix::{gemv, gemv_rows};
 use moe_tensor::ops::swiglu_inplace;
 use moe_tensor::topk::{softmax_then_top_k, top_k_softmax, TopK};
 use moe_tensor::Matrix;
@@ -34,15 +33,16 @@ pub struct Routing {
 
 /// Route every row of `x` through the layer's router.
 pub fn route(w: &LayerWeights, moe: &MoeConfig, x: &Matrix) -> Vec<Routing> {
+    let mut logits = gemv_rows(&w.router, x);
     (0..x.rows())
         .map(|r| {
-            let mut logits = gemv(&w.router, x.row(r));
+            let logits = logits.row_mut(r);
             for (l, b) in logits.iter_mut().zip(&w.router_bias) {
                 *l += b;
             }
             let experts = match moe.router {
-                RouterKind::TopKSoftmax => top_k_softmax(&logits, moe.top_k),
-                RouterKind::SoftmaxTopK => softmax_then_top_k(&logits, moe.top_k),
+                RouterKind::TopKSoftmax => top_k_softmax(logits, moe.top_k),
+                RouterKind::SoftmaxTopK => softmax_then_top_k(logits, moe.top_k),
             };
             Routing { experts }
         })
@@ -83,19 +83,11 @@ pub fn moe_forward_unfused(
     let routing = route(w, moe, x);
     record(stats, trace, layer, &routing);
     let mut out = Matrix::zeros(x.rows(), x.cols());
-    let rows: Vec<Vec<f32>> = par::map_collect(x.rows(), |r| {
-        let mut acc = vec![0.0f32; x.cols()];
-        for (i, &e) in routing[r].experts.indices.iter().enumerate() {
-            let weight = routing[r].experts.values[i];
+    for (r, routed) in routing.iter().enumerate() {
+        for (&e, &weight) in routed.experts.indices.iter().zip(&routed.experts.values) {
             let y = expert_forward_row(&w.experts[e], x.row(r));
-            for (a, v) in acc.iter_mut().zip(&y) {
-                *a += weight * v;
-            }
+            out.scatter_add_row(r, &y, weight);
         }
-        acc
-    });
-    for (r, row) in rows.into_iter().enumerate() {
-        out.row_mut(r).copy_from_slice(&row);
     }
     add_shared_experts(w, x, &mut out);
     out
@@ -122,24 +114,17 @@ pub fn moe_forward_fused(
         }
     }
 
-    // Each active expert processes its group as one batch (in parallel
-    // across experts — the grouped-GEMM analogue).
-    let results: Vec<(usize, Matrix)> = par::map_collect(groups.len(), |e| {
-        let g = &groups[e];
-        if g.is_empty() {
-            return None;
-        }
-        let idx: Vec<usize> = g.iter().map(|(r, _)| *r).collect();
-        let gathered = x.gather_rows(&idx);
-        Some((e, expert_forward_batch(&w.experts[e], &gathered)))
-    })
-    .into_iter()
-    .flatten()
-    .collect();
-
+    // Each active expert processes its group as one batch (the
+    // grouped-GEMM analogue), on the calling thread: the engine's shapes
+    // are far too small to pay for a fork per layer.
     let mut out = Matrix::zeros(x.rows(), x.cols());
-    for (e, y) in results {
-        for (slot, &(r, weight)) in groups[e].iter().enumerate() {
+    for (e, group) in groups.iter().enumerate() {
+        if group.is_empty() {
+            continue;
+        }
+        let idx: Vec<usize> = group.iter().map(|(r, _)| *r).collect();
+        let y = expert_forward_batch(&w.experts[e], &x.gather_rows(&idx));
+        for (slot, &(r, weight)) in group.iter().enumerate() {
             out.scatter_add_row(r, y.row(slot), weight);
         }
     }

@@ -1,19 +1,70 @@
 //! Row-major 2-D matrix over `f32` and the GEMM/GEMV kernels.
 //!
-//! The matmul kernels parallelize over blocks of output rows with the
-//! scoped-thread helper in [`moe_par`] and use an inner loop ordered for
-//! sequential access of both operands (`C[i,:] += A[i,k] * B[k,:]`), which
-//! the compiler auto-vectorizes. Matrices smaller than [`PAR_THRESHOLD`]
-//! multiply sequentially to avoid fork/join overhead on the down-scaled
-//! models used in functional tests.
+//! # The dot-product micro-kernel
+//!
+//! [`gemv`], [`gemv_rows`], [`Matrix::matmul_transposed`] and the engine's
+//! attention scores are all dot products of input rows against weight
+//! rows. A single `acc += a * b` loop is one dependent chain: every add
+//! waits for the previous one, so it runs at the latency of a float add
+//! rather than at its throughput. The compiler cannot split the chain
+//! itself, because reassociating the sum would change its bits.
+//!
+//! The micro-kernel, `dot_block`, instead computes an `M x N` block of dot
+//! products in one pass over `k`: `N` weight rows against `M` input rows,
+//! one accumulation chain per output, so the adds of different outputs
+//! overlap.
+//!
+//! * With one input row (`M = 1`, [`gemv`], attention scores),
+//!   [`dot_rows`] runs 8 weight rows per pass and finishes the
+//!   `n % 8` remainder one by one.
+//! * With several input rows ([`gemv_rows`], `matmul_transposed`), the
+//!   input rows are first copied into a transposed, padded scratch
+//!   buffer so that input column `kk` is `M` adjacent floats. The `M`
+//!   chains of one weight row are then adjacent lanes that the compiler
+//!   vectorizes: blocks of 16 input rows against 4 weight rows while 16
+//!   remain, then blocks of 4 against 8. Only the activations are
+//!   transposed; the weights keep their layout.
+//!
+//! **Bit-exactness contract.** Each output is still its own sequential sum
+//! in `k` order, starting from the caller's `init`, with no fused
+//! multiply-add and no reassociation. It is therefore bit-identical to the
+//! single-chain loop, whatever the blocking or the thread that computes
+//! it: `init = -0.0` for [`gemv`] and [`gemv_rows`] (the starting value
+//! of `f32: Sum`, so a sum of `-0.0` products stays `-0.0`) and `+0.0`
+//! for `matmul_transposed` (its historical `0.0` accumulator).
+//!
+//! [`Matrix::matmul`] (`C[i,:] += A[i,k] * B[k,:]`) keeps its row-update
+//! loop: its chains are the independent output columns, which the
+//! compiler vectorizes.
+//!
+//! # When a kernel forks
+//!
+//! A kernel goes parallel on the [`moe_par`] pool only when it performs at
+//! least [`PAR_THRESHOLD`] multiply-adds. Spawning scoped threads costs
+//! tens of microseconds, far more than the down-scaled engine's shapes
+//! (a 64x64 GEMV is 4k multiply-adds, the 32x64x256 LM head 0.5M), so
+//! those run on the calling thread; the parallelism lives one level up,
+//! across experiments. Forking never changes an output: every output
+//! element is computed by the same code on whichever thread owns it.
 
 use moe_json::{FromJson, ToJson};
 
 use crate::rng;
 use moe_par as par;
 
-/// Minimum number of output elements before a GEMM goes parallel.
-pub const PAR_THRESHOLD: usize = 64 * 64;
+/// Minimum multiply-adds (`rows x cols x k`) before a kernel goes
+/// parallel.
+pub const PAR_THRESHOLD: usize = 1 << 20;
+
+/// Rows of the weight operand per [`dot_block`] pass for a single input
+/// row, and for a block of [`SMALL_BLOCK`] input rows.
+const LANES: usize = 8;
+
+/// Input rows per [`dot_block`] pass when at least this many remain.
+const BIG_BLOCK: usize = 16;
+
+/// Input rows per [`dot_block`] pass otherwise (the last block is padded).
+const SMALL_BLOCK: usize = 4;
 
 /// A dense row-major matrix of `f32`.
 #[derive(Debug, Clone, PartialEq, ToJson, FromJson)]
@@ -174,30 +225,7 @@ impl Matrix {
             "matmul_transposed shape mismatch: {}x{} @ ({}x{})^T",
             self.rows, self.cols, other.rows, other.cols
         );
-        let n = other.rows;
-        let k = self.cols;
-        let mut out = Matrix::zeros(self.rows, n);
-        let work = self.rows * n;
-        let body = |i: usize, out_row: &mut [f32]| {
-            let a_row = self.row(i);
-            for (j, o) in out_row.iter_mut().enumerate() {
-                let b_row = other.row(j);
-                let mut acc = 0.0f32;
-                for kk in 0..k {
-                    acc += a_row[kk] * b_row[kk];
-                }
-                *o = acc;
-            }
-        };
-        if work >= PAR_THRESHOLD {
-            par::for_each_chunk_mut(&mut out.data, n, body);
-        } else {
-            out.data
-                .chunks_mut(n)
-                .enumerate()
-                .for_each(|(i, c)| body(i, c));
-        }
-        out
+        dot_products(self, other, 0.0)
     }
 
     /// Frobenius norm.
@@ -244,11 +272,11 @@ pub fn matmul_into(a: &Matrix, b: &Matrix, out: &mut Matrix) {
             }
         }
     };
-    if a.rows * n >= PAR_THRESHOLD {
+    if a.rows * n * k >= PAR_THRESHOLD {
         par::for_each_chunk_mut(&mut out.data, n, body);
     } else {
         out.data
-            .chunks_mut(n)
+            .chunks_mut(n.max(1))
             .enumerate()
             .for_each(|(i, c)| body(i, c));
     }
@@ -258,23 +286,155 @@ pub fn matmul_into(a: &Matrix, b: &Matrix, out: &mut Matrix) {
 pub fn gemv(w: &Matrix, x: &[f32]) -> Vec<f32> {
     assert_eq!(w.cols, x.len(), "gemv shape mismatch");
     let mut y = vec![0.0f32; w.rows];
-    if w.rows * w.cols >= PAR_THRESHOLD {
-        par::for_each_chunk_mut(&mut y, 1, |i, yi| {
-            yi[0] = dot(w.row(i), x);
-        });
-    } else {
-        for (i, yi) in y.iter_mut().enumerate() {
-            *yi = dot(w.row(i), x);
-        }
-    }
+    gemv_into(w, x, -0.0, &mut y);
     y
 }
 
-/// Dot product of two equal-length slices.
+/// [`gemv`] of every row of `xs` as one batched kernel: row `r` of the
+/// result is bit-identical to `gemv(w, xs.row(r))`.
+pub fn gemv_rows(w: &Matrix, xs: &Matrix) -> Matrix {
+    assert_eq!(w.cols, xs.cols, "gemv shape mismatch");
+    dot_products(xs, w, -0.0)
+}
+
+/// `out[i][j] = init + a[i][0] * b[j][0] + a[i][1] * b[j][1] + ...`, each
+/// a sequential sum in `k` order: `a @ b^T` from `init`.
+fn dot_products(a: &Matrix, b: &Matrix, init: f32) -> Matrix {
+    let (m, n, k) = (a.rows, b.rows, a.cols);
+    let mut out = Matrix::zeros(m, n);
+    if m == 1 {
+        gemv_into(b, a.row(0), init, &mut out.data);
+        return out;
+    }
+    if n == 0 {
+        return out;
+    }
+    // The input rows transposed and padded to whole blocks: column `kk`
+    // of `a` starts at `at[kk * mp]`.
+    let mp = m.next_multiple_of(SMALL_BLOCK);
+    let mut at = vec![0.0f32; k * mp];
+    for i in 0..m {
+        for (kk, &v) in a.row(i).iter().enumerate() {
+            at[kk * mp + i] = v;
+        }
+    }
+    let body = |first: usize, out: &mut [f32]| block_rows(&at, mp, first, b, init, out);
+    if m * n * k >= PAR_THRESHOLD {
+        par::for_each_chunk_mut(&mut out.data, BIG_BLOCK * n, |c, o| body(c * BIG_BLOCK, o));
+    } else {
+        body(0, &mut out.data);
+    }
+    out
+}
+
+/// `y[j] = init + w[j] . x` for every row `j` of `w`, [`LANES`] rows per
+/// [`dot_block`] pass.
+fn gemv_into(w: &Matrix, x: &[f32], init: f32, y: &mut [f32]) {
+    let body = |first: usize, y: &mut [f32]| dot_rows(y, x, init, |j| w.row(first + j));
+    if w.len() >= PAR_THRESHOLD {
+        par::for_each_chunk_mut(y, LANES, |c, y| body(c * LANES, y));
+    } else {
+        body(0, y);
+    }
+}
+
+/// Rows `first..` of [`dot_products`]' output, as many as `out` holds
+/// (`b` has at least one row):
+/// [`BIG_BLOCK`] input rows per pass while that many remain, then
+/// [`SMALL_BLOCK`].
+fn block_rows(at: &[f32], mp: usize, first: usize, b: &Matrix, init: f32, out: &mut [f32]) {
+    let n = b.rows;
+    let mut i0 = first;
+    for block in out.chunks_mut(n * BIG_BLOCK) {
+        if block.len() < n * BIG_BLOCK {
+            for small in block.chunks_mut(n * SMALL_BLOCK) {
+                row_block::<SMALL_BLOCK, LANES>(at, mp, i0, b, init, small);
+                i0 += SMALL_BLOCK;
+            }
+        } else {
+            row_block::<BIG_BLOCK, { LANES / 2 }>(at, mp, i0, b, init, block);
+            i0 += BIG_BLOCK;
+        }
+    }
+}
+
+/// Input rows `i0..i0 + M` against every row of `b`, `N` rows of `b` per
+/// [`dot_block`] pass, writing the first `out.len() / b.rows` of those
+/// input rows' outputs.
+fn row_block<const M: usize, const N: usize>(
+    at: &[f32],
+    mp: usize,
+    i0: usize,
+    b: &Matrix,
+    init: f32,
+    out: &mut [f32],
+) {
+    let n = b.rows;
+    let cols = &at[i0..];
+    let store = |out: &mut [f32], j0: usize, acc: &[[f32; M]]| {
+        for (ii, out_row) in out.chunks_mut(n).enumerate() {
+            for (jj, a) in acc.iter().enumerate() {
+                out_row[j0 + jj] = a[ii];
+            }
+        }
+    };
+    let full = n - n % N;
+    for j0 in (0..full).step_by(N) {
+        let acc = dot_block::<M, N>(std::array::from_fn(|jj| b.row(j0 + jj)), cols, mp, init);
+        store(out, j0, &acc);
+    }
+    for j in full..n {
+        store(out, j, &dot_block::<M, 1>([b.row(j)], cols, mp, init));
+    }
+}
+
+/// `M x N` dot products in one pass over `k`: the dot-product
+/// micro-kernel. `rows` are `N` rows of length `k`; input column `kk` is
+/// `cols[kk * stride..][..M]`, one value per input row. Output `[j][i]`
+/// is `init` plus `rows[j][kk] * column_kk[i]` for `kk = 0, 1, ...`,
+/// summed sequentially in `kk` order on its own accumulation chain, so it
+/// has the bits of the single-chain loop (see the module docs). The `M`
+/// chains of one row of `rows` are adjacent lanes, which the compiler
+/// vectorizes.
 #[inline]
-pub fn dot(a: &[f32], b: &[f32]) -> f32 {
-    debug_assert_eq!(a.len(), b.len());
-    a.iter().zip(b).map(|(x, y)| x * y).sum()
+fn dot_block<const M: usize, const N: usize>(
+    rows: [&[f32]; N],
+    cols: &[f32],
+    stride: usize,
+    init: f32,
+) -> [[f32; M]; N] {
+    let k = rows.first().map_or(0, |r| r.len());
+    let rows = rows.map(|r| &r[..k]);
+    let mut acc = [[init; M]; N];
+    for kk in 0..k {
+        let col = &cols[kk * stride..][..M];
+        for (a, r) in acc.iter_mut().zip(&rows) {
+            let b = r[kk];
+            for (lane, &c) in a.iter_mut().zip(col) {
+                *lane += c * b;
+            }
+        }
+    }
+    acc
+}
+
+/// `out[j] = init + row(j) . x` for every `j`, 8 rows per pass of the
+/// micro-kernel and the `out.len() % 8` remainder one by one.
+/// `row(j)` must have the length of `x`.
+#[inline]
+pub fn dot_rows<'a>(out: &mut [f32], x: &[f32], init: f32, row: impl Fn(usize) -> &'a [f32]) {
+    let full = out.len() - out.len() % LANES;
+    let (blocks, tail) = out.split_at_mut(full);
+    for (b, block) in blocks.chunks_exact_mut(LANES).enumerate() {
+        let acc = dot_block::<1, LANES>(std::array::from_fn(|j| row(b * LANES + j)), x, 1, init);
+        for (o, [v]) in block.iter_mut().zip(acc) {
+            *o = v;
+        }
+    }
+    for (j, o) in tail.iter_mut().enumerate() {
+        let [[v]] = dot_block::<1, 1>([row(full + j)], x, 1, init);
+        *o = v;
+    }
 }
 
 /// `y += alpha * x` (AXPY).
@@ -349,6 +509,89 @@ mod tests {
         }
     }
 
+    /// The single-chain loop the multi-chain kernel must reproduce.
+    fn scalar_dot(row: &[f32], x: &[f32], init: f32) -> f32 {
+        let mut acc = init;
+        for (r, v) in row.iter().zip(x) {
+            acc += r * v;
+        }
+        acc
+    }
+
+    fn assert_same_bits(got: &[f32], want: &[f32], what: &str) {
+        let got: Vec<u32> = got.iter().map(|v| v.to_bits()).collect();
+        let want: Vec<u32> = want.iter().map(|v| v.to_bits()).collect();
+        assert_eq!(got, want, "{what}");
+    }
+
+    /// `a @ b^T` by the single-chain loop, from `init`.
+    fn scalar_products(a: &Matrix, b: &Matrix, init: f32) -> Vec<f32> {
+        (0..a.rows())
+            .flat_map(|i| (0..b.rows()).map(move |j| scalar_dot(a.row(i), b.row(j), init)))
+            .collect()
+    }
+
+    #[test]
+    fn blocked_kernels_match_scalar_loops_bit_for_bit() {
+        // n = 0..=17 covers zero rows and every n % LANES remainder; m
+        // covers one row, padded small blocks, and big blocks with and
+        // without a small-block tail.
+        for k in [1usize, 16, 64, 97] {
+            for m in [1usize, 2, 3, 4, 5, 15, 16, 17, 33] {
+                let a = Matrix::random(m, k, (1000 * k + m) as u64, 1.0);
+                for n in 0..=17usize {
+                    let w = Matrix::random(n, k, (100 * k + n) as u64, 1.0);
+                    let shape = format!("{m}x{k} @ ({n}x{k})^T");
+                    let got = a.matmul_transposed(&w);
+                    let want = scalar_products(&a, &w, 0.0);
+                    assert_same_bits(got.as_slice(), &want, &format!("matmul_transposed {shape}"));
+                    let got = gemv_rows(&w, &a);
+                    let want = scalar_products(&a, &w, -0.0);
+                    assert_same_bits(got.as_slice(), &want, &format!("gemv_rows {shape}"));
+                    let got = gemv(&w, a.row(0));
+                    assert_same_bits(&got, &want[..n], &format!("gemv {shape}"));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn forked_kernels_keep_the_bits() {
+        // Both shapes reach PAR_THRESHOLD, so they run the pool path.
+        let w = Matrix::random(1024, 1024, 30, 1.0);
+        let x = Matrix::random(1, 1024, 31, 1.0);
+        assert!(w.len() >= PAR_THRESHOLD);
+        let want = scalar_products(&x, &w, -0.0);
+        assert_same_bits(&gemv(&w, x.as_slice()), &want, "gemv 1024x1024");
+
+        let a = Matrix::random(37, 128, 32, 1.0);
+        let b = Matrix::random(250, 128, 33, 1.0);
+        assert!(a.rows() * b.rows() * a.cols() >= PAR_THRESHOLD);
+        let want = scalar_products(&a, &b, 0.0);
+        assert_same_bits(
+            a.matmul_transposed(&b).as_slice(),
+            &want,
+            "matmul_transposed 37x128x250",
+        );
+    }
+
+    #[test]
+    fn accumulators_start_at_negative_zero_for_gemv_and_positive_zero_for_matmul_transposed() {
+        // A zero row against a negative vector sums only -0.0 products, so
+        // the result is the accumulator's starting value.
+        let zero = Matrix::zeros(9, 4);
+        let neg = [-1.0f32; 4];
+        assert_same_bits(&gemv(&zero, &neg), &[-0.0; 9], "gemv init");
+        let a = Matrix::from_vec(1, 4, neg.to_vec());
+        assert_same_bits(
+            a.matmul_transposed(&zero).as_slice(),
+            &[0.0; 9],
+            "matmul_transposed init",
+        );
+        // With no terms at all the start value is the whole answer.
+        assert_same_bits(&gemv(&Matrix::zeros(3, 0), &[]), &[-0.0; 3], "empty gemv");
+    }
+
     #[test]
     fn gather_then_scatter_roundtrip() {
         let m = Matrix::random(8, 4, 8, 1.0);
@@ -391,11 +634,10 @@ mod tests {
     }
 
     #[test]
-    fn axpy_and_dot() {
+    fn axpy_scales_and_adds() {
         let x = [1.0, 2.0, 3.0];
         let mut y = [10.0, 20.0, 30.0];
         axpy(2.0, &x, &mut y);
         assert_eq!(y, [12.0, 24.0, 36.0]);
-        assert_eq!(dot(&x, &x), 14.0);
     }
 }

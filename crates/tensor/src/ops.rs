@@ -129,6 +129,33 @@ pub fn rope_inplace(head: &mut [f32], pos: usize, theta_base: f32) {
     }
 }
 
+/// [`rope_inplace`] at position `pos` on every `head_dim`-wide head of
+/// both `q` and `k` — one attention row's query and key heads. Each
+/// frequency's `powf` and `sin_cos` run once for all heads instead of once
+/// per head; the rotation arithmetic is the same, so the bits are too.
+pub fn rope_heads_inplace(
+    q: &mut [f32],
+    k: &mut [f32],
+    head_dim: usize,
+    pos: usize,
+    theta_base: f32,
+) {
+    for i in 0..head_dim / 2 {
+        let freq = 1.0 / theta_base.powf(2.0 * i as f32 / head_dim as f32);
+        let angle = pos as f32 * freq;
+        let (sin, cos) = angle.sin_cos();
+        for head in q
+            .chunks_exact_mut(head_dim)
+            .chain(k.chunks_exact_mut(head_dim))
+        {
+            let a = head[2 * i];
+            let b = head[2 * i + 1];
+            head[2 * i] = a * cos - b * sin;
+            head[2 * i + 1] = a * sin + b * cos;
+        }
+    }
+}
+
 /// Index of the maximum element (first occurrence on ties).
 pub fn argmax(x: &[f32]) -> usize {
     assert!(!x.is_empty(), "argmax of empty slice");
@@ -259,6 +286,28 @@ mod tests {
         assert_close(mean(&out), 0.0, 1e-6);
         let var = out.iter().map(|v| v * v).sum::<f32>() / 4.0;
         assert_close(var, 1.0, 1e-3);
+    }
+
+    #[test]
+    fn rope_heads_matches_per_head_rope_bit_for_bit() {
+        for head_dim in [16usize, 64, 128] {
+            let q0: Vec<f32> = (0..4 * head_dim).map(|i| (i as f32 * 0.37).sin()).collect();
+            let k0: Vec<f32> = (0..2 * head_dim).map(|i| (i as f32 * 0.53).cos()).collect();
+            for pos in 0..=200 {
+                let (mut q, mut k) = (q0.clone(), k0.clone());
+                rope_heads_inplace(&mut q, &mut k, head_dim, pos, 10_000.0);
+                let (mut q_ref, mut k_ref) = (q0.clone(), k0.clone());
+                for head in q_ref
+                    .chunks_exact_mut(head_dim)
+                    .chain(k_ref.chunks_exact_mut(head_dim))
+                {
+                    rope_inplace(head, pos, 10_000.0);
+                }
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&q), bits(&q_ref), "q, head_dim {head_dim}, pos {pos}");
+                assert_eq!(bits(&k), bits(&k_ref), "k, head_dim {head_dim}, pos {pos}");
+            }
+        }
     }
 
     #[test]
