@@ -6,9 +6,8 @@
 //! block corresponds to `num_layers` physical blocks, which is folded into
 //! the capacity accounting by the caller. A watermark reserve keeps a
 //! fraction of blocks free so running sequences can grow without
-//! immediately preempting.
-
-use std::collections::BTreeMap;
+//! immediately preempting. Ownership is indexed by `RequestId`, which the
+//! scheduler hands out densely from 0.
 
 use crate::request::RequestId;
 
@@ -20,7 +19,8 @@ pub struct BlockManager {
     free_blocks: usize,
     /// Fraction of blocks kept free when admitting *new* sequences.
     watermark: f64,
-    owned: BTreeMap<RequestId, usize>,
+    /// Blocks owned per sequence, indexed by id; 0 = owns nothing.
+    owned: Vec<usize>,
 }
 
 impl BlockManager {
@@ -31,7 +31,7 @@ impl BlockManager {
             total_blocks,
             free_blocks: total_blocks,
             watermark: 0.01,
-            owned: BTreeMap::new(),
+            owned: Vec::new(),
         }
     }
 
@@ -61,7 +61,7 @@ impl BlockManager {
 
     /// Blocks currently owned by a sequence.
     pub fn owned_by(&self, id: RequestId) -> usize {
-        self.owned.get(&id).copied().unwrap_or(0)
+        self.owned.get(id as usize).copied().unwrap_or(0)
     }
 
     /// Pool utilization in [0, 1].
@@ -82,18 +82,17 @@ impl BlockManager {
     }
 
     /// Allocate blocks to hold `tokens` for a new sequence. Returns false
-    /// (allocating nothing) if the pool cannot satisfy it.
+    /// (allocating nothing) if the pool cannot satisfy it. Ownership is
+    /// stored densely up to the largest id seen, so ids should be small
+    /// and dense, as the scheduler's are.
     pub fn allocate(&mut self, id: RequestId, tokens: usize) -> bool {
-        assert!(
-            !self.owned.contains_key(&id),
-            "sequence {id} already allocated"
-        );
+        assert!(self.owned_by(id) == 0, "sequence {id} already allocated");
         let needed = self.blocks_for(tokens);
         if needed > self.free_blocks {
             return false;
         }
         self.free_blocks -= needed;
-        self.owned.insert(id, needed);
+        self.set_owned(id, needed);
         true
     }
 
@@ -115,20 +114,28 @@ impl BlockManager {
             return false;
         }
         self.free_blocks -= extra;
-        self.owned.insert(id, need);
+        self.set_owned(id, need);
         true
+    }
+
+    fn set_owned(&mut self, id: RequestId, blocks: usize) {
+        let i = id as usize;
+        if i >= self.owned.len() {
+            self.owned.resize(i + 1, 0);
+        }
+        self.owned[i] = blocks;
     }
 
     /// Release all blocks of a sequence (finish or preemption).
     pub fn release(&mut self, id: RequestId) {
-        if let Some(n) = self.owned.remove(&id) {
-            self.free_blocks += n;
+        if let Some(n) = self.owned.get_mut(id as usize) {
+            self.free_blocks += std::mem::take(n);
         }
     }
 
     /// Invariant check: free + owned == total.
     pub fn check_invariants(&self) {
-        let owned: usize = self.owned.values().sum();
+        let owned: usize = self.owned.iter().sum();
         assert_eq!(
             owned + self.free_blocks,
             self.total_blocks,

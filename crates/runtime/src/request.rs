@@ -34,13 +34,11 @@ impl Request {
 /// Lifecycle state of a sequence in the scheduler.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, ToJson, FromJson)]
 pub enum SeqState {
-    /// Queued, no KV allocated.
+    /// Queued, no KV allocated (also after a recompute-style
+    /// preemption, until re-admitted).
     Waiting,
     /// Prefilled and decoding.
     Running,
-    /// Evicted under memory pressure; will re-prefill (recompute-style
-    /// preemption).
-    Preempted,
     /// All tokens generated.
     Finished,
 }

@@ -16,17 +16,36 @@
 //! queue at the tail in id order, and preempted sequences re-queue at the
 //! *head* (they hold generated tokens that must not starve) — also in id
 //! order among themselves, because preemption evicts strictly newest-first
-//! (ties on the admission stamp break toward the higher id) and each
-//! eviction prepends. Every tie anywhere in the scheduler is broken by
-//! `RequestId`, never by map iteration order, so cluster-level replays
-//! that fan requests across schedulers are byte-stable. The
+//! and each eviction prepends. Every tie anywhere in the scheduler is
+//! broken by `RequestId`, never by map iteration order, so cluster-level
+//! replays that fan requests across schedulers are byte-stable. The
 //! `fcfs_admission_is_ordered_by_request_id` test pins this.
+//!
+//! ## State layout and per-step cost
+//!
+//! A decode step touches every running sequence, so each per-sequence
+//! operation of a step is O(1):
+//!
+//! * **Dense ids.** Ids are handed out densely from 0, so sequence
+//!   records live in a `Vec` indexed by id (`None` once canceled;
+//!   finished records stay queryable), and the [`BlockManager`] keeps
+//!   its per-sequence block counts the same way.
+//! * **Admission-ordered `running`.** Admission appends to `running` in
+//!   admission-stamp order and removals keep the order, so `running` is
+//!   always sorted by `admitted_at` (stamps are unique) and the newest
+//!   sequence — the next to preempt — is its last element.
+//! * **Running context sum.** Σ `context_len` over `running` is kept up
+//!   to date on admit, commit, finish, preemption and cancel, so pricing
+//!   a decode step reads its mean context without a pass over the batch.
+//!
+//! `tests/scheduler_ops.rs` checks both invariants after every operation
+//! of seeded random submit/plan/commit/cancel sequences.
 //!
 //! The scheduler is pure bookkeeping — no clock, no tensors — so both the
 //! simulated and the live server drive it and its behaviour is
 //! deterministic and unit-testable.
 
-use std::collections::BTreeMap;
+use std::collections::VecDeque;
 
 use moe_json::{FromJson, ToJson};
 
@@ -132,11 +151,14 @@ pub enum StepPlan {
 pub struct Scheduler {
     cfg: SchedulerConfig,
     blocks: BlockManager,
-    seqs: BTreeMap<RequestId, SeqRecord>,
+    /// Sequence records indexed by id; `None` once canceled.
+    seqs: Vec<Option<SeqRecord>>,
     /// FCFS waiting queue (front = next to admit).
-    waiting: Vec<RequestId>,
+    waiting: VecDeque<RequestId>,
+    /// Running sequences in admission-stamp order (oldest first).
     running: Vec<RequestId>,
-    next_id: RequestId,
+    /// Σ `context_len` over `running`.
+    running_ctx: usize,
     admission_stamp: u64,
     /// When true, decisions append to `events` (off by default: the hot
     /// path must not allocate for runs nobody is tracing).
@@ -149,10 +171,10 @@ impl Scheduler {
         Self {
             blocks: BlockManager::new(cfg.total_blocks, cfg.block_tokens),
             cfg,
-            seqs: BTreeMap::new(),
-            waiting: Vec::new(),
+            seqs: Vec::new(),
+            waiting: VecDeque::new(),
             running: Vec::new(),
-            next_id: 0,
+            running_ctx: 0,
             admission_stamp: 0,
             record_events: false,
             events: Vec::new(),
@@ -191,25 +213,31 @@ impl Scheduler {
     pub fn submit(&mut self, request: Request) -> RequestId {
         assert!(request.prompt_len > 0, "empty prompt");
         assert!(request.max_new_tokens > 0, "nothing to generate");
-        let id = self.next_id;
-        self.next_id += 1;
-        self.seqs.insert(
+        let id = self.seqs.len() as RequestId;
+        self.seqs.push(Some(SeqRecord {
             id,
-            SeqRecord {
-                id,
-                request,
-                state: SeqState::Waiting,
-                generated: 0,
-                admitted_at: 0,
-                preemptions: 0,
-            },
-        );
-        self.waiting.push(id);
+            request,
+            state: SeqState::Waiting,
+            generated: 0,
+            admitted_at: 0,
+            preemptions: 0,
+        }));
+        self.waiting.push_back(id);
         id
     }
 
     pub fn seq(&self, id: RequestId) -> Option<&SeqRecord> {
-        self.seqs.get(&id)
+        self.seqs.get(id as usize)?.as_ref()
+    }
+
+    /// Running sequences, oldest admission first.
+    pub fn running(&self) -> &[RequestId] {
+        &self.running
+    }
+
+    /// Σ `context_len` over the running sequences.
+    pub fn running_context_tokens(&self) -> usize {
+        self.running_ctx
     }
 
     pub fn num_waiting(&self) -> usize {
@@ -232,11 +260,13 @@ impl Scheduler {
         // --- Try to admit waiting sequences into a prefill batch. ---
         let mut admit: Vec<RequestId> = Vec::new();
         let mut tokens = 0usize;
-        while let Some(&id) = self.waiting.first() {
+        while let Some(&id) = self.waiting.front() {
             if self.running.len() + admit.len() >= self.cfg.max_running {
                 break;
             }
-            let seq = &self.seqs[&id];
+            let Some(seq) = self.seq(id) else {
+                break;
+            };
             // On re-admission after preemption the whole prefix
             // (prompt + generated) is recomputed.
             let need = seq.context_len();
@@ -252,7 +282,7 @@ impl Scheduler {
                 if !self.blocks.allocate(id, need) {
                     break;
                 }
-                self.waiting.remove(0);
+                self.waiting.pop_front();
                 admit.push(id);
                 tokens += need;
                 break;
@@ -263,7 +293,7 @@ impl Scheduler {
             if !self.blocks.allocate(id, need) {
                 break;
             }
-            self.waiting.remove(0);
+            self.waiting.pop_front();
             admit.push(id);
             tokens += need;
         }
@@ -271,17 +301,20 @@ impl Scheduler {
             for id in &admit {
                 let stamp = self.admission_stamp;
                 self.admission_stamp += 1;
-                if let Some(seq) = self.seqs.get_mut(id) {
+                if let Some(seq) = self.seqs[*id as usize].as_mut() {
                     seq.state = SeqState::Running;
                     seq.admitted_at = stamp;
                 }
             }
             if self.record_events {
                 for &id in &admit {
-                    let context_tokens = self.seqs[&id].context_len();
-                    self.record(SchedEvent::Admitted { id, context_tokens });
+                    if let Some(context_tokens) = self.seq(id).map(SeqRecord::context_len) {
+                        self.record(SchedEvent::Admitted { id, context_tokens });
+                    }
                 }
             }
+            // `tokens` is Σ context_len over the admitted sequences.
+            self.running_ctx += tokens;
             self.running.extend(&admit);
             return StepPlan::Prefill { ids: admit, tokens };
         }
@@ -313,9 +346,11 @@ impl Scheduler {
     /// after preemption simply re-reserves. Returns false if any sequence
     /// could not grow.
     fn try_grow_all(&mut self) -> bool {
-        let ids: Vec<RequestId> = self.running.clone();
-        for id in ids {
-            let ctx = self.seqs[&id].context_len();
+        for &id in &self.running {
+            let Some(seq) = &self.seqs[id as usize] else {
+                continue;
+            };
+            let ctx = seq.context_len();
             if !self.blocks.grow(id, ctx, ctx + 1) {
                 return false;
             }
@@ -323,55 +358,46 @@ impl Scheduler {
         true
     }
 
-    /// Evict the most recently admitted running sequence. Ties on the
-    /// admission stamp (impossible today — stamps are unique — but cheap
-    /// to make explicit) break toward the higher `RequestId`, keeping the
-    /// eviction order a pure function of scheduler state.
+    /// Evict the most recently admitted running sequence: the last one in
+    /// `running`, which is in admission-stamp order. Stamps are unique,
+    /// so the eviction order is a pure function of scheduler state.
     fn preempt_newest(&mut self) -> bool {
-        let Some((pos, &id)) = self
-            .running
-            .iter()
-            .enumerate()
-            .max_by_key(|(_, id)| (self.seqs[id].admitted_at, **id))
-        else {
+        let Some(id) = self.running.pop() else {
             return false;
         };
-        self.running.remove(pos);
         self.blocks.release(id);
-        if let Some(seq) = self.seqs.get_mut(&id) {
-            seq.state = SeqState::Preempted;
+        let mut preemptions = 0;
+        if let Some(seq) = self.seqs[id as usize].as_mut() {
+            seq.state = SeqState::Waiting;
             seq.preemptions += 1;
+            preemptions = seq.preemptions;
+            self.running_ctx -= seq.context_len();
         }
         // Recompute-style: back to the head of the waiting queue.
-        self.waiting.insert(0, id);
-        if let Some(seq) = self.seqs.get_mut(&id) {
-            seq.state = SeqState::Waiting;
-        }
-        if self.record_events {
-            let preemptions = self.seqs[&id].preemptions;
-            self.record(SchedEvent::Preempted { id, preemptions });
-        }
+        self.waiting.push_front(id);
+        self.record(SchedEvent::Preempted { id, preemptions });
         true
     }
 
     /// Commit one decoded token for a sequence (KV block already reserved
     /// by `plan_step`). Returns true when the sequence just finished.
     pub fn commit_decode(&mut self, id: RequestId) -> bool {
-        let Some(seq) = self.seqs.get_mut(&id) else {
+        let Some(Some(seq)) = self.seqs.get_mut(id as usize) else {
             return false;
         };
         assert_eq!(seq.state, SeqState::Running, "decode on non-running seq");
         seq.generated += 1;
-        if seq.done() {
-            seq.state = SeqState::Finished;
-            let generated = seq.generated;
-            self.running.retain(|&r| r != id);
-            self.blocks.release(id);
-            self.record(SchedEvent::Finished { id, generated });
-            true
-        } else {
-            false
+        self.running_ctx += 1;
+        if !seq.done() {
+            return false;
         }
+        seq.state = SeqState::Finished;
+        let generated = seq.generated;
+        self.running_ctx -= seq.context_len();
+        self.running.retain(|&r| r != id);
+        self.blocks.release(id);
+        self.record(SchedEvent::Finished { id, generated });
+        true
     }
 
     /// Prefill also produces each sequence's first token; commit it.
@@ -381,7 +407,7 @@ impl Scheduler {
     pub fn commit_prefill(&mut self, ids: &[RequestId]) -> Vec<RequestId> {
         let mut finished = Vec::new();
         for &id in ids {
-            let Some(seq) = self.seqs.get(&id) else {
+            let Some(seq) = self.seq(id) else {
                 continue; // canceled while the step was in flight
             };
             // The first token occupies KV beyond the prompt.
@@ -403,17 +429,20 @@ impl Scheduler {
     /// Returns `false` when the id is unknown or already finished (a
     /// finished sequence keeps its record so completions stay queryable).
     pub fn cancel(&mut self, id: RequestId) -> bool {
-        match self.seqs.get(&id) {
-            None => false,
-            Some(seq) if seq.state == SeqState::Finished => false,
-            Some(_) => {
-                self.waiting.retain(|&w| w != id);
-                self.running.retain(|&r| r != id);
-                self.blocks.release(id);
-                self.seqs.remove(&id);
-                true
-            }
+        let Some(slot) = self.seqs.get_mut(id as usize) else {
+            return false;
+        };
+        let Some(seq) = slot.take_if(|seq| seq.state != SeqState::Finished) else {
+            return false;
+        };
+        if seq.state == SeqState::Running {
+            self.running.retain(|&r| r != id);
+            self.running_ctx -= seq.context_len();
+        } else {
+            self.waiting.retain(|&w| w != id);
         }
+        self.blocks.release(id);
+        true
     }
 }
 

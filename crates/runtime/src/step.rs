@@ -192,11 +192,7 @@ impl StepCore {
             }
             StepPlan::Decode { ids } => {
                 let batch = ids.len().max(1);
-                let ctx: usize = ids
-                    .iter()
-                    .filter_map(|id| self.scheduler.seq(*id))
-                    .map(|s| s.context_len())
-                    .sum();
+                let ctx = self.scheduler.running_context_tokens();
                 let mean_ctx = (ctx / batch).max(1);
                 StepShape::Decode { batch, mean_ctx }
             }
