@@ -302,21 +302,20 @@ impl PerfModel {
         cost
     }
 
-    /// MoE (or dense FFN) cost for one layer on one device, plus any
-    /// expert-parallel collective seconds.
-    fn ffn_layer_cost(&self, tokens: usize, moe_layer: bool) -> (OpCost, f64) {
+    /// MoE (or, for `moe == None`, dense FFN) cost for one layer on one
+    /// device, plus any expert-parallel collective seconds.
+    fn ffn_layer_cost(&self, tokens: usize, moe: Option<&MoeConfig>) -> (OpCost, f64) {
         let d = &self.cluster.device;
         let h = self.config.hidden_size;
         let tp = self.tp();
-        if !moe_layer {
+        let Some(moe) = moe else {
             let ffn = self.config.dense_ffn_dim.div_ceil(tp);
             let mut cost = OpCost::zero();
             cost.add(&gemm_cost(d, self.opts.precision, tokens, ffn, h));
             cost.add(&gemm_cost(d, self.opts.precision, tokens, ffn, h));
             cost.add(&gemm_cost(d, self.opts.precision, tokens, h, ffn));
             return (cost, 0.0);
-        }
-        let moe = self.config.moe.as_ref().expect("moe layer on dense model"); // lint:allow(no-panic-in-lib) -- guarded by the MoE-layer check in the caller
+        };
         let group = self.opts.plan.degree;
         if self.opts.plan.expert_parallel && group > 1 {
             // Whole experts distributed across the group; tokens shuffled
@@ -373,11 +372,8 @@ impl PerfModel {
     /// is fully exposed. Exactly `0.0` when every needed expert is
     /// resident, so an all-resident residency prices bit-for-bit like no
     /// residency model at all.
-    fn expert_load_stall(&self, tokens: usize, window: f64) -> f64 {
+    fn expert_load_stall(&self, tokens: usize, moe: &MoeConfig, window: f64) -> f64 {
         let Some(res) = &self.opts.residency else {
-            return 0.0;
-        };
-        let Some(moe) = &self.config.moe else {
             return 0.0;
         };
         let group = self.opts.plan.degree;
@@ -419,7 +415,8 @@ impl PerfModel {
     }
 
     /// Per-component times of one transformer layer on one device:
-    /// `(attention, ffn/moe, expert-parallel comm, tensor-parallel comm)`.
+    /// `(attention, ffn/moe, expert-parallel comm, tensor-parallel comm)`,
+    /// for an MoE layer when `moe` is given and a dense one otherwise.
     /// Offload stalls from non-resident experts fold into the ffn term.
     fn layer_parts(
         &self,
@@ -427,19 +424,15 @@ impl PerfModel {
         batch: usize,
         ctx: usize,
         phase: Phase,
-        moe_layer: bool,
+        moe: Option<&MoeConfig>,
     ) -> (f64, f64, f64, f64) {
         let d = &self.cluster.device;
         let attn = self.attn_layer_cost(tokens, batch, ctx, phase).time_on(d);
-        let (ffn_cost, ep_comm) = self.ffn_layer_cost(tokens, moe_layer);
+        let (ffn_cost, ep_comm) = self.ffn_layer_cost(tokens, moe);
         let ffn = ffn_cost.time_on(d);
-        let stall = if moe_layer {
-            // The prefetch window is the layer's own compute: the next
-            // layer's experts load while this layer runs.
-            self.expert_load_stall(tokens, attn + ffn)
-        } else {
-            0.0
-        };
+        // The prefetch window is the layer's own compute: the next layer's
+        // experts load while this layer runs.
+        let stall = moe.map_or(0.0, |moe| self.expert_load_stall(tokens, moe, attn + ffn));
         let tp_comm = if self.opts.plan.mode == ParallelMode::Tensor && self.opts.plan.degree > 1 {
             // Two all-reduces per layer (post-attention, post-FFN).
             let bytes = (tokens * self.config.hidden_size) as f64 * 2.0;
@@ -471,9 +464,16 @@ impl PerfModel {
         self.price(tokens, batch, ctx, phase).total_s
     }
 
-    /// The one pricing walk over the layer stack: every layer is priced
-    /// once by [`Self::layer_parts`], and that one call feeds both the
+    /// The one pricing walk over the layer stack; it feeds both the
     /// forward time (`total_s`) and the work decomposition.
+    ///
+    /// Every layer of one kind (dense, MoE) gets the same arguments within
+    /// one walk, so [`Self::layer_parts`] prices each kind the stack has
+    /// once, not once per layer. The walk then still visits every layer
+    /// and accumulates that layer's terms in order; this per-layer
+    /// accumulation order is the bit contract every report rests on.
+    /// Multiplying a kind's terms by its layer count instead would round
+    /// differently and is not allowed.
     ///
     /// The time sums `attn + (ffn + ep_comm) + tp_comm` per layer into
     /// per-stage sums (one stage outside pipeline mode). Pipeline prefill
@@ -497,16 +497,25 @@ impl PerfModel {
             overhead_s: self.opts.framework_overhead_s,
             ..StepParts::default()
         };
+        // Layers `first_moe..` are MoE, the ones before it dense. Each kind
+        // the stack has is priced once: `kinds` is `[dense, moe]`.
+        let moe = self.config.moe.as_ref();
+        let first_moe = moe.map_or(layers, |_| self.config.first_k_dense_layers);
+        let kind = |moe, present: bool| {
+            if present {
+                self.layer_parts(mb_tokens, mb_batch, ctx, phase, moe)
+            } else {
+                (0.0, 0.0, 0.0, 0.0)
+            }
+        };
+        let kinds = [kind(None, first_moe > 0), kind(moe, first_moe < layers)];
         let mut serial = 0.0;
         let mut stage_times = Vec::new();
         for s in 0..stages {
             let first = s * per_stage;
             let mut stage = 0.0;
             for layer in first..first + per_stage.min(layers.saturating_sub(first)) {
-                let moe_layer =
-                    self.config.moe.is_some() && layer >= self.config.first_k_dense_layers;
-                let (attn, ffn, ep_comm, tp_comm) =
-                    self.layer_parts(mb_tokens, mb_batch, ctx, phase, moe_layer);
+                let (attn, ffn, ep_comm, tp_comm) = kinds[usize::from(layer >= first_moe)];
                 stage += attn + (ffn + ep_comm) + tp_comm;
                 parts.attn_s += mult * attn;
                 parts.ffn_s += mult * ffn;
@@ -640,38 +649,16 @@ impl PerfModel {
         if tokens == 0 {
             return 0.0;
         }
-        let mut cost = OpCost::zero();
-        for _ in 0..v.num_layers {
-            cost.add(&gemm_cost(
-                d,
-                self.opts.precision,
-                tokens,
-                3 * v.hidden_size,
-                v.hidden_size,
-            ));
-            cost.add(&gemm_cost(
-                d,
-                self.opts.precision,
-                tokens,
-                v.hidden_size,
-                v.hidden_size,
-            ));
-            cost.add(&gemm_cost(
-                d,
-                self.opts.precision,
-                tokens,
-                v.ffn_dim,
-                v.hidden_size,
-            ));
-            cost.add(&gemm_cost(
-                d,
-                self.opts.precision,
-                tokens,
-                v.hidden_size,
-                v.ffn_dim,
-            ));
+        let p = self.opts.precision;
+        // One ViT layer; every layer is identical, so build its ops once
+        // and add them per layer in order.
+        let layer = [
+            gemm_cost(d, p, tokens, 3 * v.hidden_size, v.hidden_size),
+            gemm_cost(d, p, tokens, v.hidden_size, v.hidden_size),
+            gemm_cost(d, p, tokens, v.ffn_dim, v.hidden_size),
+            gemm_cost(d, p, tokens, v.hidden_size, v.ffn_dim),
             // Attention core within each image's token window.
-            cost.add(&OpCost {
+            OpCost {
                 flops: 4.0 * tokens as f64 * v.tokens_per_image as f64 * v.hidden_size as f64,
                 compute_eff: 0.6,
                 mem_eff: 1.0,
@@ -679,7 +666,13 @@ impl PerfModel {
                 act_bytes: tokens as f64 * v.hidden_size as f64 * 4.0,
                 launches: 1.0,
                 precision: Precision::F16,
-            });
+            },
+        ];
+        let mut cost = OpCost::zero();
+        for _ in 0..v.num_layers {
+            for op in &layer {
+                cost.add(op);
+            }
         }
         (cost.time_on(d) / self.tp() as f64).max(0.0)
     }

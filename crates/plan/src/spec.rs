@@ -155,12 +155,6 @@ impl SloSpec {
         }
     }
 
-    /// Add a cost budget (device-seconds per token).
-    pub fn with_cost_budget(mut self, budget: f64) -> Self {
-        self.max_cost_per_token_device_s = budget;
-        self
-    }
-
     /// Add an accuracy-proxy floor.
     pub fn with_accuracy_floor(mut self, floor: f64) -> Self {
         self.min_accuracy = floor;

@@ -27,13 +27,6 @@ pub fn softmax_inplace(row: &mut [f32]) {
     }
 }
 
-/// Softmax applied independently to each row of a matrix.
-pub fn softmax_rows(m: &mut Matrix) {
-    for r in 0..m.rows() {
-        softmax_inplace(m.row_mut(r));
-    }
-}
-
 /// Scaled masked softmax for causal attention scores: positions `> allowed`
 /// in each row are masked to -inf before the softmax. `allowed[r]` is the
 /// last key index row `r` may attend to (inclusive).
