@@ -69,12 +69,7 @@ pub fn place_with_plan(
 }
 
 /// Run and return `None` on OOM (the missing points in Figures 7-9).
-pub fn run_or_oom(
-    model: &PerfModel,
-    batch: usize,
-    input: usize,
-    output: usize,
-) -> Option<RunMetrics> {
+fn run_or_oom(model: &PerfModel, batch: usize, input: usize, output: usize) -> Option<RunMetrics> {
     model
         .run(batch, input, output, &mut moe_trace::Tracer::disabled(), 0)
         .ok()

@@ -2,14 +2,14 @@
 //! each modeling/serving mechanism contributes, and where the paper's
 //! numbers are sensitive to stack assumptions.
 //!
-//! * [`overhead`] — host-overhead sensitivity of the Fig. 5 TopK result
+//! * `overhead` — host-overhead sensitivity of the Fig. 5 TopK result
 //!   (documents why our small-batch sensitivity deviates from vLLM's).
-//! * [`mla`] — what MLA KV compression would change for DeepSeek-V2-Lite
+//! * `mla` — what MLA KV compression would change for DeepSeek-V2-Lite
 //!   (the paper's vLLM materialized full KV; real MLA shrinks it ~15x).
 //! * [`kv_precision`] — FP8 KV cache on a KV-heavy model (Qwen1.5-MoE).
-//! * [`spec_surface`] — acceptance-rate x draft-length surface for
+//! * `spec_surface` — acceptance-rate x draft-length surface for
 //!   speculative decoding, with the optimal gamma per acceptance level.
-//! * [`prefix_caching`] — measured prefill-compute savings of the live
+//! * `prefix_caching` — measured prefill-compute savings of the live
 //!   server's prefix cache on repeated prompts (real execution).
 
 use moe_engine::model::MoeTransformer;
@@ -29,7 +29,7 @@ use crate::report::{num, ExperimentReport, Table};
 /// Host-overhead ablation: the TopK 1->32 relative throughput drop of
 /// DeepSeek-V2-Lite at batch 1 and 64, under different per-step host
 /// overheads. Returns `(overhead_ms, drop_b1, drop_b64)` rows.
-pub fn overhead() -> Vec<(f64, f64, f64)> {
+fn overhead() -> Vec<(f64, f64, f64)> {
     let mut rows = Vec::new();
     for overhead_ms in [0.0f64, 2.0, 4.0, 8.0, 16.0] {
         let opts = EngineOptions::default()
@@ -57,7 +57,7 @@ pub fn overhead() -> Vec<(f64, f64, f64)> {
 /// MLA ablation: DeepSeek-V2-Lite served with materialized full KV (what
 /// the paper's vLLM did) vs the compressed 576-dim MLA latent. Returns
 /// `(label, kv_gb_batch64_ctx4k, tok/s_batch64)`.
-pub fn mla() -> Vec<(String, f64, f64)> {
+fn mla() -> Vec<(String, f64, f64)> {
     let mut rows = Vec::new();
     for (label, latent) in [
         ("full KV (paper's stack)", None),
@@ -108,7 +108,7 @@ pub fn kv_precision() -> Vec<(String, f64, f64)> {
 /// Speculation surface: throughput for acceptance levels x gamma, plus
 /// the analytic tokens/cycle. Returns `(alpha, gamma, tokens_per_cycle,
 /// tok/s)`.
-pub fn spec_surface(fast: bool) -> Vec<(f64, usize, f64, f64)> {
+fn spec_surface(fast: bool) -> Vec<(f64, usize, f64, f64)> {
     let gammas: &[usize] = if fast { &[1, 3, 7] } else { &[1, 2, 3, 5, 7] };
     let place = |cfg| {
         PerfModel::new(
@@ -139,7 +139,7 @@ pub fn spec_surface(fast: bool) -> Vec<(f64, usize, f64, f64)> {
 /// Prefix-caching ablation on the live executor: serve the same long
 /// prompt `requests` times with and without the cache; returns
 /// `(tokens_without, tokens_with, saved)` forward-pass token counts.
-pub fn prefix_caching(requests: usize) -> (u64, u64, u64) {
+fn prefix_caching(requests: usize) -> (u64, u64, u64) {
     let prompt: Vec<usize> = (1..64).collect();
     let serve = |cache: Option<PrefixCache>| {
         let model = MoeTransformer::new(moe_model::registry::tiny_test_model(8, 2), 42);

@@ -210,7 +210,7 @@ fn fleet_spec(fast: bool) -> PlannerSpec {
 
 /// The mixed-fleet planning report (per-class feasibility + blended
 /// frontier).
-pub fn fleet_report(fast: bool) -> FleetPlanReport {
+fn fleet_report(fast: bool) -> FleetPlanReport {
     plan_fleet(&fleet_spec(fast)).expect("the mixed OLMoE fleet is feasible")
 }
 
@@ -295,7 +295,7 @@ pub struct KneeRow {
 }
 
 /// Sweep the knee ladder on one zoo device. Rows descend in bandwidth.
-pub fn knee_rows(device_name: &str, fast: bool) -> Vec<KneeRow> {
+fn knee_rows(device_name: &str, fast: bool) -> Vec<KneeRow> {
     let base = profile(device_name).expect("knee device is in the zoo");
     let moe = olmoe_1b_7b();
     let dense = qwen3_4b();
@@ -324,7 +324,7 @@ pub fn knee_rows(device_name: &str, fast: bool) -> Vec<KneeRow> {
 
 /// The knee: the first swept bandwidth (descending) where the dense
 /// equivalent's cost per token is no worse than the MoE's.
-pub fn knee_bandwidth(rows: &[KneeRow]) -> Option<f64> {
+fn knee_bandwidth(rows: &[KneeRow]) -> Option<f64> {
     rows.iter()
         .find(|r| r.dense_usd_per_mtok <= r.moe_usd_per_mtok)
         .map(|r| r.bandwidth)

@@ -92,7 +92,7 @@ fn run_point(
 /// counters) and, when `tracer` is enabled, gets a grouping span on
 /// [`BENCH_TRACK`] and advances the tracer base by the point's makespan
 /// so points tile one monotone timeline.
-pub fn sweep_rows(fast: bool, tracer: &mut Tracer) -> Vec<(RoutePolicy, f64, ClusterReport)> {
+fn sweep_rows(fast: bool, tracer: &mut Tracer) -> Vec<(RoutePolicy, f64, ClusterReport)> {
     let rates: &[f64] = if fast {
         &[60.0, 100.0]
     } else {
@@ -123,7 +123,7 @@ pub fn sweep_rows(fast: bool, tracer: &mut Tracer) -> Vec<(RoutePolicy, f64, Clu
 ///
 /// All scenarios route with least-outstanding at a moderate load; the
 /// crash takes one of four replicas down for two seconds mid-run.
-pub fn fault_rows(fast: bool, tracer: &mut Tracer) -> Vec<(&'static str, ClusterReport)> {
+fn fault_rows(fast: bool, tracer: &mut Tracer) -> Vec<(&'static str, ClusterReport)> {
     let requests: usize = if fast { 150 } else { 400 };
     // Near saturation: replicas hold real queue depth, so a crash loses
     // a visible slice of in-flight work rather than one straggler.

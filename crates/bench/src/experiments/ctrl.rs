@@ -348,7 +348,7 @@ pub struct CtrlOutcome {
 
 impl CtrlOutcome {
     /// Cheapest static ladder rung holding the attainment target, if any.
-    pub fn best_static(&self) -> Option<&(usize, ClusterReport)> {
+    fn best_static(&self) -> Option<&(usize, ClusterReport)> {
         self.ladder
             .iter()
             .filter(|(_, r)| r.slo_attainment(CTRL_TTFT_SLO_S) >= CTRL_TARGET_ATTAINMENT)
@@ -361,7 +361,7 @@ impl CtrlOutcome {
 
 /// Run the full study: ladder (on the work-stealing pool), planner
 /// pick, controlled day.
-pub fn run_study(fast: bool, tracer: &mut Tracer) -> CtrlOutcome {
+fn run_study(fast: bool, tracer: &mut Tracer) -> CtrlOutcome {
     let full_spec = planner_spec(SearchSpace::minimal());
     let day_outcome = search(&full_spec, &sketch(mean_qps(fast)));
     // The honest offline answer for the day's mean load, anywhere on

@@ -73,7 +73,7 @@ impl Experiment for ExtQps {
 /// Placement study: per-layer contiguous-vs-LPT comparison using the real
 /// routed loads from the Fig. 15 activation study. Returns
 /// `(model, layer, comparison)` rows.
-pub fn placement_rows(fast: bool) -> Vec<(String, usize, PlacementComparison)> {
+fn placement_rows(fast: bool) -> Vec<(String, usize, PlacementComparison)> {
     let reports = super::fig15::measure(fast);
     let mut rows = Vec::new();
     for rep in &reports {
@@ -130,7 +130,7 @@ fn build_placement(fast: bool) -> ExperimentReport {
 
 /// Multi-node study rows: `(placement label, devices, Option<tok/s>)` for
 /// the extreme Section-5 variant.
-pub fn multinode_rows() -> Vec<(String, usize, Option<f64>)> {
+fn multinode_rows() -> Vec<(String, usize, Option<f64>)> {
     let cfg = mixtral_variant(14_336, 64, 2);
     let mut rows = Vec::new();
     let mut add = |label: String, cluster: Cluster, plan: ParallelPlan| {
@@ -199,7 +199,7 @@ fn build_multinode() -> ExperimentReport {
 /// `tracer` is enabled, gets a grouping span on [`BENCH_TRACK`] and
 /// advances the tracer base by the point's makespan so points tile one
 /// monotone timeline.
-pub fn qps_rows(fast: bool, tracer: &mut Tracer) -> Vec<(f64, f64, f64, f64, f64)> {
+fn qps_rows(fast: bool, tracer: &mut Tracer) -> Vec<(f64, f64, f64, f64, f64)> {
     let rates: &[f64] = if fast {
         &[1.0, 8.0]
     } else {

@@ -24,7 +24,7 @@ impl Experiment for Fig01 {
 }
 
 /// The three models Figure 1 plots.
-pub fn fig1_models() -> Vec<ModelConfig> {
+fn fig1_models() -> Vec<ModelConfig> {
     vec![mixtral_8x7b(), olmoe_1b_7b(), qwen15_moe_a27b()]
 }
 

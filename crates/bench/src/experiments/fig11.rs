@@ -35,7 +35,7 @@ fn label(spec: &Option<PruneSpec>) -> String {
 
 /// All pruning configurations of the figure: baseline plus
 /// {inter, intra} x {12.5, 25, 50}%.
-pub fn prune_specs(fast: bool) -> Vec<Option<PruneSpec>> {
+fn prune_specs(fast: bool) -> Vec<Option<PruneSpec>> {
     let ratios: &[f64] = if fast {
         &[0.125, 0.50]
     } else {

@@ -34,7 +34,7 @@ fn target() -> PerfModel {
 
 /// The four draft models with their placements (colocated on the target's
 /// devices, as vLLM does).
-pub fn drafts() -> Vec<(String, PerfModel, f64)> {
+fn drafts() -> Vec<(String, PerfModel, f64)> {
     let tgt = qwen3_30b_a3b();
     [qwen3_0_6b(), qwen3_1_7b(), qwen3_4b(), qwen3_8b()]
         .into_iter()
@@ -48,7 +48,7 @@ pub fn drafts() -> Vec<(String, PerfModel, f64)> {
 }
 
 /// Left panel: `(input_len, per-draft tok/s)` rows.
-pub fn by_input_length(fast: bool) -> Vec<(usize, Vec<(String, f64)>)> {
+fn by_input_length(fast: bool) -> Vec<(usize, Vec<(String, f64)>)> {
     let lens: &[usize] = if fast { &[128, 2048] } else { &INPUT_LENS };
     let target = target();
     let drafts = drafts();
@@ -78,7 +78,7 @@ pub fn by_input_length(fast: bool) -> Vec<(usize, Vec<(String, f64)>)> {
 }
 
 /// Right panel: `(gamma, per-draft tok/s)` rows at input 1024.
-pub fn by_gamma(fast: bool) -> Vec<(usize, Vec<(String, f64)>)> {
+fn by_gamma(fast: bool) -> Vec<(usize, Vec<(String, f64)>)> {
     let gammas: &[usize] = if fast { &[1, 3, 9] } else { &GAMMAS };
     let target = target();
     let drafts = drafts();

@@ -19,7 +19,6 @@
 //!   once derived residencies join the search space.
 
 use moe_cluster::{TenantSpec, WorkloadSpec};
-use moe_engine::generate::GenerateParams;
 use moe_engine::trace::{capture_trace, TraceArtifact};
 use moe_gpusim::device::Interconnect;
 use moe_gpusim::residency::ExpertResidency;
@@ -71,13 +70,13 @@ fn budgets(fast: bool) -> &'static [f64] {
 /// a down-scaled 8-expert top-2 model (Mixtral's routing shape) so the
 /// transition tables and hot-sets come from real dispatch, not synthetic
 /// skew.
-pub fn trace_artifact() -> TraceArtifact {
+fn trace_artifact() -> TraceArtifact {
     capture_trace(
         "tiny-8x2",
         tiny_test_model(8, 2),
         MEM_SEED,
         &[1, 2, 3, 4, 5, 6, 7, 8],
-        GenerateParams::greedy(24),
+        24,
     )
 }
 
@@ -110,7 +109,7 @@ fn price(residency: ExpertResidency) -> (f64, f64) {
 
 /// The full budget x quality sweep: derive a residency from the trace at
 /// each point and price it through the analytic model.
-pub fn degradation_rows(fast: bool) -> Vec<DegradationRow> {
+fn degradation_rows(fast: bool) -> Vec<DegradationRow> {
     let artifact = trace_artifact();
     let mut rows = Vec::new();
     for &hbm_frac in budgets(fast) {
@@ -154,7 +153,7 @@ fn cliff_spec(space: SearchSpace) -> PlannerSpec {
 /// Run the single-device planner twice: on the classic all-resident grid
 /// (fp16 dies on the OOM wall) and on the same grid widened with two
 /// trace-derived offload residencies (fp16 becomes feasible but slower).
-pub fn cliff_reports() -> (PlanReport, PlanReport) {
+fn cliff_reports() -> (PlanReport, PlanReport) {
     let artifact = trace_artifact();
     let offloads: Vec<ExpertResidency> = [0.5, 0.25]
         .iter()

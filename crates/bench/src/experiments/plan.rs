@@ -66,7 +66,7 @@ fn chat_workload(requests: usize) -> WorkloadSpec {
 
 /// The headline spec: Mixtral-8x7B on 4x H100, paper grid, latency SLO
 /// tight enough that only the degree-4 tensor placements qualify.
-pub fn mixtral_4dev_spec(mode: SearchMode) -> PlannerSpec {
+fn mixtral_4dev_spec(mode: SearchMode) -> PlannerSpec {
     PlannerSpec {
         model: mixtral_8x7b(),
         draft: None,
@@ -172,7 +172,7 @@ fn refined_table(report: &PlanReport) -> Table {
 
 /// Score the four degree-4 fp16 placements of `model` at the headline
 /// operating point: `(plan label, ITL, throughput)` rows in plan order.
-pub fn fig13_rows(model: &ModelConfig) -> Vec<(String, f64, f64)> {
+fn fig13_rows(model: &ModelConfig) -> Vec<(String, f64, f64)> {
     let mut spec = mixtral_4dev_spec(SearchMode::Exhaustive);
     spec.model = model.clone();
     let trace = moe_cluster::generate(&spec.workload, spec.seed);

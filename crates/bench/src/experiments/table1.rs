@@ -23,7 +23,7 @@ impl Experiment for Table1 {
 }
 
 /// The nine Table-1 models, in paper order.
-pub fn table1_models() -> Vec<moe_model::ModelConfig> {
+fn table1_models() -> Vec<moe_model::ModelConfig> {
     let mut v = registry::llms();
     v.extend(registry::vlms());
     v

@@ -91,7 +91,7 @@ impl ShardPlan {
     }
 
     /// The tier owning a shard index (shards are dealt tier by tier).
-    pub fn tier_of(&self, shard: usize) -> Option<&RegionTier> {
+    fn tier_of(&self, shard: usize) -> Option<&RegionTier> {
         let mut base = 0;
         for t in &self.tiers {
             if shard < base + t.shards {
@@ -103,7 +103,7 @@ impl ShardPlan {
     }
 
     /// The network round trip priced into a shard's latency samples.
-    pub fn rtt_of(&self, shard: usize) -> f64 {
+    fn rtt_of(&self, shard: usize) -> f64 {
         self.tier_of(shard).map_or(0.0, |t| t.rtt_s)
     }
 }
@@ -112,7 +112,7 @@ impl ShardPlan {
 /// it has one (keeping shared-prefix families together for affinity
 /// routing), else of its id. Pure and stateless, so the partition is
 /// identical however the requests are enumerated.
-pub fn shard_of(req: &ClusterRequest, seed: u64, shards: usize) -> usize {
+fn shard_of(req: &ClusterRequest, seed: u64, shards: usize) -> usize {
     let key = if req.prefix_len > 0 {
         req.prefix_group
     } else {
@@ -167,7 +167,7 @@ impl ArrivalSource for ShardStream {
 
 /// Split a materialized trace into per-shard sub-traces (arrival order
 /// is preserved inside every shard; ids keep their global values).
-pub fn partition_trace(trace: &RequestTrace, seed: u64, shards: usize) -> Vec<RequestTrace> {
+fn partition_trace(trace: &RequestTrace, seed: u64, shards: usize) -> Vec<RequestTrace> {
     let mut parts = vec![
         RequestTrace {
             requests: Vec::new()
@@ -185,7 +185,7 @@ pub fn partition_trace(trace: &RequestTrace, seed: u64, shards: usize) -> Vec<Re
 /// Split a fault plan over shards: global replica `g` maps to local
 /// replica `g % replicas_per_shard` on shard `g / replicas_per_shard`.
 /// Each sub-plan stays time-sorted (a subsequence of a sorted list).
-pub fn partition_faults(plan: &FaultPlan, shards: usize, per_shard: usize) -> Vec<FaultPlan> {
+fn partition_faults(plan: &FaultPlan, shards: usize, per_shard: usize) -> Vec<FaultPlan> {
     let mut parts = vec![FaultPlan::none(); shards];
     for ev in &plan.events {
         let g = ev.replica();

@@ -158,7 +158,7 @@ impl TenantSpec {
 
     /// Enable prefix sharing: requests pick one of `groups` shared
     /// prefixes of `tokens` tokens.
-    pub fn with_shared_prefixes(mut self, groups: usize, tokens: usize) -> Self {
+    fn with_shared_prefixes(mut self, groups: usize, tokens: usize) -> Self {
         self.prefix_groups = groups;
         self.prefix_tokens = tokens;
         self

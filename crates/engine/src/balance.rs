@@ -10,86 +10,11 @@
 //! which the Fig. 15 activation study depends on.
 
 use crate::model::MoeTransformer;
-use moe_tensor::rng::{derive_seed, rng_from_seed};
-
-/// Calibration hyperparameters.
-#[derive(Debug, Clone, Copy)]
-pub struct BalanceParams {
-    /// Calibration rounds.
-    pub rounds: usize,
-    /// Tokens per round.
-    pub tokens_per_round: usize,
-    /// Bias step size per round.
-    pub lr: f32,
-}
-
-impl Default for BalanceParams {
-    fn default() -> Self {
-        Self {
-            rounds: 6,
-            tokens_per_round: 256,
-            lr: 1.0,
-        }
-    }
-}
-
-/// Calibrate every MoE layer's router bias toward uniform expert
-/// utilization, using uniform random-token forward passes as the
-/// calibration stream. Returns the final mean max/mean imbalance.
-pub fn balance_routers(model: &mut MoeTransformer, seed: u64, params: BalanceParams) -> f64 {
-    balance_routers_with(model, seed, params, |rng, _global, vocab| {
-        rng.next_below(vocab)
-    })
-}
-
-/// Like [`balance_routers`] with a caller-provided token sampler, so the
-/// calibration distribution can match the measurement distribution (as
-/// aux-loss training balances on the model's own training mix).
-pub fn balance_routers_with(
-    model: &mut MoeTransformer,
-    seed: u64,
-    params: BalanceParams,
-    mut sample_token: impl FnMut(&mut moe_tensor::rng::DetRng, usize, usize) -> usize,
-) -> f64 {
-    let Some(moe) = model.config().moe.clone() else {
-        return 1.0;
-    };
-    let vocab = model.config().vocab_size;
-    let num_experts = moe.num_experts;
-    let mut final_imbalance = 1.0;
-
-    for round in 0..params.rounds {
-        let mut rng = rng_from_seed(derive_seed(seed, 0xBA1 + round as u64));
-        model.enable_stats();
-        // Short random documents keep attention cost bounded.
-        let doc = 64usize;
-        let mut processed = 0;
-        while processed < params.tokens_per_round {
-            let n = doc.min(params.tokens_per_round - processed);
-            let tokens: Vec<usize> = (0..n)
-                .map(|i| sample_token(&mut rng, processed + i, vocab))
-                .collect();
-            let positions: Vec<usize> = (0..n).collect();
-            let mut kv = model.new_kv();
-            let _ = model.forward(&tokens, &positions, &mut kv);
-            processed += n;
-        }
-        let stats = model.take_stats().expect("stats enabled"); // lint:allow(no-panic-in-lib) -- stats collection was enabled earlier in this function
-        final_imbalance = stats.mean_imbalance();
-
-        // Robbins–Monro-style decaying step keeps the bias from
-        // overshooting the O(1) logit scale and oscillating.
-        let lr = params.lr / (1.0 + round as f32);
-        apply_bias_update(model, &stats, lr);
-    }
-    let _ = num_experts;
-    final_imbalance
-}
 
 /// One bias-balancing update from observed activation statistics: push
 /// under-used experts up and over-used experts down by the (capped)
-/// log-frequency ratio. Exposed so callers can calibrate on their own
-/// token streams.
+/// log-frequency ratio. Callers run it once per calibration round on
+/// their own token stream.
 pub fn apply_bias_update(
     model: &mut MoeTransformer,
     stats: &crate::stats::ActivationStats,
@@ -125,7 +50,7 @@ mod tests {
     use super::*;
     use crate::stats::ActivationStats;
     use moe_model::registry::tiny_test_model;
-    use moe_tensor::rng::rng_from_seed;
+    use moe_tensor::rng::{derive_seed, rng_from_seed};
 
     fn measure_imbalance(model: &mut MoeTransformer, seed: u64) -> f64 {
         model.enable_stats();
@@ -140,11 +65,28 @@ mod tests {
         stats.mean_imbalance()
     }
 
+    /// Six calibration rounds of four 64-token uniform random documents,
+    /// each round followed by one update with a decaying step.
+    fn calibrate(model: &mut MoeTransformer, seed: u64) {
+        for round in 0..6u64 {
+            let mut rng = rng_from_seed(derive_seed(seed, 0xBA1 + round));
+            model.enable_stats();
+            for _ in 0..4 {
+                let tokens: Vec<usize> = (0..64).map(|_| rng.next_below(256)).collect();
+                let positions: Vec<usize> = (0..64).collect();
+                let mut kv = model.new_kv();
+                let _ = model.forward(&tokens, &positions, &mut kv);
+            }
+            let stats = model.take_stats().unwrap();
+            apply_bias_update(model, &stats, 1.0 / (1.0 + round as f32));
+        }
+    }
+
     #[test]
     fn calibration_reduces_imbalance_substantially() {
         let mut model = MoeTransformer::new(tiny_test_model(32, 2), 5);
         let before = measure_imbalance(&mut model, 99);
-        balance_routers(&mut model, 13, BalanceParams::default());
+        calibrate(&mut model, 13);
         let after = measure_imbalance(&mut model, 99);
         assert!(
             after < before * 0.75,
@@ -156,21 +98,10 @@ mod tests {
     }
 
     #[test]
-    fn calibration_noop_on_dense_model() {
-        let dense =
-            moe_model::ModelConfig::dense("d", moe_model::Family::Custom, 2, 64, 4, 2, 96, 256);
-        let mut model = MoeTransformer::new(dense, 1);
-        assert_eq!(
-            balance_routers(&mut model, 1, BalanceParams::default()),
-            1.0
-        );
-    }
-
-    #[test]
     fn calibration_is_deterministic() {
         let run = || {
             let mut m = MoeTransformer::new(tiny_test_model(16, 2), 3);
-            balance_routers(&mut m, 11, BalanceParams::default());
+            calibrate(&mut m, 11);
             m.weights().layers[0].router_bias.clone()
         };
         assert_eq!(run(), run());
@@ -180,7 +111,7 @@ mod tests {
     fn biases_sum_to_roughly_zero() {
         // The update is log-ratio against uniform, so biases stay centred.
         let mut m = MoeTransformer::new(tiny_test_model(16, 2), 3);
-        balance_routers(&mut m, 11, BalanceParams::default());
+        calibrate(&mut m, 11);
         let sum: f32 = m.weights().layers[0].router_bias.iter().sum();
         let scale: f32 = m.weights().layers[0]
             .router_bias

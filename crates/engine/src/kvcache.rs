@@ -132,6 +132,7 @@ impl PagedKv {
         Self::with_block_size(num_layers, kv_dim, KV_BLOCK_TOKENS)
     }
 
+    // lint:allow(dead-pub) -- unit tests here, in attention.rs and in moe-runtime page at small block sizes
     pub fn with_block_size(num_layers: usize, kv_dim: usize, block_tokens: usize) -> Self {
         assert!(block_tokens >= 1, "block size must be positive");
         Self {
@@ -142,11 +143,6 @@ impl PagedKv {
             free: Vec::new(),
             tables: vec![Vec::new(); num_layers],
         }
-    }
-
-    /// Physical blocks currently allocated (across all layers).
-    pub fn allocated_blocks(&self) -> usize {
-        self.pool.len() - self.free.len()
     }
 
     fn alloc_block(&mut self) -> usize {
@@ -289,6 +285,11 @@ impl<S: KvStore> KvStore for QuantizedKv<S> {
 mod tests {
     use super::*;
 
+    /// Physical blocks currently allocated (across all layers).
+    fn allocated(s: &PagedKv) -> usize {
+        s.pool.len() - s.free.len()
+    }
+
     /// Write `tokens` tokens into every layer, layer-major like a prefill.
     fn fill<S: KvStore>(store: &mut S, from: usize, to: usize, layers: usize, kv_dim: usize) {
         for l in 0..layers {
@@ -346,27 +347,27 @@ mod tests {
     #[test]
     fn paged_allocates_blocks_lazily() {
         let mut s = PagedKv::with_block_size(2, 4, 16);
-        assert_eq!(s.allocated_blocks(), 0);
+        assert_eq!(allocated(&s), 0);
         fill(&mut s, 0, 1, 2, 4);
-        assert_eq!(s.allocated_blocks(), 2); // one block per layer
+        assert_eq!(allocated(&s), 2); // one block per layer
         fill(&mut s, 1, 17, 2, 4); // crosses the block boundary
-        assert_eq!(s.allocated_blocks(), 4);
+        assert_eq!(allocated(&s), 4);
     }
 
     #[test]
     fn truncate_returns_blocks_and_preserves_prefix() {
         let mut s = PagedKv::with_block_size(1, 4, 4);
         fill(&mut s, 0, 10, 1, 4);
-        assert_eq!(s.allocated_blocks(), 3);
+        assert_eq!(allocated(&s), 3);
         let kept: Vec<f32> = s.key(0, 3).to_vec();
         s.truncate(4);
         assert_eq!(s.len(), 4);
-        assert_eq!(s.allocated_blocks(), 1);
+        assert_eq!(allocated(&s), 1);
         assert_eq!(s.key(0, 3), &kept[..]);
         // Re-extend after truncation reuses freed blocks.
         fill(&mut s, 4, 12, 1, 4);
         assert_eq!(s.len(), 12);
-        assert_eq!(s.allocated_blocks(), 3);
+        assert_eq!(allocated(&s), 3);
     }
 
     #[test]
@@ -473,7 +474,7 @@ mod tests {
                     s.truncate(t);
                     len = t;
                 }
-                assert_eq!(s.allocated_blocks(), len.div_ceil(4));
+                assert_eq!(allocated(&s), len.div_ceil(4));
             }
         }
     }

@@ -14,7 +14,7 @@
 //!   [`moe_tensor::QuantizedMatrix`] encodings) ([`weights`]);
 //! * inter- and intra-expert structured pruning at the weight level
 //!   ([`prune`]);
-//! * greedy / temperature generation ([`generate`]) and speculative
+//! * greedy generation ([`generate`]) and speculative
 //!   decoding with the exact greedy-equivalence guarantee ([`spec`]);
 //! * expert-activation statistics for the Fig. 15 study ([`stats`]), and
 //!   per-token routing traces exported as seeded replayable artifacts for
@@ -41,7 +41,7 @@ pub mod stats;
 pub mod trace;
 pub mod weights;
 
-pub use generate::{GenerateParams, Generated};
+pub use generate::Generated;
 pub use kvcache::{ContiguousKv, KvStore, PagedKv, QuantizedKv, KV_BLOCK_TOKENS};
 pub use model::MoeTransformer;
 pub use stats::ActivationStats;

@@ -57,7 +57,7 @@ fn prune_expert_intra(e: &ExpertWeights, keep: usize) -> ExpertWeights {
 }
 
 /// Apply a pruning spec to (config, weights) in place.
-pub fn prune_weights(config: &mut ModelConfig, weights: &mut ModelWeights, spec: PruneSpec) {
+fn prune_weights(config: &mut ModelConfig, weights: &mut ModelWeights, spec: PruneSpec) {
     let moe = config.moe.as_mut().expect("pruning a dense model"); // lint:allow(no-panic-in-lib) -- caller contract: pruning applies only to MoE configs, fail fast on misuse
     match spec.kind {
         PruneKind::InterExpert => {
@@ -109,7 +109,7 @@ pub fn prune_transformer(model: &mut MoeTransformer, spec: PruneSpec) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::generate::{generate, GenerateParams};
+    use crate::generate::generate;
     use moe_model::registry::tiny_test_model;
     use moe_model::ParamBreakdown;
 
@@ -150,17 +150,17 @@ mod tests {
         ] {
             let mut m = tiny();
             prune_transformer(&mut m, spec);
-            let g = generate(&mut m, &[1, 2, 3], GenerateParams::greedy(8));
+            let g = generate(&mut m, &[1, 2, 3], 8);
             assert_eq!(g.tokens.len(), 8);
         }
     }
 
     #[test]
     fn pruning_changes_outputs() {
-        let base = generate(&mut tiny(), &[5, 6, 7], GenerateParams::greedy(10));
+        let base = generate(&mut tiny(), &[5, 6, 7], 10);
         let mut m = tiny();
         prune_transformer(&mut m, PruneSpec::new(PruneKind::InterExpert, 0.5));
-        let pruned = generate(&mut m, &[5, 6, 7], GenerateParams::greedy(10));
+        let pruned = generate(&mut m, &[5, 6, 7], 10);
         assert_ne!(base.tokens, pruned.tokens);
     }
 

@@ -160,7 +160,7 @@ pub fn speculative_generate(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::generate::{generate, GenerateParams};
+    use crate::generate::generate;
     use moe_model::registry::tiny_test_model;
 
     fn target() -> MoeTransformer {
@@ -176,7 +176,7 @@ mod tests {
     fn spec_equals_vanilla_greedy() {
         // The lossless guarantee, with an arbitrary (bad) draft.
         let prompt = vec![3usize, 14, 15];
-        let vanilla = generate(&mut target(), &prompt, GenerateParams::greedy(20));
+        let vanilla = generate(&mut target(), &prompt, 20);
         for gamma in [1usize, 2, 4, 7] {
             let spec = speculative_generate(&mut target(), &mut draft(123), &prompt, 20, gamma);
             assert_eq!(spec.tokens, vanilla.tokens, "gamma={gamma}");
@@ -195,7 +195,7 @@ mod tests {
             "{}",
             spec.tokens_per_cycle()
         );
-        let vanilla = generate(&mut target(), &prompt, GenerateParams::greedy(16));
+        let vanilla = generate(&mut target(), &prompt, 16);
         assert_eq!(spec.tokens, vanilla.tokens);
     }
 
@@ -203,7 +203,7 @@ mod tests {
     fn bad_draft_still_correct_but_slow() {
         let prompt = vec![1usize, 2, 3];
         let spec = speculative_generate(&mut target(), &mut draft(999), &prompt, 12, 4);
-        let vanilla = generate(&mut target(), &prompt, GenerateParams::greedy(12));
+        let vanilla = generate(&mut target(), &prompt, 12);
         assert_eq!(spec.tokens, vanilla.tokens);
         assert!(spec.acceptance_rate() < 1.0);
         // Even with zero acceptance every cycle commits one token.

@@ -16,7 +16,7 @@
 use moe_json::{FromJson, ToJson};
 use moe_model::ModelConfig;
 
-use crate::generate::{generate, GenerateParams};
+use crate::generate::generate;
 use crate::model::MoeTransformer;
 use crate::stats::ActivationStats;
 
@@ -69,19 +69,6 @@ impl RoutingTrace {
     pub fn total_assignments(&self) -> u64 {
         self.events.iter().map(|l| l.len() as u64).sum()
     }
-
-    /// Aggregate the trace back into per-layer activation counts. Must
-    /// equal the [`ActivationStats`] collected alongside it — the
-    /// consistency check `moe-mem` runs before trusting a trace.
-    pub fn to_stats(&self) -> ActivationStats {
-        let mut stats = ActivationStats::new(self.num_layers, self.num_experts);
-        for (layer, events) in self.events.iter().enumerate() {
-            for &e in events {
-                stats.record(layer, &[e as usize]);
-            }
-        }
-        stats
-    }
 }
 
 /// A replayable trace with its provenance: which model, which weight seed,
@@ -106,12 +93,12 @@ pub fn capture_trace(
     config: ModelConfig,
     seed: u64,
     prompt: &[usize],
-    params: GenerateParams,
+    max_new_tokens: usize,
 ) -> TraceArtifact {
     let mut model = MoeTransformer::new(config, seed);
     model.enable_stats();
     model.enable_trace();
-    let _ = generate(&mut model, prompt, params);
+    let _ = generate(&mut model, prompt, max_new_tokens);
     let stats = model
         .take_stats()
         .unwrap_or_else(|| ActivationStats::new(0, 0));
@@ -132,13 +119,19 @@ mod tests {
     use moe_model::registry::tiny_test_model;
 
     fn capture(seed: u64) -> TraceArtifact {
-        capture_trace(
-            "tiny-8x2",
-            tiny_test_model(8, 2),
-            seed,
-            &[1, 2, 3, 4, 5],
-            GenerateParams::greedy(6),
-        )
+        capture_trace("tiny-8x2", tiny_test_model(8, 2), seed, &[1, 2, 3, 4, 5], 6)
+    }
+
+    /// Aggregate a trace back into per-layer activation counts: the
+    /// reference the stats collected alongside a trace must equal.
+    fn to_stats(trace: &RoutingTrace) -> ActivationStats {
+        let mut stats = ActivationStats::new(trace.num_layers, trace.num_experts);
+        for (layer, events) in trace.events.iter().enumerate() {
+            for &e in events {
+                stats.record(layer, &[e as usize]);
+            }
+        }
+        stats
     }
 
     #[test]
@@ -153,7 +146,7 @@ mod tests {
     #[test]
     fn trace_aggregates_to_the_collected_stats() {
         let artifact = capture(7);
-        assert_eq!(artifact.trace.to_stats(), artifact.stats);
+        assert_eq!(to_stats(&artifact.trace), artifact.stats);
     }
 
     #[test]

@@ -95,7 +95,7 @@ pub struct ModelWeights {
 
 /// Pass a matrix through a quantized encoding and back, so its values are
 /// exactly representable in `p`.
-pub fn fake_quant(m: &Matrix, p: Precision) -> Matrix {
+fn fake_quant(m: &Matrix, p: Precision) -> Matrix {
     if p == Precision::F32 {
         return m.clone();
     }
@@ -240,8 +240,9 @@ impl ModelWeights {
         self.precision = p;
     }
 
-    /// Total stored f32 values (sanity checks against `ParamBreakdown`).
-    pub fn param_count(&self) -> u64 {
+    /// Total stored f32 values: what tests check against `ParamBreakdown`.
+    #[cfg(test)]
+    pub(crate) fn param_count(&self) -> u64 {
         let mut n = (self.embedding.len() + self.lm_head.len() + self.final_norm.len()) as u64;
         for l in &self.layers {
             n += (l.wq.len() + l.wk.len() + l.wv.len() + l.wo.len()) as u64;

@@ -69,7 +69,7 @@ pub fn analogue_config(full: &ModelConfig) -> ModelConfig {
 
 /// Total MoE routing decisions in a full MME pass for scaling counts:
 /// items x (image tokens + text tokens) x top_k per layer.
-pub fn mme_assignments_per_layer(full: &ModelConfig) -> u64 {
+fn mme_assignments_per_layer(full: &ModelConfig) -> u64 {
     let image_tokens = full
         .vision
         .as_ref()

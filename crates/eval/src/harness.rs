@@ -72,7 +72,7 @@ pub const SLIP: f64 = 0.12;
 
 /// Expected accuracy of capability `c` on an item of difficulty `d` with
 /// guess floor `chance`.
-pub fn expected_item_accuracy(c: f64, d: f64, chance: f64) -> f64 {
+fn expected_item_accuracy(c: f64, d: f64, chance: f64) -> f64 {
     chance + (1.0 - chance - SLIP) * sigmoid(8.0 * (c - d))
 }
 

@@ -10,7 +10,7 @@
 //!
 //! * [`usd_per_peak_pflop_s`] — the naive datasheet metric, kept for
 //!   contrast;
-//! * [`achievable_active_flops`] — roofline-limited active FLOP/s in
+//! * `achievable_active_flops` — roofline-limited active FLOP/s in
 //!   saturated decode, where compute scales with active params but
 //!   weight traffic scales with total params;
 //! * [`effective_usd_per_active_pflop_s`] — price over *achievable*
@@ -40,7 +40,7 @@ pub fn usd_per_peak_pflop_s(device: &DeviceProfile, p: Precision) -> f64 {
 /// `2 * active_params * batch` FLOPs but streams `total_params` weight
 /// bytes (free on weight-stationary devices). The result is capped by the
 /// sustained GEMM roofline and approaches it as batch grows.
-pub fn achievable_active_flops(
+fn achievable_active_flops(
     device: &DeviceProfile,
     config: &ModelConfig,
     p: Precision,

@@ -132,7 +132,7 @@ impl DeviceProfile {
     }
 
     /// The tier weights are served from (tier 0 by convention).
-    pub fn weight_tier(&self) -> &MemoryTier {
+    fn weight_tier(&self) -> &MemoryTier {
         self.tiers
             .first()
             .expect("device profile needs at least one memory tier") // lint:allow(no-panic-in-lib) -- builder and registry both guarantee a weight tier; a tierless profile is unusable
@@ -220,16 +220,6 @@ impl DeviceProfileBuilder {
         self
     }
 
-    /// GEMM shape parameters: SM count, LLC bytes, kernel-launch seconds,
-    /// sustained GEMM fraction of peak.
-    pub fn gemm_shape(mut self, num_sms: usize, llc_bytes: f64, launch_s: f64, frac: f64) -> Self {
-        self.profile.num_sms = num_sms;
-        self.profile.llc_bytes = llc_bytes;
-        self.profile.kernel_launch_s = launch_s;
-        self.profile.gemm_peak_fraction = frac;
-        self
-    }
-
     /// Append a memory tier (first call defines the weight tier).
     pub fn tier(
         mut self,
@@ -245,15 +235,6 @@ impl DeviceProfileBuilder {
             bandwidth,
             peak_fraction,
             weights_resident,
-        });
-        self
-    }
-
-    /// Append an interconnect port (first call defines the default fabric).
-    pub fn port(mut self, name: &str, bandwidth: f64, latency: f64) -> Self {
-        self.profile.ports.push(InterconnectPort {
-            name: name.to_string(),
-            link: Interconnect { bandwidth, latency },
         });
         self
     }
@@ -742,15 +723,12 @@ mod tests {
     fn builder_validates_and_builds() {
         let d = DeviceProfileBuilder::new("toy", DeviceClass::ConsumerGpu)
             .compute(100e12, 200e12, 50e12)
-            .gemm_shape(64, 32e6, 5e-6, 0.6)
             .tier("GDDR", 16e9, 500e9, 0.85, false)
-            .port("pcie", 32e9, 10e-6)
             .power(300.0, 0.25)
             .build()
             .expect("valid profile");
         assert_eq!(d.mem_capacity(), 16e9);
         assert!(!d.weights_stationary());
-        assert_eq!(d.default_link().bandwidth, 32e9);
 
         let no_tier = DeviceProfileBuilder::new("bad", DeviceClass::EdgeSoc)
             .compute(1e12, 2e12, 1e12)

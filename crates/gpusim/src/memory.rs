@@ -53,7 +53,7 @@ impl MemoryFootprint {
         self.capacity_bytes - self.total()
     }
 
-    pub fn fits(&self) -> bool {
+    fn fits(&self) -> bool {
         self.headroom() >= 0.0
     }
 }
@@ -81,7 +81,7 @@ impl fmt::Display for OomError {
 impl std::error::Error for OomError {}
 
 /// KV-cache bytes for the whole batch at full context length.
-pub fn kv_cache_bytes(
+fn kv_cache_bytes(
     config: &ModelConfig,
     kv_precision: Precision,
     batch: usize,
@@ -119,7 +119,7 @@ pub fn footprint(
 /// the perf model prices separately as prefetch/miss stalls. A fraction
 /// of `1.0` reproduces [`footprint`] exactly.
 #[allow(clippy::too_many_arguments)]
-pub fn footprint_resident(
+fn footprint_resident(
     config: &ModelConfig,
     precision: Precision,
     kv_precision: Precision,
@@ -175,8 +175,9 @@ pub fn check_fits(
     )
 }
 
-/// Like [`footprint_resident`] but returns an [`OomError`] when the
-/// placement does not fit even with the offloaded experts out of HBM.
+/// Like [`check_fits`] with only `expert_resident_frac` of the routed
+/// experts in HBM: returns an [`OomError`] when the placement does not
+/// fit even with the offloaded experts out of HBM.
 #[allow(clippy::too_many_arguments)]
 pub fn check_fits_resident(
     config: &ModelConfig,

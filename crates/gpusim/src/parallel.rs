@@ -186,15 +186,6 @@ pub fn allreduce_time(link: &Interconnect, devices: usize, bytes: f64) -> f64 {
     2.0 * (g - 1.0) / g * bytes / link.bandwidth + 2.0 * (g - 1.0) * link.latency
 }
 
-/// Ring all-gather time for `bytes` contributed per device.
-pub fn allgather_time(link: &Interconnect, devices: usize, bytes: f64) -> f64 {
-    if devices <= 1 {
-        return 0.0;
-    }
-    let g = devices as f64;
-    (g - 1.0) / g * bytes / link.bandwidth + (g - 1.0) * link.latency
-}
-
 /// All-to-all time for `bytes` total shuffled per device (MoE expert
 /// dispatch/combine).
 pub fn all_to_all_time(link: &Interconnect, devices: usize, bytes: f64) -> f64 {
@@ -306,14 +297,6 @@ mod tests {
         let link = Interconnect::nvlink4();
         assert_eq!(allreduce_time(&link, 1, 1e9), 0.0);
         assert_eq!(all_to_all_time(&link, 1, 1e9), 0.0);
-    }
-
-    #[test]
-    fn allreduce_costs_twice_allgather_asymptotically() {
-        let link = Interconnect::nvlink4();
-        let ar = allreduce_time(&link, 4, 1e9);
-        let ag = allgather_time(&link, 4, 1e9);
-        assert!((ar / ag - 2.0).abs() < 0.01);
     }
 
     #[test]

@@ -144,7 +144,16 @@ pub struct RunMetrics {
 }
 
 impl RunMetrics {
-    fn from_times(batch: usize, input: usize, output: usize, ttft: f64, e2e: f64) -> Self {
+    /// Derive every metric from the prefill end (`ttft`) and the run end
+    /// (`e2e`): Eq. 1's ITL `(e2e - ttft) / (output - 1)` and Eq. 2's
+    /// throughput `batch * (input + output) / e2e`.
+    pub(crate) fn from_times(
+        batch: usize,
+        input: usize,
+        output: usize,
+        ttft: f64,
+        e2e: f64,
+    ) -> Self {
         let decode_time = (e2e - ttft).max(0.0);
         let itl = if output > 1 {
             decode_time / (output - 1) as f64
@@ -766,6 +775,19 @@ mod tests {
             EngineOptions::default().with_plan(plan),
         )
         .unwrap()
+    }
+
+    #[test]
+    fn eq2_matches_paper_definition() {
+        // 64 sequences, 2048 in + 2048 out, 100 s => 2621.44 tok/s.
+        let m = RunMetrics::from_times(64, 2048, 2048, 1.0, 100.0);
+        assert!((m.throughput_tok_s - 64.0 * 4096.0 / 100.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn eq1_basic() {
+        assert!((RunMetrics::from_times(1, 8, 101, 1.0, 11.0).itl_s - 0.1).abs() < 1e-12);
+        assert_eq!(RunMetrics::from_times(1, 8, 1, 5.0, 5.0).itl_s, 0.0);
     }
 
     #[test]

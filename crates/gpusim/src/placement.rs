@@ -44,7 +44,7 @@ pub fn lpt_placement(loads: &[u64], devices: usize) -> Placement {
 }
 
 /// Per-device total loads under a placement.
-pub fn device_loads(placement: &Placement, loads: &[u64]) -> Vec<u64> {
+fn device_loads(placement: &Placement, loads: &[u64]) -> Vec<u64> {
     placement
         .iter()
         .map(|experts| experts.iter().map(|&e| loads[e]).sum())
@@ -131,7 +131,7 @@ fn copy_counts(placement: &Placement, num_experts: usize) -> Vec<usize> {
 
 /// Per-device loads under a replicated placement, with each expert's load
 /// split evenly across its copies.
-pub fn replicated_device_loads(placement: &Placement, loads: &[u64]) -> Vec<f64> {
+fn replicated_device_loads(placement: &Placement, loads: &[u64]) -> Vec<f64> {
     let counts = copy_counts(placement, loads.len());
     placement
         .iter()

@@ -121,16 +121,6 @@ impl OpCost {
             / (device.sustained_bandwidth() * self.mem_eff.max(1e-9));
         compute.max(mem) + self.launches * device.kernel_launch_s
     }
-
-    /// Arithmetic intensity (FLOP per byte of main-memory traffic).
-    pub fn arithmetic_intensity(&self) -> f64 {
-        let bytes = self.weight_bytes + self.act_bytes;
-        if bytes > 0.0 {
-            self.flops / bytes
-        } else {
-            f64::INFINITY
-        }
-    }
 }
 
 /// Pipeline-fill efficiency for a GEMM with `m` rows.
@@ -140,7 +130,7 @@ pub fn fill_efficiency(m: usize) -> f64 {
 
 /// Wave-quantization efficiency for an `m x n` output tiled at
 /// [`TILE`]x[`TILE`] on `num_sms` SMs.
-pub fn wave_efficiency(m: usize, n: usize, num_sms: usize) -> f64 {
+fn wave_efficiency(m: usize, n: usize, num_sms: usize) -> f64 {
     let blocks = m.div_ceil(TILE) * n.div_ceil(TILE);
     let waves = blocks.div_ceil(num_sms);
     blocks as f64 / (waves * num_sms) as f64
@@ -209,7 +199,7 @@ mod tests {
         let t = c.time_on(&d);
         let ideal = c.flops / d.sustained_flops(Precision::F16);
         assert!(t < ideal * 1.3, "t={t} ideal={ideal}");
-        assert!(c.arithmetic_intensity() > 1000.0);
+        assert!(c.flops / (c.weight_bytes + c.act_bytes) > 1000.0);
     }
 
     #[test]

@@ -94,28 +94,7 @@ pub fn spec_run(
     let cycle = draft_time + verify_time + CYCLE_OVERHEAD_S;
     let cycles = steps / tokens_per_cycle;
     let e2e = ttft + cycles * cycle;
-
-    let mut m = RunMetrics {
-        batch,
-        input_tokens: input,
-        output_tokens: output,
-        ttft_s: ttft,
-        itl_s: if steps > 0.0 {
-            (e2e - ttft) / steps
-        } else {
-            0.0
-        },
-        e2e_s: e2e,
-        throughput_tok_s: batch as f64 * (input + output) as f64 / e2e,
-        decode_tok_s: 0.0,
-        samples_per_s: batch as f64 / e2e,
-    };
-    m.decode_tok_s = if m.itl_s > 0.0 {
-        batch as f64 / m.itl_s
-    } else {
-        0.0
-    };
-    Ok(m)
+    Ok(RunMetrics::from_times(batch, input, output, ttft, e2e))
 }
 
 #[cfg(test)]

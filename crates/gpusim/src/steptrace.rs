@@ -9,7 +9,7 @@
 //! under the roofline `max(compute, memory)` (GEMM vs weight streaming)
 //! rides along as span arguments instead of fake sub-intervals.
 
-use moe_trace::{ArgValue, Category, TraceEvent, Tracer, TrackId};
+use moe_trace::{ArgValue, Category, Tracer, TrackId};
 
 /// Additive decomposition of one forward pass (one engine step) in
 /// simulated seconds. Produced by
@@ -103,22 +103,21 @@ impl StepParts {
     }
 }
 
-/// Sum the step spans named `name` in a recorded event slice — test and
-/// report helper for "how much simulated time went to prefill/decode".
-pub fn total_span_time(events: &[TraceEvent], name: &str) -> f64 {
-    events
-        .iter()
-        .filter_map(|ev| match ev {
-            TraceEvent::Span { name: n, dur_s, .. } if n == name => Some(*dur_s),
-            _ => None,
-        })
-        .sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use moe_trace::MemorySink;
+    use moe_trace::{MemorySink, TraceEvent};
+
+    /// Sum the step spans named `name` in a recorded event slice.
+    fn total_span_time(events: &[TraceEvent], name: &str) -> f64 {
+        events
+            .iter()
+            .filter_map(|ev| match ev {
+                TraceEvent::Span { name: n, dur_s, .. } if n == name => Some(*dur_s),
+                _ => None,
+            })
+            .sum()
+    }
 
     fn sample() -> StepParts {
         StepParts {

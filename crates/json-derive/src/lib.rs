@@ -19,12 +19,14 @@ use proc_macro::{Delimiter, TokenStream, TokenTree};
 
 /// Derive `moe_json::ToJson`.
 #[proc_macro_derive(ToJson)]
+// lint:allow(dead-pub) -- proc-macro entry point, invoked by `#[derive(ToJson)]`
 pub fn derive_to_json(input: TokenStream) -> TokenStream {
     expand(input, Mode::To)
 }
 
 /// Derive `moe_json::FromJson`.
 #[proc_macro_derive(FromJson)]
+// lint:allow(dead-pub) -- proc-macro entry point, invoked by `#[derive(FromJson)]`
 pub fn derive_from_json(input: TokenStream) -> TokenStream {
     expand(input, Mode::From)
 }

@@ -1,3 +1,3 @@
 //@ path: crates/x/src/lib.rs
 #![forbid(unsafe_code)]
-pub fn f() {}
+fn f() {}

@@ -1,3 +1,3 @@
 //@ path: crates/x/src/lib.rs
 //~ forbid-unsafe-header @ 1
-pub fn f() {}
+fn f() {}

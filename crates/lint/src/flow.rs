@@ -264,7 +264,7 @@ const UNORDERED_ITERS: &[&str] = &[
 const REDUCERS: &[&str] = &["sum", "product", "fold"];
 
 /// `moe-par` entry points whose closures run on the pool.
-const PAR_APIS: &[&str] = &["map_collect", "map_collect_seeded", "for_each_chunk_mut"];
+const PAR_APIS: &[&str] = &["map_collect", "for_each_chunk_mut"];
 
 /// Float addition is not associative, so accumulating `f32`/`f64` in an
 /// order the program does not pin produces run-to-run drift. Flags float

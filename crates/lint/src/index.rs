@@ -1,6 +1,7 @@
 //! Workspace symbol index: per-crate `fn` signatures plus name-resolved
-//! intra-workspace call edges, and the derived *seed-source* set the
-//! `seed-flow` rule consumes.
+//! intra-workspace call edges, the derived *seed-source* set the
+//! `seed-flow` rule consumes, and the per-file mentioned-identifier sets
+//! the `dead-pub` rule consumes.
 //!
 //! Resolution is deliberately name-based (this is a linter, not a
 //! compiler): a call edge exists when an identifier applied to an
@@ -40,7 +41,7 @@ pub struct FnSig {
 impl FnSig {
     /// Does this signature carry a seed-shaped parameter (`*seed*` name
     /// or a `Seed` type)?
-    pub fn has_seed_param(&self) -> bool {
+    fn has_seed_param(&self) -> bool {
         self.params
             .iter()
             .any(|p| p.name.to_lowercase().contains("seed") || p.ty.contains("Seed"))
@@ -57,6 +58,10 @@ pub struct Workspace {
     /// source, and return a seed-shaped value (`u64` / `Seed`). The
     /// `seed-flow` rule accepts calls to these as seed provenance.
     pub seed_sources: BTreeSet<String>,
+    /// Per file (workspace-relative path), every identifier its live code
+    /// mentions: outside `use` declarations, and outside test scope unless
+    /// the whole file is a caller (tests, benches, examples, root `src/`).
+    pub mentions: BTreeMap<String, BTreeSet<String>>,
 }
 
 impl Workspace {
@@ -66,7 +71,9 @@ impl Workspace {
         let mut fns = Vec::new();
         let mut defined: BTreeSet<String> = BTreeSet::new();
         let mut raw_calls: Vec<BTreeSet<String>> = Vec::new();
+        let mut mentions = BTreeMap::new();
         for file in files {
+            mentions.insert(file.rel.clone(), mentioned_idents(file));
             for f in &file.fns {
                 defined.insert(f.name.clone());
                 let mut calls = BTreeSet::new();
@@ -119,7 +126,11 @@ impl Workspace {
                 break;
             }
         }
-        Self { fns, seed_sources }
+        Self {
+            fns,
+            seed_sources,
+            mentions,
+        }
     }
 
     /// Build a single-file context (used by per-file checks and tests).
@@ -131,6 +142,41 @@ impl Workspace {
     pub fn is_seed_source(&self, name: &str) -> bool {
         self.seed_sources.contains(name)
     }
+
+    /// Does any file other than `path` mention identifier `name`?
+    pub fn mentioned_outside(&self, name: &str, path: &str) -> bool {
+        self.mentions
+            .iter()
+            .any(|(p, ids)| p != path && ids.contains(name))
+    }
+}
+
+/// Do all of this file's lines count as callers, test scope included?
+/// True for integration tests, benches, examples and the root package.
+fn counts_wholly(rel: &str) -> bool {
+    rel.starts_with("src/")
+        || rel
+            .split('/')
+            .any(|seg| matches!(seg, "tests" | "benches" | "examples"))
+}
+
+/// Every identifier `file` mentions outside `use` declarations (so a
+/// `pub use` re-export is not a caller) and, unless the whole file counts
+/// as a caller, outside test scope.
+fn mentioned_idents(file: &SourceFile) -> BTreeSet<String> {
+    let whole = counts_wholly(&file.rel);
+    let mut out = BTreeSet::new();
+    let mut in_use = false;
+    for t in &file.tokens {
+        if t.is_ident("use") {
+            in_use = true;
+        } else if in_use {
+            in_use = !t.is_punct(";");
+        } else if t.kind == TokKind::Ident && (whole || !file.line_in_test(t.line)) {
+            out.insert(t.text.clone());
+        }
+    }
+    out
 }
 
 fn returns_seed_shape(ret: &str) -> bool {
@@ -195,6 +241,29 @@ mod tests {
         // Wrong return shape, and no seed provenance, respectively.
         assert!(!w.is_seed_source("not_a_source"));
         assert!(!w.is_seed_source("unrelated"));
+    }
+
+    #[test]
+    fn mentions_skip_use_declarations_and_test_scope() {
+        let w = ws(&[
+            (
+                "crates/a/src/lib.rs",
+                "pub use b::reexported;\nuse b::{imported, other};\n\
+                 fn live() { imported(); Type::pointer; }\n\
+                 #[cfg(test)]\nmod tests {\n    fn t() { in_test(); }\n}\n",
+            ),
+            ("tests/it.rs", "use a::x;\nfn t() { whole_file(); }\n"),
+        ]);
+        let lib = &w.mentions["crates/a/src/lib.rs"];
+        for name in ["live", "imported", "Type", "pointer"] {
+            assert!(lib.contains(name), "{name}: {lib:?}");
+        }
+        for name in ["reexported", "other", "in_test"] {
+            assert!(!lib.contains(name), "{name}: {lib:?}");
+        }
+        assert!(w.mentions["tests/it.rs"].contains("whole_file"));
+        assert!(w.mentioned_outside("whole_file", "crates/a/src/lib.rs"));
+        assert!(!w.mentioned_outside("pointer", "crates/a/src/lib.rs"));
     }
 
     #[test]

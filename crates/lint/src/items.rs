@@ -30,6 +30,9 @@ pub struct FnItem {
     pub ret: String,
     /// Body forest (empty for bodyless declarations).
     pub body: Vec<Tree>,
+    /// Whether the visibility is exactly `pub` (not `pub(crate)` or
+    /// private).
+    pub is_pub: bool,
     /// Whether the item sits under `#[cfg(test)]` (directly or via an
     /// enclosing module) — set by the caller for file-level test scope.
     pub in_test: bool,
@@ -94,7 +97,12 @@ fn walk(seq: &[Tree], in_test: bool, out: &mut Items) {
         match keyword {
             Some("fn") => {
                 let end = item_end(seq, k);
-                if let Some(f) = parse_fn(&seq[k..=end.min(seq.len() - 1)], in_test || cfg_test) {
+                let is_pub = is_plain_pub(&seq[i..k]);
+                if let Some(f) = parse_fn(
+                    &seq[k..=end.min(seq.len() - 1)],
+                    in_test || cfg_test,
+                    is_pub,
+                ) {
                     let f_end = f.end_line;
                     out.fns.push(f);
                     if cfg_test && !in_test {
@@ -138,6 +146,18 @@ fn line_of(t: &Tree) -> usize {
     t.line()
 }
 
+/// Do an item's qualifiers carry exactly `pub` (not `pub(crate)` or
+/// `pub(super)`)?
+fn is_plain_pub(quals: &[Tree]) -> bool {
+    quals.iter().enumerate().any(|(q, t)| {
+        is_ident(t, "pub")
+            && quals
+                .get(q + 1)
+                .and_then(Tree::group)
+                .is_none_or(|g| g.delim != '(')
+    })
+}
+
 /// Does an attribute group body spell exactly `cfg(test)`? Deliberately
 /// exact: `cfg(not(test))` and feature gates are live code and must not
 /// be treated as test scope.
@@ -175,7 +195,7 @@ fn item_end(seq: &[Tree], start: usize) -> usize {
 
 /// Parse one `fn` item given the slice starting at the `fn` keyword and
 /// ending at its terminating node.
-fn parse_fn(seq: &[Tree], in_test: bool) -> Option<FnItem> {
+fn parse_fn(seq: &[Tree], in_test: bool, is_pub: bool) -> Option<FnItem> {
     let fn_tok = seq.first()?.leaf()?;
     let name = seq.get(1)?.leaf()?.text.clone();
     // The parameter list is the first `(…)` group after the name
@@ -220,6 +240,7 @@ fn parse_fn(seq: &[Tree], in_test: bool) -> Option<FnItem> {
         params,
         ret: render(&ret),
         body,
+        is_pub,
         in_test,
     })
 }
@@ -249,7 +270,7 @@ fn parse_params(children: &[Tree]) -> Vec<Param> {
 }
 
 /// Split a forest slice on top-level `,` leaves.
-pub fn split_commas(children: &[Tree]) -> Vec<Vec<Tree>> {
+fn split_commas(children: &[Tree]) -> Vec<Vec<Tree>> {
     let mut out = vec![Vec::new()];
     for t in children {
         if is_punct(t, ",") {
@@ -281,6 +302,7 @@ mod tests {
         assert_eq!(f.params[0].name, "seed");
         assert_eq!(f.params[0].ty, "u64");
         assert_eq!(f.ret, "u64");
+        assert!(f.is_pub);
         assert!(!f.in_test);
         assert!(!f.body.is_empty());
     }
@@ -291,8 +313,15 @@ mod tests {
         let it = items(src);
         let names: Vec<&str> = it.fns.iter().map(|f| f.name.as_str()).collect();
         assert_eq!(names, vec!["a", "b"]);
+        assert!(!it.fns[0].is_pub && it.fns[1].is_pub);
         assert_eq!(it.fns[0].params[0].name, "& self");
         assert_eq!(it.fns[1].params[0].ty, "f64");
+    }
+
+    #[test]
+    fn restricted_visibility_is_not_pub() {
+        let it = items("pub(crate) fn a() {}\npub(super) fn b() {}\nfn c() {}\n");
+        assert!(it.fns.iter().all(|f| !f.is_pub));
     }
 
     #[test]

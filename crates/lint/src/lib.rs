@@ -24,6 +24,7 @@
 //! | `no-env-read-in-sim` | sim crates (par / bench exempt) | `env::var` / `env::var_os` |
 //! | `seed-flow` | sim crates, non-test code | RNG constructions not derived (by dataflow) from a seed |
 //! | `no-unordered-float-reduce` | non-test code | float accumulation over `HashMap`/`HashSet` iteration or captured in `moe-par` closures |
+//! | `dead-pub` | `crates/*/src` non-test code | `pub fn` no other file mentions outside tests and `use` declarations |
 //! | `unused-allow` | everywhere | justified `lint:allow` markers that suppress nothing |
 //!
 //! `moe-lint --explain <rule>` prints the long-form rationale for any rule.

@@ -47,6 +47,7 @@ pub fn default_rules() -> Vec<Box<dyn Rule>> {
         Box::new(NoEnvReadInSim),
         Box::new(SeedFlow),
         Box::new(NoUnorderedFloatReduce),
+        Box::new(DeadPub),
     ]
 }
 
@@ -869,6 +870,56 @@ impl Rule for NoEnvReadInSim {
     }
 }
 
+// ---------------------------------------------------------------------------
+// dead-pub
+// ---------------------------------------------------------------------------
+
+/// Flags a `pub fn` under `crates/*/src/` that no other file mentions by
+/// name in live code: it is private in all but name, test-only, or dead.
+pub struct DeadPub;
+
+impl Rule for DeadPub {
+    fn name(&self) -> &'static str {
+        "dead-pub"
+    }
+
+    fn explain(&self) -> &'static str {
+        "A `pub fn` is an API promise: every one is surface a reader must \
+         learn and a refactor must keep. When no other file names it \
+         outside `#[cfg(test)]` scope and outside `use` declarations, it \
+         is private in all but name, used only by tests, or dead. Make it \
+         private (rustc's dead_code lint then reports anything only unit \
+         tests used), move it into `#[cfg(test)]` if tests keep it as a \
+         reference, or delete it. Files under tests/, benches/, examples/ \
+         and the root src/ count wholly as callers, a fn-pointer mention \
+         such as `.map(Type::f)` counts, and a `pub use` re-export does \
+         not. Resolution is by name, so a name collision can hide a dead \
+         item but never flags a live one."
+    }
+
+    fn applies(&self, file: &SourceFile) -> bool {
+        let parts: Vec<&str> = file.rel.split('/').collect();
+        parts.len() > 3 && parts[0] == "crates" && parts[2] == "src" && !file.is_test_file
+    }
+
+    fn check(&self, file: &SourceFile, ws: &Workspace, out: &mut Vec<Diagnostic>) {
+        for f in &file.fns {
+            if f.is_pub && !f.in_test && !ws.mentioned_outside(&f.name, &file.rel) {
+                out.push(diag_at(
+                    file,
+                    f.line,
+                    self.name(),
+                    format!(
+                        "`pub fn {}` has no caller outside this file; make it private, \
+                         move it into #[cfg(test)] or delete it",
+                        f.name
+                    ),
+                ));
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1063,15 +1114,15 @@ mod tests {
 
     #[test]
     fn detects_missing_unsafe_header() {
-        let d = run_on("crates/x/src/lib.rs", "//! docs\npub fn f() {}\n");
+        let d = run_on("crates/x/src/lib.rs", "//! docs\nfn f() {}\n");
         assert!(rules_hit(&d).contains(&"forbid-unsafe-header"), "{d:?}");
         let ok = run_on(
             "crates/x/src/lib.rs",
-            "#![forbid(unsafe_code)]\npub fn f() {}\n",
+            "#![forbid(unsafe_code)]\nfn f() {}\n",
         );
         assert!(ok.is_empty(), "{ok:?}");
         // Non-root files are not required to carry the header.
-        assert!(run_on("crates/x/src/other.rs", "pub fn f() {}\n").is_empty());
+        assert!(run_on("crates/x/src/other.rs", "fn f() {}\n").is_empty());
     }
 
     // --- new structural rules ---
@@ -1135,6 +1186,68 @@ mod tests {
             !rules_hit(&d).contains(&"no-unordered-float-reduce"),
             "{d:?}"
         );
+    }
+
+    // --- dead-pub: cross-file cases ---
+
+    /// `dead-pub` diagnostics for file `target` of a multi-file workspace.
+    fn dead_pub_in(files: &[(&str, &str)], target: &str) -> Vec<usize> {
+        let parsed: Vec<SourceFile> = files
+            .iter()
+            .map(|(rel, src)| SourceFile::from_source(rel, src))
+            .collect();
+        let ws = Workspace::build(&parsed);
+        let file = parsed.iter().find(|f| f.rel == target).unwrap();
+        check_file(file, &ws, &default_rules())
+            .into_iter()
+            .filter(|d| d.rule == "dead-pub")
+            .map(|d| d.line)
+            .collect()
+    }
+
+    const LIB: (&str, &str) = ("crates/a/src/lib.rs", "pub fn f() {}\n");
+
+    #[test]
+    fn dead_pub_counts_fn_pointer_mentions() {
+        let user = (
+            "crates/b/src/lib.rs",
+            "fn g(xs: &[u8]) { xs.iter().map(A::f); }\n",
+        );
+        assert!(dead_pub_in(&[LIB, user], LIB.0).is_empty());
+    }
+
+    #[test]
+    fn dead_pub_ignores_reexports_and_other_files_tests() {
+        let reexport = ("crates/b/src/lib.rs", "pub use a::f;\n");
+        assert_eq!(dead_pub_in(&[LIB, reexport], LIB.0), vec![1]);
+        let unit_test = (
+            "crates/b/src/lib.rs",
+            "#[cfg(test)]\nmod tests {\n    fn t() { a::f(); }\n}\n",
+        );
+        assert_eq!(dead_pub_in(&[LIB, unit_test], LIB.0), vec![1]);
+    }
+
+    #[test]
+    fn dead_pub_counts_tests_and_examples_wholly() {
+        for rel in [
+            "tests/it.rs",
+            "crates/b/benches/bench.rs",
+            "examples/demo.rs",
+        ] {
+            let caller = (
+                rel,
+                "#[cfg(test)]\nmod tests {\n    fn t() { a::f(); }\n}\n",
+            );
+            assert!(dead_pub_in(&[LIB, caller], LIB.0).is_empty(), "{rel}");
+        }
+    }
+
+    #[test]
+    fn dead_pub_never_flags_examples_or_tests() {
+        for rel in ["examples/moe_perf/src/main.rs", "tests/it.rs"] {
+            let lonely = (rel, "pub fn never_called() {}\n");
+            assert!(dead_pub_in(&[LIB, lonely], rel).is_empty(), "{rel}");
+        }
     }
 
     // --- suppression machinery ---

@@ -14,7 +14,7 @@ const SKIP_DIRS: &[&str] = &["target", ".git", ".github", "fixtures"];
 
 /// Collect every `.rs` file under `root`, sorted by relative path so
 /// output order is stable across filesystems.
-pub fn collect_rust_files(root: &Path) -> io::Result<Vec<PathBuf>> {
+fn collect_rust_files(root: &Path) -> io::Result<Vec<PathBuf>> {
     let mut out = Vec::new();
     walk_dir(root, &mut out)?;
     out.sort();

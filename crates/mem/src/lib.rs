@@ -17,8 +17,6 @@
 //! * [`residency`] — hot-first resident sets per layer and the derivation
 //!   of the [`ExpertResidency`](moe_gpusim::ExpertResidency) summary the
 //!   analytic cost model prices;
-//! * [`prefetch`] — a discrete-event replay of the prefetch schedule that
-//!   validates the closed-form overlap stall and prices link contention;
 //! * [`replication`] — hot-expert replication across EP ranks, measured
 //!   against LPT packing on real activation statistics.
 //!
@@ -28,11 +26,11 @@
 #![forbid(unsafe_code)]
 
 pub mod predictor;
-pub mod prefetch;
+#[cfg(test)]
+mod prefetch;
 pub mod replication;
 pub mod residency;
 
 pub use predictor::{replay_hit_rate, PredictorQuality, TransitionTable};
-pub use prefetch::{analytic_stall, simulate_prefetch, LayerDemand, PrefetchOutcome};
 pub use replication::{mean_imbalance, replication_study, ReplicationStudy};
-pub use residency::{derive_residency, hot_expert_masks, residency_hit_rate, DerivedResidency};
+pub use residency::{derive_residency, DerivedResidency};

@@ -97,7 +97,7 @@ impl TransitionTable {
     /// routed to `from` at `layer`. Scores are summed transition counts;
     /// ties break toward the lower expert index, so the prediction is a
     /// pure function of the table.
-    pub fn predict(&self, layer: usize, from: &[u32], n: usize) -> Vec<u32> {
+    fn predict(&self, layer: usize, from: &[u32], n: usize) -> Vec<u32> {
         let e = self.num_experts;
         let mut scores = vec![0u64; e];
         if let Some(c) = self.counts.get(layer) {

@@ -1,4 +1,6 @@
-//! Discrete-event validation of the prefetch-overlap stall model.
+//! Discrete-event validation of the prefetch-overlap stall model, compiled
+//! for tests only: the closed form and the event replay are a reference
+//! pair the unit tests below check against each other.
 //!
 //! The analytic cost model (`moe_gpusim::perfmodel`) prices a layer's
 //! expert-load stall as `max(0, load(predicted) - window) + load(missed)`:
@@ -27,7 +29,7 @@ pub struct LayerDemand {
 
 impl LayerDemand {
     /// A layer with no offload traffic (all experts resident).
-    pub fn resident(compute_s: f64) -> Self {
+    fn resident(compute_s: f64) -> Self {
         Self {
             compute_s,
             prefetch_bytes: 0.0,
@@ -57,7 +59,7 @@ fn link_time(link: Interconnect, bytes: f64) -> f64 {
 /// Closed-form stall for one layer: prefetch overshoot past the previous
 /// layer's compute window, plus the fully exposed miss load. This is the
 /// same arithmetic the perf model's `expert_load_stall` applies.
-pub fn analytic_stall(link: Interconnect, window_s: f64, demand: LayerDemand) -> f64 {
+fn analytic_stall(link: Interconnect, window_s: f64, demand: LayerDemand) -> f64 {
     let prefetch = if demand.prefetch_bytes > 0.0 {
         (link_time(link, demand.prefetch_bytes) - window_s).max(0.0)
     } else {
@@ -70,7 +72,7 @@ pub fn analytic_stall(link: Interconnect, window_s: f64, demand: LayerDemand) ->
 /// as a serializing resource. Layer `l + 1`'s prefetch is issued when
 /// layer `l` starts computing; layer 0 has no window, so its prefetch is
 /// fully exposed. Miss loads are synchronous and also occupy the link.
-pub fn simulate_prefetch(layers: &[LayerDemand], link: Interconnect) -> PrefetchOutcome {
+fn simulate_prefetch(layers: &[LayerDemand], link: Interconnect) -> PrefetchOutcome {
     // When the link next falls free; a transfer starts no earlier.
     let mut link_free = 0.0f64;
     let mut transfer = |at: f64, bytes: f64| {

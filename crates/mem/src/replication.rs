@@ -63,7 +63,6 @@ pub fn mean_imbalance(study: &[ReplicationStudy], pick: impl Fn(&ReplicationStud
 #[cfg(test)]
 mod tests {
     use super::*;
-    use moe_engine::generate::GenerateParams;
     use moe_engine::trace::capture_trace;
     use moe_model::registry::tiny_test_model;
 
@@ -75,7 +74,7 @@ mod tests {
             tiny_test_model(16, 4),
             13,
             &[1, 2, 3, 4, 5, 6, 7],
-            GenerateParams::greedy(12),
+            12,
         )
         .stats
     }

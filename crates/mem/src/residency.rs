@@ -29,7 +29,7 @@ use crate::predictor::{replay_hit_rate, PredictorQuality, TransitionTable};
 /// activated experts of each layer (ties toward the lower index). A
 /// fraction under one expert's worth keeps nothing; `frac >= 1.0` keeps
 /// everything.
-pub fn hot_expert_masks(stats: &ActivationStats, frac: f64) -> Vec<Vec<bool>> {
+fn hot_expert_masks(stats: &ActivationStats, frac: f64) -> Vec<Vec<bool>> {
     let e = stats.num_experts();
     let keep = f64_to_count(frac.clamp(0.0, 1.0) * e as f64).min(e);
     (0..stats.num_layers())
@@ -50,7 +50,7 @@ pub fn hot_expert_masks(stats: &ActivationStats, frac: f64) -> Vec<Vec<bool>> {
 /// of all recorded activations landing on resident experts. Layers with
 /// no routed tokens contribute nothing; a traceless model falls back to
 /// the byte fraction itself (uniform routing assumption).
-pub fn residency_hit_rate(stats: &ActivationStats, masks: &[Vec<bool>], frac: f64) -> f64 {
+fn residency_hit_rate(stats: &ActivationStats, masks: &[Vec<bool>], frac: f64) -> f64 {
     let mut resident = 0u64;
     let mut total = 0u64;
     for (l, mask) in masks.iter().enumerate() {
@@ -145,7 +145,6 @@ pub fn derive_residency(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use moe_engine::generate::GenerateParams;
     use moe_engine::trace::capture_trace;
     use moe_model::registry::tiny_test_model;
 
@@ -155,7 +154,7 @@ mod tests {
             tiny_test_model(8, 2),
             21,
             &[1, 2, 3, 4, 5, 6],
-            GenerateParams::greedy(10),
+            10,
         )
     }
 

@@ -3,7 +3,6 @@
 //! oracle predictor at an unconstrained HBM budget must reproduce the
 //! pre-`moe-mem` prices bit for bit.
 
-use moe_engine::generate::GenerateParams;
 use moe_engine::trace::{capture_trace, TraceArtifact};
 use moe_gpusim::device::Interconnect;
 use moe_gpusim::{Cluster, EngineOptions, ParallelPlan, PerfModel};
@@ -17,7 +16,7 @@ fn artifact() -> TraceArtifact {
         tiny_test_model(8, 2),
         33,
         &[1, 2, 3, 4, 5, 6, 7, 8],
-        GenerateParams::greedy(16),
+        16,
     )
 }
 

@@ -173,7 +173,7 @@ impl ModelConfig {
 
     /// Number of MoE layers (layers minus the leading dense ones). Zero for
     /// dense models.
-    pub fn num_moe_layers(&self) -> usize {
+    fn num_moe_layers(&self) -> usize {
         if self.moe.is_some() {
             self.num_layers - self.first_k_dense_layers
         } else {

@@ -197,6 +197,7 @@ impl ParamBreakdown {
 
     /// Relative error of our total-count vs the paper-reported size, when
     /// the config records one.
+    // lint:allow(dead-pub) -- moe-bench's Table 1 unit test checks sizes with it
     pub fn total_error_vs_reported(&self, config: &ModelConfig) -> Option<f64> {
         config
             .reported_total_params
@@ -204,7 +205,8 @@ impl ParamBreakdown {
     }
 
     /// Relative error of our active-count vs the paper-reported size.
-    pub fn active_error_vs_reported(&self, config: &ModelConfig) -> Option<f64> {
+    #[cfg(test)]
+    pub(crate) fn active_error_vs_reported(&self, config: &ModelConfig) -> Option<f64> {
         config
             .reported_active_params
             .map(|r| (self.active() as f64 - r as f64).abs() / r as f64)

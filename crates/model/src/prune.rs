@@ -86,14 +86,6 @@ impl PruneSpec {
         );
         c
     }
-
-    /// Number of experts removed by inter-expert pruning on `num_experts`.
-    pub fn experts_removed(&self, num_experts: usize) -> usize {
-        match self.kind {
-            PruneKind::InterExpert => (num_experts as f64 * self.ratio).round() as usize,
-            PruneKind::IntraExpert => 0,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -109,7 +101,6 @@ mod tests {
         let spec = PruneSpec::new(PruneKind::InterExpert, 0.125);
         let pruned = spec.apply(&olmoe_1b_7b());
         assert_eq!(pruned.moe.as_ref().unwrap().num_experts, 56);
-        assert_eq!(spec.experts_removed(64), 8);
     }
 
     #[test]

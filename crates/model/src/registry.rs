@@ -359,6 +359,7 @@ pub fn draft_models() -> Vec<ModelConfig> {
 }
 
 /// Every model in the study (Table 1 rows plus ancillary models).
+// lint:allow(dead-pub) -- moe-eval's unit test checks every model has a capability profile
 pub fn all_models() -> Vec<ModelConfig> {
     let mut v = llms();
     v.extend(vlms());

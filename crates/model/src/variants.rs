@@ -27,37 +27,23 @@ pub fn mixtral_variant(ffn_dim: usize, num_experts: usize, top_k: usize) -> Mode
     c
 }
 
-/// A single point in the Section-5 grid.
-#[derive(Debug, Clone)]
-pub struct GridPoint {
-    pub ffn_dim: usize,
-    pub num_experts: usize,
-    pub top_k: usize,
-    pub config: ModelConfig,
-}
-
-/// The full 4x4x4 grid (64 configurations).
-pub fn full_grid() -> Vec<GridPoint> {
-    let mut points = Vec::with_capacity(64);
-    for &ffn in &FFN_DIMS {
-        for &e in &EXPERT_COUNTS {
-            for &k in &ACTIVE_COUNTS {
-                points.push(GridPoint {
-                    ffn_dim: ffn,
-                    num_experts: e,
-                    top_k: k,
-                    config: mixtral_variant(ffn, e, k),
-                });
-            }
-        }
-    }
-    points
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::params::ParamBreakdown;
+
+    /// The full 4x4x4 grid (64 configurations).
+    fn full_grid() -> Vec<ModelConfig> {
+        let mut points = Vec::with_capacity(64);
+        for &ffn in &FFN_DIMS {
+            for &e in &EXPERT_COUNTS {
+                for &k in &ACTIVE_COUNTS {
+                    points.push(mixtral_variant(ffn, e, k));
+                }
+            }
+        }
+        points
+    }
 
     #[test]
     fn variant_applies_all_three_knobs() {
@@ -73,8 +59,8 @@ mod tests {
 
     #[test]
     fn variants_all_valid() {
-        for p in full_grid() {
-            assert!(p.config.validate().is_empty(), "{}", p.config.name);
+        for c in full_grid() {
+            assert!(c.validate().is_empty(), "{}", c.name);
         }
     }
 
@@ -82,7 +68,7 @@ mod tests {
     fn grid_has_64_unique_points() {
         let g = full_grid();
         assert_eq!(g.len(), 64);
-        let mut names: Vec<&str> = g.iter().map(|p| p.config.name.as_str()).collect();
+        let mut names: Vec<&str> = g.iter().map(|c| c.name.as_str()).collect();
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), 64);

@@ -5,7 +5,6 @@ use std::collections::VecDeque;
 use std::ops::Range;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
-use crate::seed::derive_seed;
 use crate::workers::workers;
 
 /// Lock a deque, ignoring poisoning: the queues hold plain index ranges,
@@ -120,17 +119,6 @@ where
     })
 }
 
-/// [`map_collect`] with a splittable seed: `body(i, seed_i)` where
-/// `seed_i = derive_seed(parent_seed, i)`. Each task's RNG stream is a
-/// pure function of its index, never of the schedule.
-pub fn map_collect_seeded<R, F>(n: usize, parent_seed: u64, body: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize, u64) -> R + Sync,
-{
-    map_collect(n, |i| body(i, derive_seed(parent_seed, i as u64)))
-}
-
 /// Apply `body(chunk_index, chunk)` to every `chunk_size`-sized chunk of
 /// `data` (last chunk may be short), in parallel across **contiguous
 /// runs** of chunks — one run per worker, no stealing. Equivalent to
@@ -210,15 +198,6 @@ mod tests {
     fn map_collect_more_workers_than_items() {
         with_counts(&[16], || {
             assert_eq!(map_collect(3, |i| i * 10), vec![0, 10, 20]);
-        });
-    }
-
-    #[test]
-    fn seeded_map_is_schedule_independent() {
-        let serial: Vec<u64> = (0..64).map(|i| derive_seed(99, i as u64)).collect();
-        with_counts(&[1, 4, 8], || {
-            let got = map_collect_seeded(64, 99, |_, seed| seed);
-            assert_eq!(got, serial);
         });
     }
 

@@ -16,11 +16,6 @@
 //!   chunks and process each with its global chunk index. Work is divided
 //!   into **contiguous runs** of whole chunks, one run per worker; see
 //!   the *determinism contract* below.
-//! * [`map_collect_seeded`] — [`map_collect`] plus a splittable-seed
-//!   adapter: each task receives a child seed derived from the parent
-//!   seed and its **task index** via [`derive_seed`], never from the
-//!   schedule, so stochastic tasks stay reproducible across thread
-//!   counts.
 //!
 //! ## Determinism contract
 //!
@@ -38,9 +33,9 @@
 //!    thread in index order; callers must not reduce *across* chunks in
 //!    completion order.
 //! 3. **Index-derived seeds.** Parallel stochastic tasks must derive
-//!    their RNG stream from the task index ([`map_collect_seeded`] /
-//!    [`derive_seed`]), never from a shared mutable generator, which
-//!    would make the stream depend on execution order.
+//!    their RNG stream from the task index ([`derive_seed`]), never from
+//!    a shared mutable generator, which would make the stream depend on
+//!    execution order.
 //!
 //! Worker count resolves, in priority order: [`set_workers_for_test`]
 //! override → `MOE_THREADS` environment variable (re-read on every call,
@@ -57,6 +52,6 @@ mod executor;
 mod seed;
 mod workers;
 
-pub use executor::{for_each_chunk_mut, map_collect, map_collect_seeded};
+pub use executor::{for_each_chunk_mut, map_collect};
 pub use seed::derive_seed;
 pub use workers::{set_workers_for_test, workers};

@@ -112,7 +112,7 @@ pub fn order_key(
 /// Stable rank for residencies: more resident sorts first, so the classic
 /// all-resident deployment leads every enumeration. The complements are
 /// finite non-negative f64s, so their bit patterns are monotone.
-pub fn residency_rank(r: &ExpertResidency) -> (u64, u64, u64) {
+fn residency_rank(r: &ExpertResidency) -> (u64, u64, u64) {
     (
         (1.0 - r.resident_frac).to_bits(),
         (1.0 - r.residency_hit).to_bits(),

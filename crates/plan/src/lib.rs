@@ -47,8 +47,5 @@ pub use fleet::{plan_fleet, ClassPlan, FleetPlanReport, MixedPart, MixedScore};
 pub use planner::{plan, plan_traced, sketch_of, PlanFailure, PlanReport};
 pub use refine::RefinedScore;
 pub use score::{accuracy_proxy, score_candidate, CandidateScore, Infeasible, WorkloadSketch};
-pub use search::{
-    pareto_frontier, reachable_shapes, search, warm_search, ReachableSpace, SearchCounts,
-    SearchOutcome,
-};
+pub use search::{search, warm_search, ReachableSpace, SearchCounts, SearchOutcome};
 pub use spec::{DevicePool, FleetSpec, PlannerSpec, SearchMode, SearchSpace, SloSpec};

@@ -115,7 +115,7 @@ pub fn candidate_model(base: &ModelConfig, prune_ratio: f64) -> ModelConfig {
 /// Engine options for a candidate (fused kernels on, fp16 KV cache).
 /// All-resident residencies are *not* attached, so classic candidates
 /// price through the exact pre-`moe-mem` option set.
-pub fn candidate_options(
+fn candidate_options(
     plan: ParallelPlan,
     precision: Precision,
     residency: ExpertResidency,

@@ -56,7 +56,8 @@ pub struct SearchCounts {
 pub struct SearchOutcome {
     /// Every scored candidate, in enumeration order.
     pub scored: Vec<CandidateScore>,
-    /// Pareto-optimal scored candidates (see [`pareto_frontier`]).
+    /// Pareto-optimal scored candidates, sorted by cost, then accuracy,
+    /// throughput and enumeration key.
     pub frontier: Vec<CandidateScore>,
     /// Accounting.
     pub counts: SearchCounts,
@@ -97,7 +98,7 @@ struct OptimisticBound {
 /// Non-dominated scored points, sorted by (cost asc, accuracy desc,
 /// throughput desc, enumeration key) — a deterministic frontier whose
 /// JSON is byte-stable across replays and search modes.
-pub fn pareto_frontier(scored: &[CandidateScore]) -> Vec<CandidateScore> {
+fn pareto_frontier(scored: &[CandidateScore]) -> Vec<CandidateScore> {
     let mut frontier: Vec<CandidateScore> = scored
         .iter()
         .filter(|c| !scored.iter().any(|other| dominates(other, c)))
@@ -348,15 +349,6 @@ pub struct ReachableSpace {
 }
 
 impl ReachableSpace {
-    /// Replica scaling only: the cheapest, always-safe reconfiguration.
-    pub fn scaling_only(max_replica_delta: usize) -> Self {
-        Self {
-            max_replica_delta,
-            allow_plan_change: false,
-            allow_precision_change: false,
-        }
-    }
-
     /// Everything within a replica delta, rolling changes included.
     pub fn rolling(max_replica_delta: usize) -> Self {
         Self {
@@ -367,7 +359,7 @@ impl ReachableSpace {
     }
 
     /// Is `shape` reachable from `incumbent` under this space?
-    pub fn admits(&self, shape: &Shape, incumbent: &CandidateConfig) -> bool {
+    fn admits(&self, shape: &Shape, incumbent: &CandidateConfig) -> bool {
         shape.replicas.abs_diff(incumbent.replicas) <= self.max_replica_delta
             && (self.allow_plan_change || shape.plan == incumbent.plan)
             && (self.allow_precision_change || shape.precision == incumbent.precision)
@@ -376,7 +368,7 @@ impl ReachableSpace {
 
 /// Filter the full shape enumeration down to the reachable neighborhood
 /// of `incumbent` (enumeration order preserved).
-pub fn reachable_shapes(
+fn reachable_shapes(
     spec: &PlannerSpec,
     incumbent: &CandidateConfig,
     reach: &ReachableSpace,
@@ -611,14 +603,19 @@ mod tests {
     fn scaling_only_reach_pins_plan_and_precision() {
         let spec = planner_spec(SearchMode::Exhaustive);
         let inc = incumbent(&spec);
-        let shapes = reachable_shapes(&spec, &inc, &ReachableSpace::scaling_only(1));
+        let scaling_only = ReachableSpace {
+            max_replica_delta: 1,
+            allow_plan_change: false,
+            allow_precision_change: false,
+        };
+        let shapes = reachable_shapes(&spec, &inc, &scaling_only);
         assert!(!shapes.is_empty(), "the incumbent itself is reachable");
         for s in &shapes {
             assert_eq!(s.plan, inc.plan);
             assert_eq!(s.precision, inc.precision);
             assert!(s.replicas.abs_diff(inc.replicas) <= 1);
         }
-        let out = warm_search(&spec, &sketch(), &inc, &ReachableSpace::scaling_only(1));
+        let out = warm_search(&spec, &sketch(), &inc, &scaling_only);
         assert!(out
             .frontier
             .iter()

@@ -100,12 +100,12 @@ impl FleetSpec {
     }
 
     /// Whether the fleet has more than one pool.
-    pub fn is_mixed(&self) -> bool {
+    fn is_mixed(&self) -> bool {
         self.pools.len() > 1
     }
 
     /// The first (and for uniform fleets, only) pool.
-    pub fn primary(&self) -> &DevicePool {
+    fn primary(&self) -> &DevicePool {
         self.pools.first().expect("fleet needs at least one pool") // lint:allow(no-panic-in-lib) -- PlannerSpec::check rejects empty fleets before any planning path reaches here
     }
 

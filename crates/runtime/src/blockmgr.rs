@@ -4,12 +4,15 @@
 //! The manager tracks physical-block ownership per sequence. Capacity is
 //! expressed in blocks of `block_tokens` tokens; one logical sequence
 //! block corresponds to `num_layers` physical blocks, which is folded into
-//! the capacity accounting by the caller. A watermark reserve keeps a
-//! fraction of blocks free so running sequences can grow without
-//! immediately preempting. Ownership is indexed by `RequestId`, which the
-//! scheduler hands out densely from 0.
+//! the capacity accounting by the caller. A fixed watermark reserve (1%
+//! of the pool) is kept free when admitting new sequences, so running
+//! sequences can grow without immediately preempting. Ownership is
+//! indexed by `RequestId`, which the scheduler hands out densely from 0.
 
 use crate::request::RequestId;
+
+/// Fraction of blocks kept free when admitting *new* sequences.
+const WATERMARK: f64 = 0.01;
 
 /// Block-pool accountant.
 #[derive(Debug, Clone)]
@@ -17,8 +20,6 @@ pub struct BlockManager {
     block_tokens: usize,
     total_blocks: usize,
     free_blocks: usize,
-    /// Fraction of blocks kept free when admitting *new* sequences.
-    watermark: f64,
     /// Blocks owned per sequence, indexed by id; 0 = owns nothing.
     owned: Vec<usize>,
 }
@@ -30,29 +31,17 @@ impl BlockManager {
             block_tokens,
             total_blocks,
             free_blocks: total_blocks,
-            watermark: 0.01,
             owned: Vec::new(),
         }
     }
 
-    /// Set the admission watermark (fraction of the pool kept free).
-    pub fn with_watermark(mut self, watermark: f64) -> Self {
-        assert!((0.0..1.0).contains(&watermark));
-        self.watermark = watermark;
-        self
-    }
-
     /// Blocks needed to hold `tokens`.
-    pub fn blocks_for(&self, tokens: usize) -> usize {
+    fn blocks_for(&self, tokens: usize) -> usize {
         tokens.div_ceil(self.block_tokens)
     }
 
     pub fn total_blocks(&self) -> usize {
         self.total_blocks
-    }
-
-    pub fn free_blocks(&self) -> usize {
-        self.free_blocks
     }
 
     pub fn used_blocks(&self) -> usize {
@@ -77,7 +66,7 @@ impl BlockManager {
     /// watermark?
     pub fn can_admit(&self, tokens: usize) -> bool {
         let needed = self.blocks_for(tokens);
-        let reserve = (self.total_blocks as f64 * self.watermark).ceil() as usize;
+        let reserve = (self.total_blocks as f64 * WATERMARK).ceil() as usize;
         self.free_blocks >= needed + reserve
     }
 
@@ -163,10 +152,10 @@ mod tests {
     fn allocate_and_release_roundtrip() {
         let mut m = BlockManager::new(10, 16);
         assert!(m.allocate(1, 100)); // 7 blocks
-        assert_eq!(m.free_blocks(), 3);
+        assert_eq!(m.free_blocks, 3);
         assert_eq!(m.owned_by(1), 7);
         m.release(1);
-        assert_eq!(m.free_blocks(), 10);
+        assert_eq!(m.free_blocks, 10);
         m.check_invariants();
     }
 
@@ -187,7 +176,7 @@ mod tests {
         assert_eq!(m.owned_by(1), 2);
         assert!(m.grow(1, 17, 18)); // same block
         assert_eq!(m.owned_by(1), 2);
-        assert_eq!(m.free_blocks(), 8);
+        assert_eq!(m.free_blocks, 8);
     }
 
     #[test]
@@ -201,13 +190,14 @@ mod tests {
 
     #[test]
     fn watermark_blocks_admission_but_not_growth() {
-        let mut m = BlockManager::new(10, 16).with_watermark(0.3);
-        assert!(m.can_admit(96)); // 6 blocks + 3 reserve <= 10
-        assert!(!m.can_admit(128)); // 8 + 3 > 10
-                                    // Growth may dip into the reserve.
-        assert!(m.allocate(1, 112)); // 7 blocks
-        assert!(m.grow(1, 112, 160)); // 10 blocks total
-        assert_eq!(m.free_blocks(), 0);
+        // 1% of 100 blocks: a one-block reserve.
+        let mut m = BlockManager::new(100, 16);
+        assert!(m.can_admit(99 * 16)); // 99 blocks + 1 reserve <= 100
+        assert!(!m.can_admit(100 * 16)); // 100 + 1 > 100
+                                         // Growth may dip into the reserve.
+        assert!(m.allocate(1, 99 * 16));
+        assert!(m.grow(1, 99 * 16, 100 * 16)); // 100 blocks total
+        assert_eq!(m.free_blocks, 0);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 
 use std::collections::BTreeMap;
 
-use moe_engine::generate::{generate, GenerateParams};
+use moe_engine::generate::generate;
 use moe_engine::kvcache::{KvStore, PagedKv};
 use moe_engine::model::MoeTransformer;
 use moe_tensor::ops::argmax;
@@ -197,7 +197,7 @@ impl LiveServer {
     /// Reference output: what plain greedy generation produces for one
     /// prompt on an identical model.
     pub fn reference(model: &mut MoeTransformer, prompt: &[usize], max_new: usize) -> Vec<usize> {
-        generate(model, prompt, GenerateParams::greedy(max_new)).tokens
+        generate(model, prompt, max_new).tokens
     }
 }
 

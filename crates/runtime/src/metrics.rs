@@ -1,5 +1,5 @@
-//! The paper's performance metrics (Section 3.4) and small aggregation
-//! helpers.
+//! Aggregation helpers for the paper's performance metrics (Section 3.4);
+//! the per-run Eq. 1/2 definitions live on `moe_gpusim`'s `RunMetrics`.
 //!
 //! ## The clock behind these numbers
 //!
@@ -21,23 +21,6 @@
 
 use moe_json::{FromJson, ToJson};
 use moe_trace::Histogram;
-
-/// Equation 2: `throughput = batch * (input + output) / e2e` (tokens/s).
-pub fn throughput_eq2(batch: usize, input_tokens: usize, output_tokens: usize, e2e_s: f64) -> f64 {
-    assert!(e2e_s > 0.0, "non-positive latency");
-    batch as f64 * (input_tokens + output_tokens) as f64 / e2e_s
-}
-
-/// Equation 1 (as commonly implemented): mean inter-token latency per
-/// sequence, `(e2e - ttft) / (output_tokens - 1)`.
-pub fn itl_eq1(e2e_s: f64, ttft_s: f64, output_tokens: usize) -> f64 {
-    assert!(e2e_s >= ttft_s, "e2e below ttft");
-    if output_tokens > 1 {
-        (e2e_s - ttft_s) / (output_tokens - 1) as f64
-    } else {
-        0.0
-    }
-}
 
 /// Mean of a sample; 0 for empty input.
 pub fn mean(xs: &[f64]) -> f64 {
@@ -102,19 +85,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn eq2_matches_paper_definition() {
-        // 64 sequences, 2048 in + 2048 out, 100 s => 2621.44 tok/s.
-        let t = throughput_eq2(64, 2048, 2048, 100.0);
-        assert!((t - 64.0 * 4096.0 / 100.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn eq1_basic() {
-        assert!((itl_eq1(11.0, 1.0, 101) - 0.1).abs() < 1e-12);
-        assert_eq!(itl_eq1(5.0, 5.0, 1), 0.0);
-    }
-
-    #[test]
     fn percentile_nearest_rank() {
         let xs = [5.0, 1.0, 3.0, 2.0, 4.0];
         assert_eq!(percentile(&xs, 0.0), 1.0);
@@ -156,11 +126,5 @@ mod tests {
     fn empty_inputs_are_zero() {
         assert_eq!(mean(&[]), 0.0);
         assert_eq!(percentile(&[], 50.0), 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "non-positive latency")]
-    fn zero_latency_rejected() {
-        let _ = throughput_eq2(1, 1, 1, 0.0);
     }
 }

@@ -27,7 +27,7 @@ pub struct KvSnapshot {
 
 impl KvSnapshot {
     /// Capture the first `len` tokens from a KV store.
-    pub fn capture(kv: &dyn KvStore, len: usize) -> Self {
+    fn capture(kv: &dyn KvStore, len: usize) -> Self {
         assert!(len <= kv.len(), "snapshot beyond stored tokens");
         let layers = kv.num_layers();
         let kv_dim = kv.kv_dim();
@@ -118,11 +118,6 @@ impl PrefixCache {
         self.entries.is_empty()
     }
 
-    /// Tokens currently held.
-    pub fn stored_tokens(&self) -> usize {
-        self.stored_tokens
-    }
-
     /// Longest cached block-aligned prefix of `prompt`. Records hit/miss
     /// statistics and refreshes LRU recency on hit.
     pub fn lookup(&mut self, prompt: &[usize]) -> Option<KvSnapshot> {
@@ -177,16 +172,6 @@ impl PrefixCache {
             if let Some((snap, _)) = self.entries.remove(&oldest) {
                 self.stored_tokens -= snap.len();
             }
-        }
-    }
-
-    /// Hit rate over all lookups so far.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
         }
     }
 }
@@ -245,7 +230,7 @@ mod tests {
         cache.insert(&[1, 2, 3, 4], &filled_kv(4));
         assert!(cache.lookup(&[9, 9, 9, 9, 9]).is_none());
         assert_eq!(cache.misses, 1);
-        assert_eq!(cache.hit_rate(), 0.0);
+        assert_eq!(cache.hits, 0);
     }
 
     #[test]
@@ -260,11 +245,11 @@ mod tests {
         let mut cache = PrefixCache::new(4, 8); // room for two 4-token snaps
         cache.insert(&[1, 2, 3, 4], &filled_kv(4));
         cache.insert(&[5, 6, 7, 8], &filled_kv(4));
-        assert_eq!(cache.stored_tokens(), 8);
+        assert_eq!(cache.stored_tokens, 8);
         // Touch the first so the second is LRU.
         assert!(cache.lookup(&[1, 2, 3, 4]).is_some());
         cache.insert(&[9, 10, 11, 12], &filled_kv(4));
-        assert_eq!(cache.stored_tokens(), 8);
+        assert_eq!(cache.stored_tokens, 8);
         assert!(
             cache.lookup(&[1, 2, 3, 4]).is_some(),
             "recently used survives"

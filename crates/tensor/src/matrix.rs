@@ -111,15 +111,6 @@ impl Matrix {
         m
     }
 
-    /// Identity matrix of size `n`.
-    pub fn identity(n: usize) -> Self {
-        let mut m = Self::zeros(n, n);
-        for i in 0..n {
-            m.data[i * n + i] = 1.0;
-        }
-        m
-    }
-
     pub fn rows(&self) -> usize {
         self.rows
     }
@@ -140,11 +131,6 @@ impl Matrix {
     /// Borrow the backing buffer.
     pub fn as_slice(&self) -> &[f32] {
         &self.data
-    }
-
-    /// Mutably borrow the backing buffer.
-    pub fn as_mut_slice(&mut self) -> &mut [f32] {
-        &mut self.data
     }
 
     /// Borrow row `r` as a slice.
@@ -193,17 +179,6 @@ impl Matrix {
         }
     }
 
-    /// Transpose into a new matrix.
-    pub fn transpose(&self) -> Matrix {
-        let mut out = Matrix::zeros(self.cols, self.rows);
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                out.data[c * self.rows + r] = self.data[r * self.cols + c];
-            }
-        }
-        out
-    }
-
     /// `self @ other` — GEMM. Panics on a shape mismatch.
     pub fn matmul(&self, other: &Matrix) -> Matrix {
         assert_eq!(
@@ -234,6 +209,7 @@ impl Matrix {
     }
 
     /// Maximum absolute difference against another matrix of the same shape.
+    // lint:allow(dead-pub) -- the tolerance check moe-engine's unit tests share
     pub fn max_abs_diff(&self, other: &Matrix) -> f32 {
         assert_eq!((self.rows, self.cols), (other.rows, other.cols));
         self.data
@@ -246,7 +222,7 @@ impl Matrix {
 
 /// GEMM into a pre-allocated output (`out = a @ b`), reusing the output
 /// buffer to avoid allocation in the decode loop.
-pub fn matmul_into(a: &Matrix, b: &Matrix, out: &mut Matrix) {
+fn matmul_into(a: &Matrix, b: &Matrix, out: &mut Matrix) {
     assert_eq!(a.cols, b.rows, "matmul shape mismatch");
     assert_eq!(
         (out.rows, out.cols),
@@ -437,18 +413,29 @@ pub fn dot_rows<'a>(out: &mut [f32], x: &[f32], init: f32, row: impl Fn(usize) -
     }
 }
 
-/// `y += alpha * x` (AXPY).
-#[inline]
-pub fn axpy(alpha: f32, x: &[f32], y: &mut [f32]) {
-    debug_assert_eq!(x.len(), y.len());
-    for (yi, xi) in y.iter_mut().zip(x) {
-        *yi += alpha * xi;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn identity(n: usize) -> Matrix {
+        let mut m = Matrix::zeros(n, n);
+        for i in 0..n {
+            m.data[i * n + i] = 1.0;
+        }
+        m
+    }
+
+    /// Explicit transpose: the reference `matmul_transposed` is checked
+    /// against.
+    fn transpose(m: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(m.cols, m.rows);
+        for r in 0..m.rows {
+            for c in 0..m.cols {
+                out.data[c * m.rows + r] = m.data[r * m.cols + c];
+            }
+        }
+        out
+    }
 
     fn naive_matmul(a: &Matrix, b: &Matrix) -> Matrix {
         let mut out = Matrix::zeros(a.rows(), b.cols());
@@ -484,7 +471,7 @@ mod tests {
     #[test]
     fn matmul_identity_is_noop() {
         let a = Matrix::random(16, 16, 3, 1.0);
-        let i = Matrix::identity(16);
+        let i = identity(16);
         assert!(a.matmul(&i).max_abs_diff(&a) < 1e-6);
         assert!(i.matmul(&a).max_abs_diff(&a) < 1e-6);
     }
@@ -494,7 +481,7 @@ mod tests {
         let a = Matrix::random(33, 17, 4, 1.0);
         let b = Matrix::random(29, 17, 5, 1.0);
         let direct = a.matmul_transposed(&b);
-        let via_t = a.matmul(&b.transpose());
+        let via_t = a.matmul(&transpose(&b));
         assert!(direct.max_abs_diff(&via_t) < 1e-4);
     }
 
@@ -610,7 +597,7 @@ mod tests {
     #[test]
     fn transpose_involution() {
         let m = Matrix::random(5, 9, 9, 1.0);
-        assert_eq!(m.transpose().transpose(), m);
+        assert_eq!(transpose(&transpose(&m)), m);
     }
 
     #[test]
@@ -631,13 +618,5 @@ mod tests {
         // Second call overwrites rather than accumulates.
         matmul_into(&a, &b, &mut out);
         assert!(out.max_abs_diff(&a.matmul(&b)) < 1e-5);
-    }
-
-    #[test]
-    fn axpy_scales_and_adds() {
-        let x = [1.0, 2.0, 3.0];
-        let mut y = [10.0, 20.0, 30.0];
-        axpy(2.0, &x, &mut y);
-        assert_eq!(y, [12.0, 24.0, 36.0]);
     }
 }

@@ -1,6 +1,6 @@
 //! Element-wise and normalization kernels used by the transformer executor:
-//! softmax, RMSNorm, LayerNorm, SiLU/GeLU, SwiGLU combination and rotary
-//! position embeddings (RoPE).
+//! softmax, RMSNorm, SiLU and the SwiGLU combination, and rotary position
+//! embeddings (RoPE).
 
 use crate::matrix::Matrix;
 
@@ -27,35 +27,10 @@ pub fn softmax_inplace(row: &mut [f32]) {
     }
 }
 
-/// Scaled masked softmax for causal attention scores: positions `> allowed`
-/// in each row are masked to -inf before the softmax. `allowed[r]` is the
-/// last key index row `r` may attend to (inclusive).
-pub fn causal_softmax_rows(scores: &mut Matrix, allowed: &[usize], scale: f32) {
-    assert_eq!(scores.rows(), allowed.len());
-    for (r, &limit) in allowed.iter().enumerate() {
-        let row = scores.row_mut(r);
-        for (c, v) in row.iter_mut().enumerate() {
-            if c > limit {
-                *v = f32::NEG_INFINITY;
-            } else {
-                *v *= scale;
-            }
-        }
-        softmax_inplace(row);
-    }
-}
-
 /// SiLU (a.k.a. swish): `x * sigmoid(x)`.
 #[inline]
-pub fn silu(x: f32) -> f32 {
+fn silu(x: f32) -> f32 {
     x / (1.0 + (-x).exp())
-}
-
-/// tanh-approximated GeLU, as used by several of the evaluated models.
-#[inline]
-pub fn gelu(x: f32) -> f32 {
-    const C: f32 = 0.797_884_6; // sqrt(2/pi)
-    0.5 * x * (1.0 + (C * (x + 0.044_715 * x * x * x)).tanh())
 }
 
 /// In-place SwiGLU combine: `gate[i] = silu(gate[i]) * up[i]`.
@@ -66,17 +41,6 @@ pub fn swiglu_inplace(gate: &mut [f32], up: &[f32]) {
     debug_assert_eq!(gate.len(), up.len());
     for (g, u) in gate.iter_mut().zip(up) {
         *g = silu(*g) * u;
-    }
-}
-
-/// RMSNorm over a single vector: `x / rms(x) * weight`.
-pub fn rmsnorm(x: &[f32], weight: &[f32], eps: f32, out: &mut [f32]) {
-    debug_assert_eq!(x.len(), weight.len());
-    debug_assert_eq!(x.len(), out.len());
-    let ms = x.iter().map(|v| v * v).sum::<f32>() / x.len() as f32;
-    let inv = 1.0 / (ms + eps).sqrt();
-    for ((o, xi), wi) in out.iter_mut().zip(x).zip(weight) {
-        *o = xi * inv * wi;
     }
 }
 
@@ -96,36 +60,11 @@ pub fn rmsnorm_rows(m: &Matrix, weight: &[f32], eps: f32, out: &mut Matrix) {
     }
 }
 
-/// Classic LayerNorm over a single vector.
-pub fn layernorm(x: &[f32], weight: &[f32], bias: &[f32], eps: f32, out: &mut [f32]) {
-    let n = x.len() as f32;
-    let mean = x.iter().sum::<f32>() / n;
-    let var = x.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / n;
-    let inv = 1.0 / (var + eps).sqrt();
-    for i in 0..x.len() {
-        out[i] = (x[i] - mean) * inv * weight[i] + bias[i];
-    }
-}
-
-/// Apply rotary position embeddings in-place to a head vector laid out as
-/// interleaved pairs `(x0, x1), (x2, x3), ...`, at position `pos`.
-pub fn rope_inplace(head: &mut [f32], pos: usize, theta_base: f32) {
-    let half = head.len() / 2;
-    for i in 0..half {
-        let freq = 1.0 / theta_base.powf(2.0 * i as f32 / head.len() as f32);
-        let angle = pos as f32 * freq;
-        let (sin, cos) = angle.sin_cos();
-        let a = head[2 * i];
-        let b = head[2 * i + 1];
-        head[2 * i] = a * cos - b * sin;
-        head[2 * i + 1] = a * sin + b * cos;
-    }
-}
-
-/// [`rope_inplace`] at position `pos` on every `head_dim`-wide head of
-/// both `q` and `k` — one attention row's query and key heads. Each
-/// frequency's `powf` and `sin_cos` run once for all heads instead of once
-/// per head; the rotation arithmetic is the same, so the bits are too.
+/// Rotary position embeddings (RoPE) at position `pos` on every
+/// `head_dim`-wide head of both `q` and `k` — one attention row's query
+/// and key heads, each laid out as interleaved pairs `(x0, x1), (x2, x3),
+/// ...`. Each frequency's `powf` and `sin_cos` run once for all heads;
+/// the unit tests pin the bits to a per-head rotation.
 pub fn rope_heads_inplace(
     q: &mut [f32],
     k: &mut [f32],
@@ -161,18 +100,36 @@ pub fn argmax(x: &[f32]) -> usize {
     best
 }
 
-/// Mean of a slice; 0 for empty input.
-pub fn mean(x: &[f32]) -> f32 {
-    if x.is_empty() {
-        0.0
-    } else {
-        x.iter().sum::<f32>() / x.len() as f32
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// RMSNorm over a single vector: the reference for [`rmsnorm_rows`].
+    fn rmsnorm(x: &[f32], weight: &[f32], eps: f32, out: &mut [f32]) {
+        debug_assert_eq!(x.len(), weight.len());
+        debug_assert_eq!(x.len(), out.len());
+        let ms = x.iter().map(|v| v * v).sum::<f32>() / x.len() as f32;
+        let inv = 1.0 / (ms + eps).sqrt();
+        for ((o, xi), wi) in out.iter_mut().zip(x).zip(weight) {
+            *o = xi * inv * wi;
+        }
+    }
+
+    /// Rotary position embeddings on one head laid out as interleaved pairs
+    /// `(x0, x1), (x2, x3), ...`, at position `pos`: the bit-for-bit
+    /// reference for [`rope_heads_inplace`].
+    fn rope_inplace(head: &mut [f32], pos: usize, theta_base: f32) {
+        let half = head.len() / 2;
+        for i in 0..half {
+            let freq = 1.0 / theta_base.powf(2.0 * i as f32 / head.len() as f32);
+            let angle = pos as f32 * freq;
+            let (sin, cos) = angle.sin_cos();
+            let a = head[2 * i];
+            let b = head[2 * i + 1];
+            head[2 * i] = a * cos - b * sin;
+            head[2 * i + 1] = a * sin + b * cos;
+        }
+    }
 
     fn assert_close(a: f32, b: f32, tol: f32) {
         assert!((a - b).abs() < tol, "{a} vs {b}");
@@ -207,30 +164,10 @@ mod tests {
     }
 
     #[test]
-    fn causal_mask_zeroes_future() {
-        let mut scores = Matrix::from_vec(2, 3, vec![1.0; 6]);
-        causal_softmax_rows(&mut scores, &[0, 2], 1.0);
-        assert_close(scores.get(0, 0), 1.0, 1e-6);
-        assert_close(scores.get(0, 1), 0.0, 1e-6);
-        assert_close(scores.get(0, 2), 0.0, 1e-6);
-        for c in 0..3 {
-            assert_close(scores.get(1, c), 1.0 / 3.0, 1e-6);
-        }
-    }
-
-    #[test]
     fn silu_known_values() {
         assert_close(silu(0.0), 0.0, 1e-7);
         assert_close(silu(1.0), 1.0 / (1.0 + (-1.0f32).exp()), 1e-6);
         assert!(silu(-10.0).abs() < 1e-3);
-    }
-
-    #[test]
-    fn gelu_known_values() {
-        assert_close(gelu(0.0), 0.0, 1e-7);
-        // GeLU(x) ~ x for large positive x.
-        assert_close(gelu(10.0), 10.0, 1e-3);
-        assert!(gelu(-10.0).abs() < 1e-3);
     }
 
     #[test]
@@ -267,18 +204,6 @@ mod tests {
                 assert_close(*a, *b, 1e-6);
             }
         }
-    }
-
-    #[test]
-    fn layernorm_zero_mean_unit_var() {
-        let x = vec![1.0, 2.0, 3.0, 4.0];
-        let w = vec![1.0; 4];
-        let b = vec![0.0; 4];
-        let mut out = vec![0.0; 4];
-        layernorm(&x, &w, &b, 1e-6, &mut out);
-        assert_close(mean(&out), 0.0, 1e-6);
-        let var = out.iter().map(|v| v * v).sum::<f32>() / 4.0;
-        assert_close(var, 1.0, 1e-3);
     }
 
     #[test]

@@ -31,7 +31,7 @@ impl DetRng {
     /// Build a generator from a 64-bit seed. The seed is expanded into the
     /// 256-bit ChaCha key with SplitMix64, so nearby seeds still produce
     /// decorrelated streams.
-    pub fn from_seed(seed: u64) -> Self {
+    fn from_seed(seed: u64) -> Self {
         let mut sm = seed;
         let mut key = [0u32; 8];
         for pair in key.chunks_mut(2) {
@@ -79,7 +79,7 @@ impl DetRng {
 
     /// Next keystream word.
     #[inline]
-    pub fn next_u32(&mut self) -> u32 {
+    fn next_u32(&mut self) -> u32 {
         if self.idx >= 16 {
             self.refill();
         }
@@ -90,7 +90,7 @@ impl DetRng {
 
     /// Next 64 bits.
     #[inline]
-    pub fn next_u64(&mut self) -> u64 {
+    fn next_u64(&mut self) -> u64 {
         let lo = self.next_u32() as u64;
         let hi = self.next_u32() as u64;
         (hi << 32) | lo
@@ -98,7 +98,7 @@ impl DetRng {
 
     /// Uniform `f32` in `[0, 1)` with 24 bits of mantissa entropy.
     #[inline]
-    pub fn next_f32(&mut self) -> f32 {
+    pub(crate) fn next_f32(&mut self) -> f32 {
         (self.next_u32() >> 8) as f32 * (1.0 / (1u32 << 24) as f32)
     }
 
@@ -171,29 +171,6 @@ pub fn fill_normal(data: &mut [f32], seed: u64, std: f32) {
         }
         *v = (acc - 6.0) * std;
     }
-}
-
-/// Sample an index from a categorical distribution given by `weights`
-/// (need not be normalized). Falls back to the last index on numerical
-/// underflow, and to index 0 when all weights vanish. Returns 0 on an
-/// empty slice (callers always pass at least one logit).
-pub fn sample_categorical(rng: &mut DetRng, weights: &[f32]) -> usize {
-    if weights.is_empty() {
-        return 0;
-    }
-    let total: f32 = weights.iter().map(|w| w.max(0.0)).sum();
-    if total <= 0.0 {
-        return 0;
-    }
-    let mut u = rng.next_f32() * total;
-    for (i, w) in weights.iter().enumerate() {
-        let w = w.max(0.0);
-        if u < w {
-            return i;
-        }
-        u -= w;
-    }
-    weights.len() - 1
 }
 
 #[cfg(test)]
@@ -281,21 +258,5 @@ mod tests {
         let var: f32 = a.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / a.len() as f32;
         assert!(mean.abs() < 0.1, "mean {mean}");
         assert!((var.sqrt() - 2.0).abs() < 0.15, "std {}", var.sqrt());
-    }
-
-    #[test]
-    fn categorical_respects_weights() {
-        let mut rng = rng_from_seed(5);
-        let w = [0.0, 0.0, 1.0];
-        for _ in 0..100 {
-            assert_eq!(sample_categorical(&mut rng, &w), 2);
-        }
-    }
-
-    #[test]
-    fn categorical_zero_total_falls_back() {
-        let mut rng = rng_from_seed(5);
-        assert_eq!(sample_categorical(&mut rng, &[0.0, 0.0]), 0);
-        assert_eq!(sample_categorical(&mut rng, &[]), 0);
     }
 }

@@ -84,8 +84,11 @@ impl Histogram {
         scale * (1.0 + (sub as f64 + 0.5) / SUBS as f64)
     }
 
-    /// Record one sample.
+    /// Record one sample. A NaN sample is recorded as `0.0`: it counts,
+    /// lands in the underflow bucket and bounds `min`/`max` like a zero,
+    /// so `min <= max` holds and percentiles stay ordered.
     pub fn record(&mut self, v: f64) {
+        let v = if v.is_nan() { 0.0 } else { v };
         let idx = Self::bucket_index(v);
         self.counts[idx] += 1;
         self.count += 1;
@@ -216,6 +219,9 @@ impl FromJson for Histogram {
         if h.count > 0 {
             h.min = moe_json::field(v, "min")?;
             h.max = moe_json::field(v, "max")?;
+            if h.min > h.max {
+                return Err(moe_json::Error::new("histogram min exceeds max"));
+            }
         }
         let buckets: Vec<(u64, u64)> = moe_json::field(v, "buckets")?;
         for (idx, c) in buckets {
@@ -293,6 +299,25 @@ mod tests {
     }
 
     #[test]
+    fn nan_samples_keep_percentiles_ordered() {
+        for samples in [
+            vec![f64::NAN],
+            vec![f64::NAN, f64::NAN, 0.25],
+            vec![0.5, f64::NAN, 1e-3, f64::NAN, 2.0],
+        ] {
+            let h = Histogram::from_samples(&samples);
+            assert_eq!(h.count(), samples.len() as u64);
+            assert!(h.min() <= h.max(), "{samples:?}");
+            let (p50, p95, p99) = (h.percentile(50.0), h.percentile(95.0), h.percentile(99.0));
+            assert!(h.min() <= p50, "{samples:?}");
+            assert!(p50 <= p95 && p95 <= p99 && p99 <= h.max(), "{samples:?}");
+        }
+        let only_nan = Histogram::from_samples(&[f64::NAN]);
+        assert_eq!((only_nan.min(), only_nan.max()), (0.0, 0.0));
+        assert_eq!(only_nan.percentile(50.0), 0.0);
+    }
+
+    #[test]
     fn merge_matches_union() {
         let a = Histogram::from_samples(&[0.1, 0.2, 0.3]);
         let b = Histogram::from_samples(&[0.4, 0.5]);
@@ -340,6 +365,9 @@ mod tests {
         let back: Histogram = moe_json::from_str(&moe_json::to_string(&empty)).unwrap();
         assert_eq!(empty, back);
         assert_eq!(back.percentile(50.0), 0.0);
+
+        let inverted = r#"{"count":1,"sum":0,"min":1,"max":0,"buckets":[]}"#;
+        assert!(moe_json::from_str::<Histogram>(inverted).is_err());
     }
 
     #[test]

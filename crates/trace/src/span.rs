@@ -153,9 +153,10 @@ pub enum TraceEvent {
     },
 }
 
+#[cfg(test)]
 impl TraceEvent {
     /// The event's timestamp (start time for spans).
-    pub fn time_s(&self) -> f64 {
+    pub(crate) fn time_s(&self) -> f64 {
         match self {
             TraceEvent::Span { start_s, .. } => *start_s,
             TraceEvent::Instant { t_s, .. } => *t_s,

@@ -6,7 +6,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use moe_inference_bench::engine::generate::{generate, GenerateParams};
+use moe_inference_bench::engine::generate::generate;
 use moe_inference_bench::engine::model::MoeTransformer;
 use moe_inference_bench::gpusim::device::Cluster;
 use moe_inference_bench::gpusim::parallel::ParallelPlan;
@@ -21,7 +21,7 @@ fn main() {
     model.enable_stats();
 
     let prompt = [3usize, 14, 15, 92, 65];
-    let generated = generate(&mut model, &prompt, GenerateParams::greedy(16));
+    let generated = generate(&mut model, &prompt, 16);
     println!("prompt tokens:    {prompt:?}");
     println!("generated tokens: {:?}", generated.tokens);
 

@@ -9,7 +9,7 @@
 //! cargo run --release --example speculative_decoding
 //! ```
 
-use moe_inference_bench::engine::generate::{generate, GenerateParams};
+use moe_inference_bench::engine::generate::generate;
 use moe_inference_bench::engine::model::MoeTransformer;
 use moe_inference_bench::engine::spec::speculative_generate;
 use moe_inference_bench::gpusim::device::Cluster;
@@ -22,7 +22,7 @@ fn main() {
     // --- 1. Functional speculative decoding on the real executor. ---
     let prompt = vec![3usize, 14, 15];
     let mut target = MoeTransformer::new(registry::tiny_test_model(8, 2), 7);
-    let vanilla = generate(&mut target, &prompt, GenerateParams::greedy(24));
+    let vanilla = generate(&mut target, &prompt, 24);
 
     println!("functional speculative decoding (tiny models, greedy):");
     for gamma in [1usize, 2, 4] {

@@ -2,7 +2,7 @@
 //! umbrella crate — real execution, serving, speculative decoding,
 //! quantization and the performance model working together.
 
-use moe_inference_bench::engine::generate::{generate, GenerateParams};
+use moe_inference_bench::engine::generate::generate;
 use moe_inference_bench::engine::model::MoeTransformer;
 use moe_inference_bench::engine::prune::prune_transformer;
 use moe_inference_bench::engine::spec::speculative_generate;
@@ -20,7 +20,7 @@ use moe_inference_bench::tensor::Precision;
 fn generation_is_end_to_end_deterministic() {
     let run = || {
         let mut m = MoeTransformer::new(registry::tiny_test_model(8, 2), 7);
-        generate(&mut m, &[1, 2, 3, 4], GenerateParams::greedy(20)).tokens
+        generate(&mut m, &[1, 2, 3, 4], 20).tokens
     };
     assert_eq!(run(), run());
 }
@@ -35,7 +35,7 @@ fn serving_speculation_and_batching_agree_on_outputs() {
     let vanilla = generate(
         &mut MoeTransformer::new(registry::tiny_test_model(8, 2), 7),
         &prompt,
-        GenerateParams::greedy(max_new),
+        max_new,
     )
     .tokens;
 
