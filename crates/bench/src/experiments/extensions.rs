@@ -11,14 +11,14 @@
 //! * [`ExtQps`] — a serving-capacity curve: latency vs offered load under
 //!   Poisson arrivals through the continuous-batching scheduler.
 
+use moe_cluster::serve_one_replica;
 use moe_gpusim::device::Cluster;
 use moe_gpusim::parallel::ParallelPlan;
 use moe_gpusim::perfmodel::{EngineOptions, PerfModel};
 use moe_gpusim::placement::{compare_placements, PlacementComparison};
 use moe_model::registry::olmoe_1b_7b;
 use moe_model::variants::mixtral_variant;
-use moe_runtime::request::Request;
-use moe_runtime::simserver::SimServer;
+use moe_runtime::simserver::scheduler_config_for;
 use moe_tensor::rng::rng_from_seed;
 use moe_trace::{Category, Tracer, BENCH_TRACK};
 
@@ -194,11 +194,11 @@ fn build_multinode() -> ExperimentReport {
 
 /// QPS study: Poisson arrivals at several offered loads; returns
 /// `(qps, mean_ttft_s, p95_ttft_s, mean_itl_s, makespan_s)`. Each
-/// offered-load point runs through `SimServer::run` (engine steps,
-/// scheduler decisions and per-request lifecycle spans) and, when
-/// `tracer` is enabled, gets a grouping span on [`BENCH_TRACK`] and
-/// advances the tracer base by the point's makespan so points tile one
-/// monotone timeline.
+/// offered-load point is served by a one-replica cluster (replica step
+/// spans with their kernel children, scheduler decisions, router
+/// instants) and, when `tracer` is enabled, gets a grouping span on
+/// [`BENCH_TRACK`] and advances the tracer base by the point's makespan
+/// so points tile one monotone timeline.
 fn qps_rows(fast: bool, tracer: &mut Tracer) -> Vec<(f64, f64, f64, f64, f64)> {
     let rates: &[f64] = if fast {
         &[1.0, 8.0]
@@ -209,16 +209,22 @@ fn qps_rows(fast: bool, tracer: &mut Tracer) -> Vec<(f64, f64, f64, f64, f64)> {
     let mut rows = Vec::new();
     for &qps in rates {
         let model = PerfModel::h100(olmoe_1b_7b());
-        let mut server = SimServer::sized_for(model, 2048);
         let mut rng = rng_from_seed(4242);
         let mut t = 0.0f64;
-        for _ in 0..requests {
-            // Exponential inter-arrivals at rate `qps`.
-            let u: f64 = rng.next_f64().max(1e-12);
-            t += -u.ln() / qps;
-            server.submit(Request::new(512, 128).at(t));
-        }
-        let report = server.run(tracer);
+        let arrivals: Vec<(f64, usize, usize)> = (0..requests)
+            .map(|_| {
+                // Exponential inter-arrivals at rate `qps`.
+                let u: f64 = rng.next_f64().max(1e-12);
+                t += -u.ln() / qps;
+                (t, 512, 128)
+            })
+            .collect();
+        let report = serve_one_replica(
+            &model,
+            scheduler_config_for(&model, 2048),
+            &arrivals,
+            tracer,
+        );
         if tracer.is_enabled() {
             tracer.span_with(
                 BENCH_TRACK,

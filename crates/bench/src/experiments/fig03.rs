@@ -1,10 +1,11 @@
 //! Figure 3: TTFT, ITL and end-to-end latency of the six LLMs at batch 64
 //! and input/output length 2048.
 
+use moe_cluster::serve_one_replica;
 use moe_gpusim::perfmodel::RunMetrics;
 use moe_model::registry;
 use moe_runtime::metrics::LatencySummary;
-use moe_runtime::simserver::serve_static_batch;
+use moe_runtime::simserver::scheduler_config_for;
 use moe_tensor::Precision;
 
 use crate::common::auto_place;
@@ -62,13 +63,10 @@ pub fn served_tails(fast: bool) -> Vec<(String, LatencySummary, LatencySummary)>
         .map(|m| {
             let placed = auto_place(&m, Precision::F16, BATCH, IN_LEN + OUT_LEN)
                 .expect("all Fig.3 LLMs fit on <=8 H100s");
-            let report = serve_static_batch(
-                placed,
-                BATCH,
-                IN_LEN,
-                OUT_LEN,
-                &mut moe_trace::Tracer::disabled(),
-            );
+            let sched = scheduler_config_for(&placed, IN_LEN + OUT_LEN);
+            let rows = vec![(0.0, IN_LEN, OUT_LEN); BATCH];
+            let report =
+                serve_one_replica(&placed, sched, &rows, &mut moe_trace::Tracer::disabled());
             (m.name, report.ttft, report.e2e)
         })
         .collect()

@@ -1,9 +1,10 @@
 //! Figure 4: TTFT, ITL and end-to-end latency of the DeepSeek-VL2 family.
 
+use moe_cluster::serve_one_replica;
 use moe_gpusim::perfmodel::RunMetrics;
 use moe_model::registry;
 use moe_runtime::metrics::LatencySummary;
-use moe_runtime::simserver::serve_static_batch;
+use moe_runtime::simserver::scheduler_config_for;
 use moe_tensor::Precision;
 
 use crate::common::auto_place;
@@ -62,13 +63,10 @@ pub fn served_tails(fast: bool) -> Vec<(String, LatencySummary, LatencySummary)>
             let prompt = IN_LEN + IMAGES * image_tokens;
             let placed =
                 auto_place(&m, Precision::F16, BATCH, prompt + OUT_LEN).expect("VL2 family fits");
-            let report = serve_static_batch(
-                placed,
-                BATCH,
-                prompt,
-                OUT_LEN,
-                &mut moe_trace::Tracer::disabled(),
-            );
+            let sched = scheduler_config_for(&placed, prompt + OUT_LEN);
+            let rows = vec![(0.0, prompt, OUT_LEN); BATCH];
+            let report =
+                serve_one_replica(&placed, sched, &rows, &mut moe_trace::Tracer::disabled());
             (m.name, report.ttft, report.e2e)
         })
         .collect()

@@ -1,8 +1,10 @@
 //! moe-cluster: a deterministic multi-replica serving simulator.
 //!
-//! The runtime crate simulates *one* continuous-batching engine; this
-//! crate puts N of them behind a front-end router and drives the whole
-//! cluster on a single discrete-event clock:
+//! The runtime crate provides *one* continuous-batching engine's step
+//! core; this crate puts N of them behind a front-end router and drives
+//! the whole cluster on a single discrete-event clock. It is the only
+//! simulated serving driver: a single-engine run is a one-replica
+//! cluster ([`serve_one_replica`]).
 //!
 //! * [`workload`] — seeded open-loop arrival generation (Poisson, bursty
 //!   Markov-modulated, diurnal ramp), per-tenant request shapes and
@@ -21,7 +23,10 @@
 //!   event heap with streaming histogram aggregation; produces a
 //!   [`sim::ClusterReport`] and, via [`sim::ClusterSim::run`],
 //!   a `moe-trace` timeline with router-decision instants, per-replica
-//!   step spans and queue-depth counters.
+//!   step spans (with cost-model children and scheduler decisions) and
+//!   queue-depth counters.
+//! * [`serve`] — the one-replica round-robin cluster behind every
+//!   single-engine serving experiment ([`serve::serve_one_replica`]).
 //! * [`ctrl`] — the control-plane contract: a [`ctrl::ControlHook`]
 //!   registered via [`sim::ClusterSim::with_controller`] is ticked on
 //!   the simulated clock, observes the cluster ([`ctrl::ControlObs`])
@@ -48,6 +53,7 @@ pub(crate) mod events;
 pub mod fault;
 pub(crate) mod replica;
 pub mod router;
+pub mod serve;
 pub mod shard;
 pub mod sim;
 pub mod workload;
@@ -59,14 +65,14 @@ pub const CONTROL_TRACK: moe_trace::TrackId = 7;
 /// Trace track carrying router decisions (dispatch/retry/timeout/reject).
 pub const ROUTER_TRACK: moe_trace::TrackId = 8;
 
-/// First trace track for per-replica step spans; replica `i` uses
-/// `REPLICA_TRACK_BASE + i`. Keep clusters at ≤ 7 replicas when tracing
-/// to stay below `moe_trace::REQUEST_TRACK_BASE`.
+/// First trace track for per-replica step spans and scheduler decisions;
+/// replica `i` uses `REPLICA_TRACK_BASE + i`.
 pub const REPLICA_TRACK_BASE: moe_trace::TrackId = 9;
 
 pub use ctrl::{ControlAction, ControlHook, ControlObs, ReplicaObs, ReplicaSpec};
 pub use fault::{FaultEvent, FaultPlan};
 pub use router::{RoutePolicy, RouterConfig};
+pub use serve::serve_one_replica;
 pub use shard::{run_sharded, run_sharded_detailed, run_sharded_stream, RegionTier, ShardPlan};
 pub use sim::{ClusterConfig, ClusterOutput, ClusterReport, ClusterSim};
 pub use workload::{

@@ -1,18 +1,23 @@
 //! One serving replica: a [`StepCore`] stepped asynchronously by the
-//! cluster event loop.
+//! cluster event loop. The replica is the core's only driver; a
+//! single-engine run is a one-replica cluster ([`crate::serve_one_replica`]).
 //!
-//! The core plans, prices and commits steps exactly as
-//! `moe_runtime::SimServer` does; the replica only decides *when*. It
-//! exposes step boundaries: the simulator starts a step (planning
-//! admissions/preemptions and pricing it through the simulation's shared
-//! [`PriceCache`]), learns its completion time, and commits it when the
-//! cluster clock reaches that time. Requests dispatched while a step is
-//! in flight join the scheduler's waiting queue and are picked up by the
-//! next plan — the same semantics as a real engine accepting work
-//! mid-iteration. Around the core the replica keeps what only a cluster
-//! member has: liveness, a slowdown factor, the step generation that
-//! invalidates stale completion events, and the mapping from scheduler
-//! ids to cluster request ids.
+//! The core plans, prices and commits steps; the replica only decides
+//! *when*. It exposes step boundaries: the simulator starts a step
+//! (planning admissions/preemptions and pricing it through the
+//! simulation's shared [`PriceCache`]), learns its completion time, and
+//! commits it when the cluster clock reaches that time. Requests
+//! dispatched while a step is in flight join the scheduler's waiting
+//! queue and are picked up by the next plan — the same semantics as a
+//! real engine accepting work mid-iteration. Around the core the replica
+//! keeps what only a cluster member has: liveness, a slowdown factor, the
+//! step generation that invalidates stale completion events, and the
+//! mapping from scheduler ids to cluster request ids.
+//!
+//! When tracing is on, each committed step renders on the replica's track
+//! as a step span with one child per cost-model component, followed by
+//! the scheduler decisions it carried (`admit` / `preempt` at its start,
+//! `finish` at its end) under cluster request ids.
 //!
 //! The replica also models *prefix-cache locality* without token-level
 //! KV: a bounded LRU of shared-prefix group ids. A dispatched request
@@ -25,11 +30,13 @@ use std::collections::BTreeMap;
 
 use moe_gpusim::perfmodel::PerfModel;
 use moe_runtime::request::{Request, RequestId};
-use moe_runtime::scheduler::SchedulerConfig;
+use moe_runtime::scheduler::{SchedEvent, SchedulerConfig};
 use moe_runtime::step::{Finished, PlannedStep, PriceCache, StepCore, StepShape};
+use moe_trace::{Category, Tracer};
 
 use crate::router::ReplicaLoad;
 use crate::workload::ClusterRequest;
+use crate::REPLICA_TRACK_BASE;
 
 /// The step currently executing on the replica.
 #[derive(Debug)]
@@ -37,6 +44,8 @@ struct InFlight {
     step: PlannedStep,
     end_s: f64,
     start_s: f64,
+    /// The replica's slowdown when the step was priced.
+    slowdown: f64,
     /// Monotonic step generation, matched against heap entries so a
     /// completion event scheduled for a step that a crash wiped out is
     /// recognized as stale instead of committing the wrong step.
@@ -84,6 +93,12 @@ impl Replica {
             prefix_misses: 0,
             completed: 0,
         }
+    }
+
+    /// Turn on the scheduler's decision log, drained onto the trace at
+    /// every commit. Only traced runs turn it on.
+    pub fn record_decisions(&mut self) {
+        self.core.set_record_events(true);
     }
 
     /// Queued + running requests (the router's coarse load signal).
@@ -171,35 +186,38 @@ impl Replica {
         if !self.alive || self.in_flight.is_some() {
             return None;
         }
-        let Some(step) = self.core.plan(prices) else {
-            // Nothing runs. Waiting work here would be a request that can
-            // never fit this replica's KV pool: a configuration error,
-            // not a runtime state.
-            debug_assert!(
-                self.outstanding() == 0,
-                "replica {} wedged: waiting work that can never be admitted",
-                self.id
-            );
-            return None;
-        };
+        // Nothing runs when the replica is empty, or when the head of its
+        // waiting queue can never fit the KV pool; the simulator drops
+        // such leftovers when the run drains.
+        let step = self.core.plan(prices)?;
         let end_s = now_s + step.dt_s * self.slowdown;
         self.step_gen += 1;
         self.in_flight = Some(InFlight {
             step,
             end_s,
             start_s: now_s,
+            slowdown: self.slowdown,
             gen: self.step_gen,
         });
         Some((end_s, self.step_gen))
     }
 
-    /// Commit the in-flight step at its completion time. Returns the
-    /// requests that finished, with `id` mapped to the cluster request
-    /// id, plus the step's shape and start time for tracing.
-    pub fn complete_step(&mut self) -> Option<(Vec<Finished>, StepShape, f64)> {
-        let flight = self.in_flight.take()?;
-        let shape = flight.step.shape;
-        let mut done = self.core.commit(flight.step, flight.end_s);
+    /// Commit the in-flight step at its completion time, tracing it into
+    /// `tracer` when enabled (see the module docs). Returns the requests
+    /// that finished, with `id` mapped to the cluster request id.
+    pub fn complete_step(&mut self, tracer: &mut Tracer) -> Option<Vec<Finished>> {
+        let InFlight {
+            step,
+            end_s,
+            start_s,
+            slowdown,
+            ..
+        } = self.in_flight.take()?;
+        let shape = step.shape;
+        let mut done = self.core.commit(step, end_s);
+        if tracer.is_enabled() {
+            self.trace_step(tracer, shape, slowdown, start_s, end_s);
+        }
         done.retain_mut(|f| match self.active.remove(&f.id) {
             Some(cluster_id) => {
                 f.id = cluster_id;
@@ -208,7 +226,47 @@ impl Replica {
             None => false,
         });
         self.completed += done.len();
-        Some((done, shape, flight.start_s))
+        Some(done)
+    }
+
+    /// Emit a committed step and the scheduler decisions it carried onto
+    /// this replica's track. Decisions about requests canceled mid-step
+    /// have no cluster id left and are skipped.
+    fn trace_step(
+        &mut self,
+        tracer: &mut Tracer,
+        shape: StepShape,
+        slowdown: f64,
+        start_s: f64,
+        end_s: f64,
+    ) {
+        let track = REPLICA_TRACK_BASE.saturating_add(self.id as u32);
+        shape
+            .forward_parts(self.core.model())
+            .scaled(slowdown)
+            .emit(tracer, track, shape.label(), start_s, shape.trace_args());
+        for ev in self.core.drain_events() {
+            let (name, id, t_s, arg) = match ev {
+                SchedEvent::Admitted { id, context_tokens } => {
+                    ("admit", id, start_s, ("tokens", context_tokens))
+                }
+                SchedEvent::Preempted { id, preemptions } => {
+                    ("preempt", id, start_s, ("preemptions", preemptions))
+                }
+                SchedEvent::Finished { id, generated } => {
+                    ("finish", id, end_s, ("generated", generated))
+                }
+            };
+            if let Some(&req) = self.active.get(&id) {
+                tracer.instant(
+                    track,
+                    Category::Sched,
+                    name,
+                    t_s,
+                    vec![("req", req.into()), (arg.0, arg.1.into())],
+                );
+            }
+        }
     }
 
     /// Kill the replica: the in-flight step is lost, every resident
@@ -266,7 +324,9 @@ mod tests {
         let mut guard = 0;
         while let Some((end, _)) = r.try_start_step(now, &mut prices) {
             now = end;
-            let (fin, ..) = r.complete_step().expect("step in flight");
+            let fin = r
+                .complete_step(&mut Tracer::disabled())
+                .expect("step in flight");
             done.extend(fin);
             guard += 1;
             assert!(guard < 100_000);
@@ -369,7 +429,9 @@ mod tests {
         r.try_start_step(0.0, &mut PriceCache::new())
             .expect("step starts");
         assert!(r.cancel(sid));
-        let (done, ..) = r.complete_step().expect("step in flight");
+        let done = r
+            .complete_step(&mut Tracer::disabled())
+            .expect("step in flight");
         assert!(done.is_empty(), "canceled request must not complete");
     }
 

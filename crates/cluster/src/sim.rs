@@ -473,7 +473,7 @@ impl ClusterSim {
     }
 
     /// Build a cluster whose replica KV pools are derived from device
-    /// memory, mirroring `SimServer::sized_for`.
+    /// memory through `moe_runtime::simserver::scheduler_config_for`.
     pub fn sized_for(
         model: &PerfModel,
         max_seq: usize,
@@ -524,8 +524,9 @@ impl ClusterSim {
     }
 
     /// Run to completion and build the report, recording router
-    /// decisions, per-replica step spans and queue counters into
-    /// `tracer` (see `docs/CLUSTER.md`). Callers wanting no tracing pass
+    /// decisions, per-replica step spans with their cost-model children
+    /// and scheduler decisions, and queue counters into `tracer` (see
+    /// `docs/CLUSTER.md`). Callers wanting no tracing pass
     /// [`Tracer::disabled`] — the event sequence and report are
     /// identical, with no recording overhead.
     pub fn run(mut self, tracer: &mut Tracer) -> ClusterReport {
@@ -535,9 +536,10 @@ impl ClusterSim {
             if self.controller.is_some() {
                 self.tracer.name_track(CONTROL_TRACK, "control");
             }
-            for i in 0..self.replicas.len() {
+            for (i, replica) in self.replicas.iter_mut().enumerate() {
                 let track = REPLICA_TRACK_BASE.saturating_add(i as u32);
                 self.tracer.name_track(track, &format!("replica {i}"));
+                replica.record_decisions();
             }
         }
         let (report, finished) = self.run_consume();
@@ -705,18 +707,7 @@ impl ClusterSim {
             return;
         }
         self.events += 1;
-        if let Some((finished, shape, start_s)) = self.replicas[idx].complete_step() {
-            if self.tracer.is_enabled() {
-                let track = REPLICA_TRACK_BASE.saturating_add(idx as u32);
-                self.tracer.span_with(
-                    track,
-                    Category::Step,
-                    shape.label(),
-                    start_s,
-                    now - start_s,
-                    vec![("batch", shape.batch().into())],
-                );
-            }
+        if let Some(finished) = self.replicas[idx].complete_step(&mut self.tracer) {
             for f in finished {
                 self.finish_request(idx, f);
             }
@@ -1072,6 +1063,11 @@ impl ClusterSim {
                 let mut replica =
                     Replica::new(idx, spec.model, spec.sched, self.cfg.prefix_capacity);
                 replica.alive = false; // provisioning until the ready event
+                if self.tracer.is_enabled() {
+                    let track = REPLICA_TRACK_BASE.saturating_add(idx as u32);
+                    self.tracer.name_track(track, &format!("replica {idx}"));
+                    replica.record_decisions();
+                }
                 self.replicas.push(replica);
                 self.loads.push(ReplicaLoad {
                     alive: false,
@@ -1094,10 +1090,6 @@ impl ClusterSim {
                 self.reconfigs += 1;
                 self.dynamic_fleet = true;
                 self.heap.push_at(ready_s, Source::Reconfig, idx as u64);
-                if self.tracer.is_enabled() {
-                    let track = REPLICA_TRACK_BASE.saturating_add(idx as u32);
-                    self.tracer.name_track(track, &format!("replica {idx}"));
-                }
                 self.trace_instant(
                     CONTROL_TRACK,
                     "provision",
@@ -1182,19 +1174,12 @@ impl ClusterSim {
         }
     }
 
-    /// Anything still parked when no event source remains can never be
-    /// served (every replica is down with no recovery scheduled): drop it.
+    /// Anything still live when no event source remains can never be
+    /// served: parked at the router with every replica down for good, or
+    /// resident on a replica whose KV pool can never admit it. Drop it.
     fn drain_unservable(&mut self) {
-        let leftovers: Vec<u64> = self
-            .live
-            .iter()
-            .filter(|(_, l)| matches!(l.state, ReqState::AtRouter | ReqState::Backoff))
-            .map(|(id, _)| *id)
-            .collect();
-        for id in leftovers {
-            self.live.remove(&id);
-            self.dropped += 1;
-        }
+        self.dropped += self.live.len();
+        self.live.clear();
         self.queue.clear();
         self.queue_dead = 0;
     }
@@ -1824,14 +1809,17 @@ mod tests {
                 _ => None,
             })
             .collect();
-        assert!(instants.contains(&"dispatch"));
-        assert!(instants.contains(&"crash"));
-        assert!(instants.contains(&"recover"));
-        // Per-replica step spans landed on replica tracks.
-        assert!(evs.iter().any(|e| matches!(
-            e,
-            TraceEvent::Span { track, .. } if *track >= REPLICA_TRACK_BASE
-        )));
+        for name in ["dispatch", "crash", "recover", "admit", "finish"] {
+            assert!(instants.contains(&name), "no {name} instant");
+        }
+        // Per-replica step spans, with their kernel children, landed on
+        // replica tracks.
+        for name in ["decode", "moe-ffn"] {
+            assert!(evs.iter().any(|e| matches!(
+                e,
+                TraceEvent::Span { track, name: n, .. } if *track >= REPLICA_TRACK_BASE && n == name
+            )));
+        }
         // Queue counter sampled.
         assert!(evs.iter().any(
             |e| matches!(e, TraceEvent::Counter { name, .. } if name == "router-queue-depth")

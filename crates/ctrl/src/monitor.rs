@@ -102,7 +102,11 @@ mod tests {
     use super::*;
 
     fn hist(samples: &[f64]) -> Histogram {
-        Histogram::from_samples(samples)
+        let mut h = Histogram::new();
+        for &s in samples {
+            h.record(s);
+        }
+        h
     }
 
     #[test]

@@ -19,11 +19,6 @@ use crate::score::{accuracy_proxy, build_engine, measured_meets_slo, WorkloadSke
 use crate::spec::PlannerSpec;
 use crate::{Infeasible, PLANNER_TRACK};
 
-/// Replica-track headroom: `moe-cluster` maps replica `i` to trace track
-/// `REPLICA_TRACK_BASE + i`, which collides with request tracks past 7
-/// replicas — larger candidates are simulated untraced.
-const MAX_TRACED_REPLICAS: usize = 7;
-
 /// Measured (simulated) serving quality of one candidate under the
 /// materialized workload trace.
 #[derive(Debug, Clone, PartialEq, ToJson, FromJson)]
@@ -106,12 +101,7 @@ fn simulate_policy(
         seed: derive_seed(spec.seed, 0x9e37),
         ..ClusterConfig::default()
     };
-    let sim = ClusterSim::new(engine, sched, cfg, FaultPlan::none(), trace.clone());
-    if tracer.is_enabled() && config.replicas <= MAX_TRACED_REPLICAS {
-        sim.run(tracer)
-    } else {
-        sim.run(&mut Tracer::disabled())
-    }
+    ClusterSim::new(engine, sched, cfg, FaultPlan::none(), trace.clone()).run(tracer)
 }
 
 /// Refine one candidate: sweep the policy knob through the cluster

@@ -9,12 +9,13 @@
 //! * a **continuous-batching scheduler**: FCFS admission of prefills under
 //!   a token budget, batched decode for running sequences,
 //!   recompute-style preemption under memory pressure ([`scheduler`]);
-//! * the **step core** every simulated serving loop shares: plan a step,
-//!   price it through a shape-keyed cache, commit it, report finished
-//!   requests with their first-token times ([`step`]);
-//! * a **simulated server** that drives the step core on its own clock
-//!   and reports per-request TTFT / ITL / E2E and aggregate throughput
-//!   ([`simserver`]);
+//! * the **step core** of simulated serving: plan a step, price it
+//!   through a shape-keyed cache, commit it, report finished requests
+//!   with their first-token times ([`step`]). One driver steps it: the
+//!   `moe-cluster` replica, which a one-replica cluster also uses for
+//!   every single-engine serving experiment;
+//! * **KV-pool sizing** from the device memory a model leaves free
+//!   ([`simserver::scheduler_config_for`]);
 //! * a **live server** that runs the same scheduler over the *real*
 //!   `moe-engine` executor on down-scaled models, proving the scheduling
 //!   machinery does not change model outputs ([`liveserver`]);
@@ -33,6 +34,5 @@ pub mod simserver;
 pub mod step;
 
 pub use blockmgr::BlockManager;
-pub use request::{Request, RequestId, RequestOutput, SeqState};
+pub use request::{Request, RequestId, SeqState};
 pub use scheduler::{Scheduler, SchedulerConfig, StepPlan};
-pub use simserver::{SimReport, SimServer};

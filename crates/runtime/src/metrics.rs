@@ -63,11 +63,6 @@ pub struct LatencySummary {
 }
 
 impl LatencySummary {
-    /// Summarize a sample slice (all zeros for an empty slice).
-    pub fn of(xs: &[f64]) -> Self {
-        Self::from_histogram(&Histogram::from_samples(xs))
-    }
-
     /// Summarize an already-accumulated histogram.
     pub fn from_histogram(h: &Histogram) -> Self {
         Self {
@@ -84,6 +79,14 @@ impl LatencySummary {
 mod tests {
     use super::*;
 
+    fn summary(xs: &[f64]) -> LatencySummary {
+        let mut h = Histogram::new();
+        for &x in xs {
+            h.record(x);
+        }
+        LatencySummary::from_histogram(&h)
+    }
+
     #[test]
     fn percentile_nearest_rank() {
         let xs = [5.0, 1.0, 3.0, 2.0, 4.0];
@@ -95,7 +98,7 @@ mod tests {
     #[test]
     fn summary_fields_consistent() {
         let xs = [1.0, 2.0, 3.0, 4.0];
-        let s = LatencySummary::of(&xs);
+        let s = summary(&xs);
         assert_eq!(s.mean_s, 2.5);
         assert_eq!(s.max_s, 4.0);
         assert!(s.p50_s <= s.p95_s);
@@ -109,17 +112,10 @@ mod tests {
         // p99 lands on the straggler.
         let mut xs = vec![0.01; 49];
         xs.push(1.0);
-        let s = LatencySummary::of(&xs);
+        let s = summary(&xs);
         assert!(s.p50_s < 0.02);
         assert!(s.p99_s > 0.9, "p99 {}", s.p99_s);
         assert_eq!(s.max_s, 1.0);
-    }
-
-    #[test]
-    fn summary_matches_histogram_path() {
-        let xs = [0.2, 0.4, 0.6];
-        let h = moe_trace::Histogram::from_samples(&xs);
-        assert_eq!(LatencySummary::of(&xs), LatencySummary::from_histogram(&h));
     }
 
     #[test]

@@ -181,8 +181,12 @@ impl Scheduler {
         }
     }
 
-    pub fn config(&self) -> &SchedulerConfig {
-        &self.cfg
+    /// Drop every sequence and restart cold under the same config,
+    /// keeping decision recording as it was.
+    pub fn reset(&mut self) {
+        let record_events = self.record_events;
+        *self = Self::new(self.cfg);
+        self.record_events = record_events;
     }
 
     /// Turn decision recording on or off (off by default).
@@ -775,6 +779,27 @@ mod tests {
         );
         assert!(s.drain_events().is_empty(), "drain consumes");
         let _ = a;
+    }
+
+    #[test]
+    fn reset_restarts_cold_and_keeps_recording() {
+        let mut s = Scheduler::new(small_cfg());
+        s.set_record_events(true);
+        s.submit(Request::new(10, 4));
+        s.plan_step();
+        s.reset();
+        assert!(s.drain_events().is_empty(), "pending decisions are dropped");
+        assert_eq!(s.num_running() + s.num_waiting(), 0);
+        let id = s.submit(Request::new(10, 4));
+        assert_eq!(id, 0, "ids restart");
+        s.plan_step();
+        assert_eq!(
+            s.drain_events(),
+            vec![SchedEvent::Admitted {
+                id,
+                context_tokens: 10
+            }]
+        );
     }
 
     #[test]

@@ -1,10 +1,10 @@
-//! The serving step core shared by every simulated serving loop:
-//! [`StepCore`] plans a step, prices it through a [`PriceCache`], commits
-//! it at its end time and reports the requests that finished with their
-//! first-token times. The drivers differ only in how they keep time:
-//! [`crate::SimServer`] runs one clock to completion, while a
-//! `moe-cluster` replica plans and commits at separate events of a shared
-//! event loop and may cancel requests in between.
+//! The serving step core of simulated serving: [`StepCore`] plans a
+//! step, prices it through a [`PriceCache`], commits it at its end time
+//! and reports the requests that finished with their first-token times.
+//! It keeps no clock. Its one driver is the `moe-cluster` replica, which
+//! plans and commits at separate events of the cluster's event loop and
+//! may cancel requests in between; single-engine experiments run it as a
+//! one-replica cluster.
 
 use std::collections::BTreeMap;
 
@@ -38,14 +38,8 @@ impl StepShape {
         }
     }
 
-    pub fn batch(&self) -> usize {
-        match *self {
-            Self::Prefill { batch, .. } | Self::Decode { batch, .. } => batch,
-        }
-    }
-
-    /// Arguments of the step's engine span.
-    pub(crate) fn trace_args(&self) -> Vec<(&'static str, ArgValue)> {
+    /// Arguments of the step's trace span.
+    pub fn trace_args(&self) -> Vec<(&'static str, ArgValue)> {
         match *self {
             Self::Prefill { tokens, batch, .. } => {
                 vec![("batch", batch.into()), ("tokens", tokens.into())]
@@ -80,7 +74,7 @@ impl StepShape {
     }
 
     /// The step's additive cost breakdown under `model`, for tracing.
-    pub(crate) fn forward_parts(&self, model: &PerfModel) -> StepParts {
+    pub fn forward_parts(&self, model: &PerfModel) -> StepParts {
         let (tokens, batch, ctx, phase) = self.forward_args();
         model.forward_parts(tokens, batch, ctx, phase)
     }
@@ -143,7 +137,7 @@ impl StepCore {
         }
     }
 
-    pub(crate) fn model(&self) -> &PerfModel {
+    pub fn model(&self) -> &PerfModel {
         &self.model
     }
 
@@ -151,17 +145,21 @@ impl StepCore {
         &self.scheduler
     }
 
-    /// Drop every request and restart the scheduler cold.
+    /// Drop every request and restart the scheduler cold. Decision
+    /// recording stays as it was.
     pub fn reset(&mut self) {
-        self.scheduler = Scheduler::new(*self.scheduler.config());
+        self.scheduler.reset();
         self.first_token.clear();
     }
 
-    pub(crate) fn set_record_events(&mut self, on: bool) {
+    /// Turn the scheduler's decision log on or off (see
+    /// [`Scheduler::set_record_events`]).
+    pub fn set_record_events(&mut self, on: bool) {
         self.scheduler.set_record_events(on);
     }
 
-    pub(crate) fn drain_events(&mut self) -> Vec<SchedEvent> {
+    /// Take the decisions recorded since the last drain.
+    pub fn drain_events(&mut self) -> Vec<SchedEvent> {
         self.scheduler.drain_events()
     }
 

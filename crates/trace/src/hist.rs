@@ -49,15 +49,6 @@ impl Histogram {
         }
     }
 
-    /// Build from a sample slice.
-    pub fn from_samples(samples: &[f64]) -> Self {
-        let mut h = Self::new();
-        for &s in samples {
-            h.record(s);
-        }
-        h
-    }
-
     fn bucket_index(v: f64) -> usize {
         if !v.is_finite() || v <= 0.0 {
             return 0;
@@ -232,6 +223,18 @@ impl FromJson for Histogram {
             *slot = c;
         }
         Ok(h)
+    }
+}
+
+#[cfg(test)]
+impl Histogram {
+    /// Build from a sample slice.
+    fn from_samples(samples: &[f64]) -> Self {
+        let mut h = Self::new();
+        for &s in samples {
+            h.record(s);
+        }
+        h
     }
 }
 

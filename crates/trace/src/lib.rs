@@ -1,7 +1,7 @@
 //! # moe-trace
 //!
 //! Structured tracing for the simulator stack. Every layer of the
-//! pipeline — the `moe-gpusim` cost model, the `moe-runtime` serving
+//! pipeline — the `moe-gpusim` cost model, the `moe-cluster` serving
 //! loop, and the `moe-bench` experiment harness — can emit **spans**
 //! (named intervals on the *simulated* clock) and **instant events**
 //! (scheduler decisions, preemptions) into a [`Tracer`]. The collected
@@ -12,7 +12,7 @@
 //! * a human text flame summary ([`flame_summary`]) aggregating time by
 //!   span path, and
 //! * deterministic latency [`Histogram`]s (p50/p95/p99) that back the
-//!   runtime's latency reporting.
+//!   serving loop's latency reporting.
 //!
 //! ## Clocks
 //!
@@ -46,8 +46,5 @@ pub use chrome::chrome_trace_json;
 pub use flame::{flame_summary, timeline_coverage};
 pub use hist::Histogram;
 pub use sink::{MemorySink, NullSink, RingSink, TraceSink};
-pub use span::{
-    ArgValue, Category, TraceEvent, TrackId, BENCH_TRACK, ENGINE_TRACK, REQUEST_TRACK_BASE,
-    SCHED_TRACK,
-};
+pub use span::{ArgValue, Category, TraceEvent, TrackId, BENCH_TRACK, ENGINE_TRACK};
 pub use tracer::Tracer;

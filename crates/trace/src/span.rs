@@ -2,22 +2,16 @@
 
 /// Identifier of one horizontal lane in the trace (a Chrome-trace `tid`).
 ///
-/// By convention in this workspace: track 0 is the engine step timeline,
-/// track 1 the scheduler decision lane, track 2 the bench harness, and
-/// tracks `REQUEST_TRACK_BASE + id` hold per-request span chains.
+/// By convention in this workspace: track 0 is the cost model's engine
+/// step timeline and track 2 the bench harness; `moe-cluster` owns the
+/// tracks from 7 up (control, router, one per replica).
 pub type TrackId = u32;
 
 /// Track carrying engine step spans (prefill/decode and their kernels).
 pub const ENGINE_TRACK: TrackId = 0;
 
-/// Track carrying scheduler decision instants.
-pub const SCHED_TRACK: TrackId = 1;
-
 /// Track carrying bench-harness experiment/sweep grouping spans.
 pub const BENCH_TRACK: TrackId = 2;
-
-/// First track id used for per-request lanes.
-pub const REQUEST_TRACK_BASE: TrackId = 16;
 
 /// Coarse classification of an event, exported as the Chrome-trace
 /// category (`cat`) so the viewer can filter by subsystem.
@@ -31,10 +25,6 @@ pub enum Category {
     Comm,
     /// Scheduler decision: admit, preempt, finish.
     Sched,
-    /// Per-request lifecycle span.
-    Request,
-    /// Memory accounting (KV-block counters).
-    Mem,
     /// Experiment-harness grouping span.
     Bench,
 }
@@ -47,8 +37,6 @@ impl Category {
             Category::Kernel => "kernel",
             Category::Comm => "comm",
             Category::Sched => "sched",
-            Category::Request => "request",
-            Category::Mem => "mem",
             Category::Bench => "bench",
         }
     }

@@ -7,33 +7,33 @@
 //! cargo run --release --example serving_simulation
 //! ```
 
+use moe_inference_bench::cluster::serve_one_replica;
 use moe_inference_bench::engine::model::MoeTransformer;
 use moe_inference_bench::gpusim::perfmodel::PerfModel;
 use moe_inference_bench::model::registry;
 use moe_inference_bench::runtime::liveserver::LiveServer;
-use moe_inference_bench::runtime::request::Request;
 use moe_inference_bench::runtime::scheduler::SchedulerConfig;
-use moe_inference_bench::runtime::simserver::SimServer;
+use moe_inference_bench::runtime::simserver::scheduler_config_for;
 
 fn main() {
     // --- 1. Simulated serving: 48 requests in three bursts on one H100
     //        running OLMoE-1B-7B. ---
     let model = PerfModel::h100(registry::olmoe_1b_7b());
-    let mut server = SimServer::sized_for(model, 4096);
-    for burst in 0..3 {
-        for i in 0..16 {
-            let prompt = 256 + (i % 4) * 256;
-            server.submit(Request::new(prompt, 256).at(burst as f64 * 5.0));
-        }
-    }
-    let report = server.run(&mut moe_trace::Tracer::disabled());
+    let rows: Vec<(f64, usize, usize)> = (0..48)
+        .map(|i| (f64::from(i / 16) * 5.0, 256 + (i as usize % 4) * 256, 256))
+        .collect();
+    let sched = scheduler_config_for(&model, 4096);
+    let report = serve_one_replica(&model, sched, &rows, &mut moe_trace::Tracer::disabled());
     println!("simulated serving of 48 bursty requests (OLMoE-1B-7B, 1xH100):");
     println!(
-        "  makespan        {:>8.2} s over {} engine steps",
-        report.makespan_s, report.steps
+        "  makespan        {:>8.2} s for {} completed requests",
+        report.makespan_s, report.completed
     );
     println!("  throughput      {:>8.0} tok/s", report.throughput_tok_s);
-    println!("  requests/s      {:>8.2}", report.requests_per_s);
+    println!(
+        "  requests/s      {:>8.2}",
+        report.completed as f64 / report.makespan_s
+    );
     println!(
         "  TTFT   mean {:>7.0} ms   p95 {:>7.0} ms",
         report.ttft.mean_s * 1e3,
@@ -44,7 +44,6 @@ fn main() {
         report.itl.mean_s * 1e3,
         report.itl.p95_s * 1e3
     );
-    println!("  preemptions     {:>8}", report.preemptions);
 
     // --- 2. Live serving on the real executor with a deliberately tiny
     //        KV pool: preemption and recompute must not change outputs. ---

@@ -9,13 +9,12 @@
 //! prints the flame summary plus a latency histogram. See
 //! `docs/OBSERVABILITY.md` for how to read the output.
 
+use moe_cluster::serve_one_replica;
 use moe_gpusim::perfmodel::PerfModel;
 use moe_model::registry::olmoe_1b_7b;
-use moe_runtime::request::Request;
-use moe_runtime::simserver::SimServer;
+use moe_runtime::simserver::scheduler_config_for;
 use moe_trace::{
-    chrome_trace_json, flame_summary, Category, Histogram, MemorySink, Tracer, BENCH_TRACK,
-    ENGINE_TRACK,
+    chrome_trace_json, flame_summary, Category, MemorySink, Tracer, BENCH_TRACK, ENGINE_TRACK,
 };
 
 fn main() -> std::io::Result<()> {
@@ -48,13 +47,17 @@ fn main() -> std::io::Result<()> {
     //    instead of overlapping it at t = 0.
     tracer.advance(run.e2e_s);
 
-    // 3. Trace a serving run: scheduler decisions, per-request lanes and
-    //    KV counters join the engine spans.
-    let mut server = SimServer::sized_for(PerfModel::h100(olmoe_1b_7b()), 1024);
-    for i in 0..12 {
-        server.submit(Request::new(256, 64).at(0.05 * i as f64));
-    }
-    let report = server.run(&mut tracer);
+    // 3. Trace a serving run on a one-replica cluster: router decisions,
+    //    replica steps with their kernel children, scheduler decisions and
+    //    queue counters join the timeline.
+    let model = PerfModel::h100(olmoe_1b_7b());
+    let rows: Vec<(f64, usize, usize)> = (0..12).map(|i| (0.05 * f64::from(i), 256, 64)).collect();
+    let report = serve_one_replica(
+        &model,
+        scheduler_config_for(&model, 1024),
+        &rows,
+        &mut tracer,
+    );
     tracer.span_with(
         BENCH_TRACK,
         Category::Bench,
@@ -66,18 +69,14 @@ fn main() -> std::io::Result<()> {
     tracer.advance(report.makespan_s);
     println!(
         "serving: {} requests in {:.3} s, ttft p50 {:.1} ms / p99 {:.1} ms",
-        report.outputs.len(),
+        report.completed,
         report.makespan_s,
         report.ttft.p50_s * 1e3,
         report.ttft.p99_s * 1e3
     );
 
-    // 4. The histogram type behind the report's percentiles, standalone.
-    let mut hist = Histogram::new();
-    for out in &report.outputs {
-        hist.record(out.first_token_s - out.arrival_s);
-    }
-    println!("{}", hist.render_ms("ttft"));
+    // 4. The histogram behind the report's TTFT percentiles.
+    println!("{}", report.ttft_hist.render_ms("ttft"));
 
     // 5. Render: Chrome-trace JSON for Perfetto + text flame summary.
     let events = tracer.snapshot();

@@ -175,6 +175,54 @@ fn ext_cluster_fast_tracing_does_not_perturb_report() {
     assert!(trace.contains("replica 0"), "replica tracks missing");
 }
 
+fn traced_qps() -> (String, String) {
+    let mut tracer = moe_trace::Tracer::new(Box::new(moe_trace::MemorySink::new()));
+    let report =
+        moe_bench::run_experiment("ext-qps", true, &mut tracer).expect("ext-qps is registered");
+    let trace = moe_trace::chrome_trace_json(&tracer.snapshot(), tracer.tracks());
+    (moe_json::to_string_pretty(&report), trace)
+}
+
+/// The single-engine serving path (a one-replica cluster whose replica
+/// track carries kernel children and scheduler decisions). Same seed,
+/// twice, must render byte-identical report JSON *and* byte-identical
+/// Chrome-trace JSON.
+#[test]
+fn ext_qps_fast_report_and_trace_are_byte_identical_across_runs() {
+    let (report1, trace1) = traced_qps();
+    let (report2, trace2) = traced_qps();
+    assert!(trace1.contains("\"traceEvents\""));
+    assert_eq!(
+        report1, report2,
+        "ext-qps report JSON differs between same-seed runs"
+    );
+    assert_eq!(
+        trace1, trace2,
+        "ext-qps Chrome-trace JSON differs between same-seed runs"
+    );
+}
+
+/// Serving-path tracing must observe, never perturb: the traced ext-qps
+/// report equals the untraced one byte for byte, and the replica track
+/// carries kernel children and scheduler decisions.
+#[test]
+fn ext_qps_fast_tracing_does_not_perturb_report() {
+    let plain = moe_json::to_string_pretty(
+        &moe_bench::run_experiment("ext-qps", true, &mut moe_trace::Tracer::disabled())
+            .expect("ext-qps is registered"),
+    );
+    let (traced, trace) = traced_qps();
+    assert_eq!(plain, traced, "tracing changed the ext-qps report");
+    let parsed = moe_json::parse(&trace).expect("trace is well-formed JSON");
+    assert!(parsed.get("traceEvents").is_some());
+    for name in ["replica 0", "moe-ffn", "admit", "finish"] {
+        assert!(
+            trace.contains(name),
+            "{name} missing from the ext-qps trace"
+        );
+    }
+}
+
 /// Full `moe-bench all --fast` pass: every report plus the composed
 /// multi-experiment Chrome trace, rendered to bytes.
 fn traced_run_all() -> (String, String) {

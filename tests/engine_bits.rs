@@ -9,25 +9,22 @@
 //! DeepSeek-VL2-Tiny analogue. The digests were recorded before the
 //! multi-chain kernels replaced the single-chain loops.
 
+mod common;
+
+use common::{fnv1a, FNV_OFFSET};
 use moe_engine::{KvStore, MoeTransformer};
 use moe_eval::activation::analogue_config;
 use moe_model::registry::{deepseek_vl2_tiny, tiny_test_model};
 use moe_tensor::Matrix;
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0100_0000_01b3;
 
 /// Digest of [`engine_digest`] on `tiny_test_model(8, 2)`, seed 11.
 const TINY_DIGEST: u64 = 0xb16a_69d6_c08f_5865;
 /// Digest of [`engine_digest`] on the DeepSeek-VL2-Tiny analogue, seed 11.
 const VL2_ANALOGUE_DIGEST: u64 = 0x0a54_d0e8_f750_9237;
 
-fn fnv1a(hash: &mut u64, logits: &Matrix) {
+fn hash_logits(hash: &mut u64, logits: &Matrix) {
     for v in logits.as_slice() {
-        for byte in v.to_bits().to_le_bytes() {
-            *hash ^= u64::from(byte);
-            *hash = hash.wrapping_mul(FNV_PRIME);
-        }
+        fnv1a(hash, &v.to_bits().to_le_bytes());
     }
 }
 
@@ -47,8 +44,8 @@ fn engine_digest(mut model: MoeTransformer) -> u64 {
         let prompt = tokens(32, vocab, 0);
         let positions: Vec<usize> = (0..prompt.len()).collect();
         let mut kv = model.new_kv();
-        fnv1a(&mut hash, &model.forward(&prompt, &positions, &mut kv));
-        fnv1a(&mut hash, &model.forward(&[prompt[7]], &[32], &mut kv));
+        hash_logits(&mut hash, &model.forward(&prompt, &positions, &mut kv));
+        hash_logits(&mut hash, &model.forward(&[prompt[7]], &[32], &mut kv));
 
         let mut caches = Vec::new();
         let mut step_tokens = Vec::new();
@@ -57,14 +54,14 @@ fn engine_digest(mut model: MoeTransformer) -> u64 {
             let p = tokens(5 + 4 * seq, vocab, seq + 1);
             let positions: Vec<usize> = (0..p.len()).collect();
             let mut kv = model.new_kv();
-            fnv1a(&mut hash, &model.forward(&p, &positions, &mut kv));
+            hash_logits(&mut hash, &model.forward(&p, &positions, &mut kv));
             caches.push(kv);
             step_tokens.push(p[seq]);
             step_positions.push(p.len());
         }
         let mut stores: Vec<&mut dyn KvStore> =
             caches.iter_mut().map(|kv| kv as &mut dyn KvStore).collect();
-        fnv1a(
+        hash_logits(
             &mut hash,
             &model.forward_multi(&step_tokens, &step_positions, &mut stores),
         );

@@ -13,6 +13,9 @@
 //! unevenly, each with all-resident and offloaded experts. The digest was
 //! recorded before each layer kind was priced once per walk.
 
+mod common;
+
+use common::{fnv1a, FNV_OFFSET};
 use moe_gpusim::device::Cluster;
 use moe_gpusim::perfmodel::{EngineOptions, PerfModel, Phase, RunMetrics};
 use moe_gpusim::{ExpertResidency, OomError, ParallelPlan};
@@ -22,9 +25,6 @@ use moe_model::registry::{
 use moe_model::ModelConfig;
 use moe_plan::score::candidate_model;
 use moe_tensor::rng::{rng_from_seed, DetRng};
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0100_0000_01b3;
 
 /// Digest of [`pricing_digest`].
 const GOLDEN_DIGEST: u64 = 0x6102_afa8_2729_060c;
@@ -36,15 +36,12 @@ const VALID_COMBOS: usize = 82;
 /// Seeded `(tokens, batch, ctx, phase)` points priced per combination.
 const POINTS: usize = 24;
 
-fn fnv1a(hash: &mut u64, word: u64) {
-    for byte in word.to_le_bytes() {
-        *hash ^= u64::from(byte);
-        *hash = hash.wrapping_mul(FNV_PRIME);
-    }
+fn hash_u64(hash: &mut u64, word: u64) {
+    fnv1a(hash, &word.to_le_bytes());
 }
 
 fn hash_f64(hash: &mut u64, x: f64) {
-    fnv1a(hash, x.to_bits());
+    hash_u64(hash, x.to_bits());
 }
 
 fn models() -> Vec<ModelConfig> {
@@ -106,7 +103,7 @@ fn hash_run(hash: &mut u64, run: Result<RunMetrics, OomError>) {
                 hash_f64(hash, x);
             }
         }
-        Err(_) => fnv1a(hash, u64::MAX),
+        Err(_) => hash_u64(hash, u64::MAX),
     }
 }
 
@@ -160,7 +157,7 @@ fn pricing_digest() -> (u64, usize) {
                     continue;
                 };
                 valid += 1;
-                fnv1a(&mut hash, seed);
+                hash_u64(&mut hash, seed);
                 hash_model(&mut hash, &m, &mut rng_from_seed(seed));
             }
         }

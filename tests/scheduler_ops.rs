@@ -14,11 +14,11 @@
 //! id-keyed maps to dense id-indexed vectors, so any change of decision
 //! shows up here.
 
+mod common;
+
+use common::{fnv1a, FNV_OFFSET};
 use moe_runtime::{Request, RequestId, Scheduler, SchedulerConfig, SeqState, StepPlan};
 use moe_tensor::rng::{rng_from_seed, DetRng};
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0100_0000_01b3;
 
 /// Digest of every run of [`drive`] over [`CONFIGS`] and [`SEEDS`].
 const GOLDEN_DIGEST: u64 = 0xab62_8e96_aafb_4d52;
@@ -33,11 +33,8 @@ const SEEDS: std::ops::Range<u64> = 0..12;
 const CONFIGS: [(usize, usize, usize); 4] =
     [(4, 64, 20), (8, 256, 24), (32, 512, 40), (64, 8192, 4096)];
 
-fn fnv1a(hash: &mut u64, word: u64) {
-    for byte in word.to_le_bytes() {
-        *hash ^= u64::from(byte);
-        *hash = hash.wrapping_mul(FNV_PRIME);
-    }
+fn hash_u64(hash: &mut u64, word: u64) {
+    fnv1a(hash, &word.to_le_bytes());
 }
 
 fn hash_plan(hash: &mut u64, plan: &StepPlan) {
@@ -46,12 +43,12 @@ fn hash_plan(hash: &mut u64, plan: &StepPlan) {
         StepPlan::Decode { ids } => (1, ids.as_slice(), 0),
         StepPlan::Idle => (2, &[][..], 0),
     };
-    fnv1a(hash, kind);
-    fnv1a(hash, ids.len() as u64);
+    hash_u64(hash, kind);
+    hash_u64(hash, ids.len() as u64);
     for &id in ids {
-        fnv1a(hash, id);
+        hash_u64(hash, id);
     }
-    fnv1a(hash, tokens as u64);
+    hash_u64(hash, tokens as u64);
 }
 
 /// Per-run bookkeeping: what happened to each id, one entry per
@@ -63,8 +60,8 @@ struct Ledger {
 
 impl Ledger {
     fn finish(&mut self, hash: &mut u64, id: RequestId) {
-        fnv1a(hash, 3);
-        fnv1a(hash, id);
+        hash_u64(hash, 3);
+        hash_u64(hash, id);
         self.finished[id as usize] += 1;
     }
 }
@@ -119,9 +116,9 @@ fn cancel_some(s: &mut Scheduler, rng: &mut DetRng, ledger: &mut Ledger, hash: &
     }
     let id = rng.next_below(submitted) as RequestId;
     let ok = s.cancel(id);
-    fnv1a(hash, 4);
-    fnv1a(hash, id);
-    fnv1a(hash, u64::from(ok));
+    hash_u64(hash, 4);
+    hash_u64(hash, id);
+    hash_u64(hash, u64::from(ok));
     if ok {
         assert!(s.seq(id).is_none(), "canceled record is gone");
         ledger.canceled[id as usize] = true;

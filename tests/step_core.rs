@@ -1,20 +1,61 @@
-//! Differential test of the serving step core: `SimServer` and a
-//! one-replica round-robin `ClusterSim` drive the same core over the same
-//! Poisson trace, so every request must see bit-identical first-token
-//! and finish times, the same generated count, and the same makespan —
-//! with a roomy KV pool and with a tight pool that forces preemption.
+//! Differential test of the single serving driver: the one-replica
+//! cluster (`moe_cluster::serve_one_replica`) against a minimal
+//! `StepCore` clock loop written here as the reference — deliver the
+//! arrivals that are due, then plan and commit one step. Over the same
+//! Poisson trace every request must see bit-identical first-token and
+//! finish times and the same generated count, and the runs the same
+//! makespan — with a roomy KV pool and with a tight pool that forces
+//! preemption.
 
-use moe_cluster::{
-    generate, ClusterConfig, ClusterSim, FaultPlan, RoutePolicy, TenantSpec, WorkloadSpec,
-};
+use moe_cluster::{generate, serve_one_replica, TenantSpec, WorkloadSpec};
 use moe_gpusim::perfmodel::PerfModel;
 use moe_model::registry::olmoe_1b_7b;
 use moe_runtime::simserver::scheduler_config_for;
-use moe_runtime::{Request, SchedulerConfig, SimServer};
+use moe_runtime::step::{Finished, PriceCache, StepCore};
+use moe_runtime::{Request, SchedulerConfig};
 use moe_trace::Tracer;
 
 const REQUESTS: usize = 300;
 
+/// Arrivals closer than this to the clock are due (the cluster's round
+/// coalescing window).
+const EPS: f64 = 1e-9;
+
+/// The reference driver: one clock, arrivals delivered before each plan,
+/// an idle core jumping to the next arrival. Returns the finished
+/// requests in id order and the makespan.
+fn reference(
+    model: &PerfModel,
+    sched: SchedulerConfig,
+    rows: &[(f64, usize, usize)],
+) -> (Vec<Finished>, f64) {
+    let mut core = StepCore::new(model.clone(), sched);
+    let mut prices = PriceCache::new();
+    let (mut now, mut next, mut done) = (0.0f64, 0, Vec::new());
+    loop {
+        while let Some(&(arrival_s, prompt, new)) = rows.get(next) {
+            if arrival_s > now + EPS {
+                break;
+            }
+            core.submit(Request::new(prompt, new));
+            next += 1;
+        }
+        match core.plan(&mut prices) {
+            Some(step) => {
+                now += step.dt_s;
+                done.extend(core.commit(step, now));
+            }
+            None => match rows.get(next) {
+                Some(&(arrival_s, ..)) => now = now.max(arrival_s),
+                None => break,
+            },
+        }
+    }
+    done.sort_by_key(|f| f.id);
+    (done, now)
+}
+
+/// Check one seed and pool; returns the reference's total preemptions.
 fn check(seed: u64, total_blocks: usize, qps: f64) -> usize {
     let model = PerfModel::h100(olmoe_1b_7b());
     let sched = SchedulerConfig {
@@ -26,70 +67,56 @@ fn check(seed: u64, total_blocks: usize, qps: f64) -> usize {
         REQUESTS,
         TenantSpec::uniform("t", 1.0, (32, 2048), (1, 256)),
     );
-    let trace = generate(&spec, seed);
+    let rows: Vec<(f64, usize, usize)> = generate(&spec, seed)
+        .requests
+        .iter()
+        .map(|r| (r.arrival_s, r.prompt_len, r.max_new_tokens))
+        .collect();
 
-    let mut server = SimServer::new(model.clone(), sched);
-    for r in &trace.requests {
-        server.submit(Request::new(r.prompt_len, r.max_new_tokens).at(r.arrival_s));
-    }
-    let sim = server.run(&mut Tracer::disabled());
-
-    let cfg = ClusterConfig {
-        replicas: 1,
-        policy: RoutePolicy::RoundRobin,
-        retain_outputs: true,
-        ..ClusterConfig::default()
-    };
-    let cluster = ClusterSim::new(&model, sched, cfg, FaultPlan::default(), trace.clone())
-        .run(&mut Tracer::disabled());
+    let (want, makespan_s) = reference(&model, sched, &rows);
+    let got = serve_one_replica(&model, sched, &rows, &mut Tracer::disabled());
 
     let what = format!("seed {seed}, {total_blocks} blocks");
-    assert_eq!(sim.outputs.len(), REQUESTS, "{what}");
-    assert_eq!(cluster.outputs.len(), REQUESTS, "{what}");
+    assert_eq!(want.len(), REQUESTS, "{what}");
+    assert_eq!(got.completed, REQUESTS, "{what}");
+    assert_eq!(got.outputs.len(), REQUESTS, "{what}");
     assert_eq!(
-        sim.makespan_s.to_bits(),
-        cluster.makespan_s.to_bits(),
+        got.makespan_s.to_bits(),
+        makespan_s.to_bits(),
         "{what}: makespan"
     );
-    for (s, r) in sim.outputs.iter().zip(&trace.requests) {
-        let matches: Vec<_> = cluster.outputs.iter().filter(|c| c.id == r.id).collect();
+    for (w, g) in want.iter().zip(&got.outputs) {
+        assert_eq!(w.id, g.id, "{what}: request order");
         assert_eq!(
-            matches.len(),
-            1,
-            "{what}: request {} not reported once",
-            r.id
-        );
-        let c = matches[0];
-        assert_eq!(
-            s.generated, c.generated,
+            w.generated, g.generated,
             "{what}: request {} generated",
-            r.id
+            w.id
         );
         assert_eq!(
-            s.first_token_s.to_bits(),
-            c.first_token_s.to_bits(),
+            w.first_token_s.to_bits(),
+            g.first_token_s.to_bits(),
             "{what}: request {} first token",
-            r.id
+            w.id
         );
         assert_eq!(
-            s.finish_s.to_bits(),
-            c.finish_s.to_bits(),
+            w.finish_s.to_bits(),
+            g.finish_s.to_bits(),
             "{what}: request {} finish",
-            r.id
+            w.id
         );
     }
-    sim.preemptions
+    want.iter().map(|f| f.preemptions).sum()
 }
 
 #[test]
-fn sim_server_matches_one_replica_cluster_with_a_roomy_pool() {
+fn one_replica_cluster_matches_a_step_core_loop_with_a_roomy_pool() {
     for seed in 0..4 {
         check(seed, 100_000, 20.0);
     }
 }
 
 #[test]
-fn sim_server_matches_one_replica_cluster_under_preemption() {
+fn one_replica_cluster_matches_a_step_core_loop_under_preemption() {
     for seed in 0..4 {
         let preemptions = check(seed, 400, 200.0);
         assert!(preemptions > 0, "seed {seed}: the tight pool must preempt");
