@@ -3,7 +3,7 @@
 
 use moe_bench::timing::Runner;
 use moe_engine::attention::{attention_forward, AttentionParams};
-use moe_engine::moe::expert_forward_batch;
+use moe_engine::moe::moe_forward_fused;
 use moe_engine::{ContiguousKv, KvStore, ModelWeights};
 use moe_eval::activation::analogue_config;
 use moe_model::registry::deepseek_vl2_tiny;
@@ -60,12 +60,12 @@ fn main() {
     let layer = &weights.layers[0];
     let x = Matrix::random(32, cfg.hidden_size, 4, 0.5);
     r.bench("gemv/64x64", || black_box(gemv(&layer.wq, x.row(0))));
-    r.bench("matmul_transposed/32x64x256", || {
-        black_box(x.matmul_transposed(&weights.lm_head))
-    });
-    let group = x.gather_rows(&[0, 1, 2]);
-    r.bench("expert_ffn/3x64x32", || {
-        black_box(expert_forward_batch(&layer.experts[0], &group))
+    r.bench("matmul/32x64x256", || black_box(x.matmul(&weights.lm_head)));
+    // One 32-token chunk through the MoE block: the analogue's own router
+    // picks 6 of 64 experts per row, then grouped dispatch runs them.
+    let moe = cfg.moe.clone().expect("the analogue is an MoE model");
+    r.bench("moe_ffn/chunk32", || {
+        black_box(moe_forward_fused(layer, &moe, &x, None, None, 0))
     });
     let params = AttentionParams {
         num_heads: cfg.num_heads,
@@ -74,9 +74,25 @@ fn main() {
         rope_theta: cfg.rope_theta,
     };
     let history = Matrix::random(63, cfg.hidden_size, 5, 0.5);
-    let positions: Vec<usize> = (0..63).collect();
+    let positions: Vec<usize> = (0..64).collect();
     let mut kv = ContiguousKv::new(1, params.kv_dim());
-    attention_forward(&params, layer, &history, &positions, &mut kv, 0);
+    let (first, second) = positions.split_at(32);
+    attention_forward(
+        &params,
+        layer,
+        &history.gather_rows(first),
+        first,
+        &mut kv,
+        0,
+    );
+    // The second 32-token chunk of a 64-token document.
+    r.bench("attention/chunk32", || {
+        kv.truncate(32);
+        black_box(attention_forward(&params, layer, &x, second, &mut kv, 0))
+    });
+    kv.truncate(32);
+    let rest = &second[..31];
+    attention_forward(&params, layer, &history.gather_rows(rest), rest, &mut kv, 0);
     let row = x.gather_rows(&[0]);
     r.bench("attention_row/ctx64", || {
         kv.truncate(63);

@@ -129,13 +129,25 @@ impl Replica {
 
     /// Accept a dispatched request. Consults the prefix LRU: a resident
     /// group discounts the effective prefill length by the shared prefix
-    /// (at least one token always runs). Returns the scheduler-local id.
-    pub fn enqueue(&mut self, req: &ClusterRequest) -> RequestId {
-        let mut effective = req.prompt_len;
-        if req.prefix_len > 0 && self.prefix_capacity > 0 {
-            if self.prefix_lookup(req.prefix_group) {
+    /// (at least one token always runs). Returns the scheduler-local id,
+    /// or `None` when even an empty KV pool could not admit the prefill:
+    /// the request could never run here, so the replica refuses it and
+    /// leaves the LRU and its hit/miss counts untouched.
+    pub fn enqueue(&mut self, req: &ClusterRequest) -> Option<RequestId> {
+        let shares_prefix = req.prefix_len > 0 && self.prefix_capacity > 0;
+        let hit = shares_prefix && self.prefix_lru.contains_key(&req.prefix_group);
+        let effective = if hit {
+            (req.prompt_len - req.prefix_len).max(1)
+        } else {
+            req.prompt_len
+        };
+        if !self.core.scheduler().blocks().fits_when_empty(effective) {
+            return None;
+        }
+        if shares_prefix {
+            self.prefix_touch(req.prefix_group);
+            if hit {
                 self.prefix_hits += 1;
-                effective = (req.prompt_len - req.prefix_len).max(1);
             } else {
                 self.prefix_misses += 1;
             }
@@ -144,16 +156,17 @@ impl Replica {
             .core
             .submit(Request::new(effective, req.max_new_tokens));
         self.active.insert(sched_id, req.id);
-        sched_id
+        Some(sched_id)
     }
 
-    /// LRU lookup-or-insert for a prefix group; true on hit.
-    fn prefix_lookup(&mut self, group: u64) -> bool {
+    /// Mark a prefix group most recently used, inserting it (and evicting
+    /// the least recently used group past capacity) if it is not resident.
+    fn prefix_touch(&mut self, group: u64) {
         self.lru_clock += 1;
         let stamp = self.lru_clock;
         if let Some(s) = self.prefix_lru.get_mut(&group) {
             *s = stamp;
-            return true;
+            return;
         }
         self.prefix_lru.insert(group, stamp);
         while self.prefix_lru.len() > self.prefix_capacity {
@@ -170,7 +183,6 @@ impl Replica {
                 None => break,
             };
         }
-        false
     }
 
     /// Cancel a request (router timeout). True if it was still active.
@@ -387,6 +399,39 @@ mod tests {
     }
 
     #[test]
+    fn prompts_no_empty_pool_can_admit_are_refused() {
+        // Four 16-token blocks, one of them the admission reserve.
+        let model = test_replica(0).core.model().clone();
+        let cfg = SchedulerConfig {
+            total_blocks: 4,
+            block_tokens: 16,
+            ..scheduler_config_for(&model, 8192)
+        };
+        let mut r = Replica::new(0, model, cfg, 2);
+        assert!(r.enqueue(&req(0, 49, 1)).is_none());
+        assert_eq!(r.outstanding(), 0, "a refused request is not queued");
+        assert!(r.enqueue(&req(1, 48, 1)).is_some());
+
+        // A resident prefix discounts an 80-token prompt to 40 tokens, so
+        // it fits; a refused prompt leaves the LRU and its counts alone.
+        let prefixed = |id, group| ClusterRequest {
+            prefix_group: group,
+            prefix_len: 40,
+            ..req(id, 80, 1)
+        };
+        assert!(r
+            .enqueue(&ClusterRequest {
+                prompt_len: 48,
+                ..prefixed(2, 7)
+            })
+            .is_some());
+        assert!(r.enqueue(&prefixed(3, 7)).is_some());
+        assert!(r.enqueue(&prefixed(4, 9)).is_none());
+        assert_eq!((r.prefix_hits, r.prefix_misses), (1, 1));
+        assert!(!r.prefix_lru.contains_key(&9));
+    }
+
+    #[test]
     fn prefix_lru_is_bounded() {
         let mut r = test_replica(2);
         for g in 0..5u64 {
@@ -425,7 +470,7 @@ mod tests {
     #[test]
     fn cancel_mid_flight_is_not_reported_finished() {
         let mut r = test_replica(0);
-        let sid = r.enqueue(&req(0, 64, 1)); // finishes at its prefill
+        let sid = r.enqueue(&req(0, 64, 1)).expect("fits"); // finishes at its prefill
         r.try_start_step(0.0, &mut PriceCache::new())
             .expect("step starts");
         assert!(r.cancel(sid));

@@ -876,8 +876,21 @@ impl ClusterSim {
             }
             // Split the borrow: enqueue reads the request, then the
             // scheduler id is written back.
-            let sched_id = match self.live.get(&id) {
-                Some(lv) => self.replicas[target].enqueue(&lv.req),
+            let sched_id = match self
+                .live
+                .get(&id)
+                .map(|lv| self.replicas[target].enqueue(&lv.req))
+            {
+                Some(Some(sched_id)) => sched_id,
+                Some(None) => {
+                    // Even an empty KV pool could not admit it, so it
+                    // could never run: drop it now rather than park it
+                    // where only the end of the run would drop it.
+                    self.live.remove(&id);
+                    self.dropped += 1;
+                    self.trace_instant(ROUTER_TRACK, "drop", now, vec![("req", id.into())]);
+                    continue;
+                }
                 None => continue,
             };
             if let Some(lv) = self.live.get_mut(&id) {
@@ -1176,7 +1189,7 @@ impl ClusterSim {
 
     /// Anything still live when no event source remains can never be
     /// served: parked at the router with every replica down for good, or
-    /// resident on a replica whose KV pool can never admit it. Drop it.
+    /// a preempted sequence that outgrew its replica's KV pool. Drop it.
     fn drain_unservable(&mut self) {
         self.dropped += self.live.len();
         self.live.clear();
@@ -1490,6 +1503,55 @@ mod tests {
         assert_eq!(report.completed, 80, "retries recover every crash loss");
         assert!(report.retries > 0);
         assert_eq!(report.dropped, 0);
+    }
+
+    /// A controller that never acts: its ticks alone keep a run going.
+    #[derive(Debug)]
+    struct IdleController;
+
+    impl ControlHook for IdleController {
+        fn tick(&mut self, _: &ControlObs) -> Vec<ControlAction> {
+            Vec::new()
+        }
+    }
+
+    #[test]
+    fn a_prompt_no_empty_pool_admits_drops_at_dispatch_and_a_controlled_run_ends() {
+        // One replica with four 16-token KV blocks (one held in reserve):
+        // the 200-token prompt can never be admitted, the 16-token one can.
+        let sched = SchedulerConfig {
+            total_blocks: 4,
+            block_tokens: 16,
+            ..scheduler_config_for(&olmoe(), 2048)
+        };
+        let request = |id: u64, prompt_len: usize| crate::workload::ClusterRequest {
+            id,
+            arrival_s: 0.01 * id as f64,
+            prompt_len,
+            max_new_tokens: 8,
+            tenant: "t".to_string(),
+            prefix_group: 0,
+            prefix_len: 0,
+        };
+        let trace = RequestTrace {
+            requests: vec![request(0, 200), request(1, 16)],
+        };
+        let mut cfg = base_cfg(RoutePolicy::RoundRobin);
+        cfg.replicas = 1;
+        for controlled in [false, true] {
+            let mut sim = ClusterSim::new(&olmoe(), sched, cfg, FaultPlan::none(), trace.clone());
+            if controlled {
+                sim = sim.with_controller(Box::new(IdleController), 1.0);
+            }
+            let report = sim.run(&mut Tracer::disabled());
+            assert_accounted(&report);
+            assert_eq!(report.submitted, 2);
+            assert_eq!(
+                (report.completed, report.dropped),
+                (1, 1),
+                "controlled: {controlled}: the short prompt is not stuck behind the long one"
+            );
+        }
     }
 
     #[test]

@@ -5,17 +5,21 @@
 //! * [`moe_forward_unfused`] — the naive path: for each token, run each of
 //!   its top-k experts as separate GEMVs (this is what "without Fused MoE"
 //!   measures in Fig. 14: per-expert kernels plus scatter/gather).
-//! * [`moe_forward_fused`] — the fused path: tokens are sorted by expert,
-//!   each expert processes its whole group as one batched GEMM, and
-//!   results scatter-add back. On a GPU this is the single fused
-//!   grouped-GEMM kernel; here it is the same algorithm (and, per the
-//!   tests, the same output to floating-point tolerance).
+//! * [`moe_forward_fused`] — grouped dispatch: permute, grouped GEMM,
+//!   unpermute. The routed `(row, weight)` pairs are counting-sorted by
+//!   expert into one flat permutation and their rows gathered into one
+//!   contiguous buffer; each active expert runs its gate/up/down products
+//!   on its slice of that buffer, with scratch reused across experts; the
+//!   results scatter-add back expert by expert, slot by slot. On a GPU
+//!   this is the single fused grouped-GEMM kernel; here it is the same
+//!   algorithm (and, per the tests, the same output to floating-point
+//!   tolerance).
 //!
 //! Routing follows the model's [`RouterKind`]: Mixtral-style
 //! top-k-then-softmax or DeepSeek-style softmax-then-top-k.
 
 use moe_model::{MoeConfig, RouterKind};
-use moe_tensor::matrix::{gemv, gemv_rows};
+use moe_tensor::matrix::{gemv, gemv_rows, matmul_into};
 use moe_tensor::ops::swiglu_inplace;
 use moe_tensor::topk::{softmax_then_top_k, top_k_softmax, TopK};
 use moe_tensor::Matrix;
@@ -50,25 +54,44 @@ pub fn route(w: &LayerWeights, moe: &MoeConfig, x: &Matrix) -> Vec<Routing> {
 }
 
 /// One expert's SwiGLU FFN applied to a single row.
-pub fn expert_forward_row(e: &ExpertWeights, x: &[f32]) -> Vec<f32> {
+fn expert_forward_row(e: &ExpertWeights, x: &[f32]) -> Vec<f32> {
     let mut gate = gemv(&e.gate, x);
     let up = gemv(&e.up, x);
     swiglu_inplace(&mut gate, &up);
     gemv(&e.down, &gate)
 }
 
-/// One expert's SwiGLU FFN applied to a gathered batch of rows.
-pub fn expert_forward_batch(e: &ExpertWeights, x: &Matrix) -> Matrix {
-    let mut gate = x.matmul_transposed(&e.gate);
-    let up = x.matmul_transposed(&e.up);
-    for r in 0..gate.rows() {
-        // Split borrows: swiglu row by row.
-        let up_row: &[f32] = up.row(r);
-        // SAFETY-free workaround: copy the up row is avoided by indexing.
-        let gate_row = gate.row_mut(r);
-        swiglu_inplace(gate_row, up_row);
+/// The SwiGLU intermediate of one expert call, kept across calls so a
+/// layer's experts share one allocation.
+#[derive(Default)]
+struct FfnScratch {
+    gate: Vec<f32>,
+    up: Vec<f32>,
+}
+
+impl FfnScratch {
+    /// `out = (silu(x @ gate) * (x @ up)) @ down` for the rows of `x`
+    /// (flat, `hidden` wide; `out` likewise), every product summed from
+    /// `init`.
+    fn run(&mut self, e: &ExpertWeights, x: &[f32], init: f32, out: &mut [f32]) {
+        let rows = out.len() / e.down.cols();
+        let len = rows * e.ffn_dim();
+        self.gate.resize(len, 0.0);
+        self.up.resize(len, 0.0);
+        matmul_into(x, e.gate.as_slice(), e.ffn_dim(), init, &mut self.gate);
+        matmul_into(x, e.up.as_slice(), e.ffn_dim(), init, &mut self.up);
+        swiglu_inplace(&mut self.gate, &self.up);
+        matmul_into(&self.gate, e.down.as_slice(), e.down.cols(), init, out);
     }
-    gate.matmul_transposed(&e.down)
+}
+
+/// One expert's SwiGLU FFN applied to every row of `x`, each product
+/// summed from `-0.0`: row `r` has the bits of the one-row GEMV path. Runs
+/// the dense FFN and the shared experts.
+pub(crate) fn ffn_rows(e: &ExpertWeights, x: &Matrix) -> Matrix {
+    let mut out = Matrix::zeros(x.rows(), e.down.cols());
+    FfnScratch::default().run(e, x.as_slice(), -0.0, out.as_mut_slice());
+    out
 }
 
 /// Unfused dispatch: per-token, per-expert GEMVs.
@@ -93,8 +116,9 @@ pub fn moe_forward_unfused(
     out
 }
 
-/// Fused dispatch: group tokens by expert, one batched GEMM per active
-/// expert, scatter-add combine.
+/// Fused dispatch: permute the routed rows by expert, run each active
+/// expert on its contiguous slice (products from `+0.0`), and scatter-add
+/// back in expert order, then slot order.
 pub fn moe_forward_fused(
     w: &LayerWeights,
     moe: &MoeConfig,
@@ -105,28 +129,46 @@ pub fn moe_forward_fused(
 ) -> Matrix {
     let routing = route(w, moe, x);
     record(stats, trace, layer, &routing);
+    let h = x.cols();
 
-    // Build per-expert token groups.
-    let mut groups: Vec<Vec<(usize, f32)>> = vec![Vec::new(); moe.num_experts];
+    // Permute: counting sort by expert. Expert `e` owns slots
+    // `starts[e]..starts[e + 1]`, filled in row order.
+    let mut starts = vec![0usize; w.experts.len() + 1];
+    for routed in &routing {
+        for &e in &routed.experts.indices {
+            starts[e + 1] += 1;
+        }
+    }
+    for e in 0..w.experts.len() {
+        starts[e + 1] += starts[e];
+    }
+    let mut next = starts.clone();
+    let mut order = vec![0usize; starts[w.experts.len()]];
+    let mut weights = vec![0.0f32; order.len()];
     for (r, routed) in routing.iter().enumerate() {
-        for (i, &e) in routed.experts.indices.iter().enumerate() {
-            groups[e].push((r, routed.experts.values[i]));
+        for (&e, &weight) in routed.experts.indices.iter().zip(&routed.experts.values) {
+            (order[next[e]], weights[next[e]]) = (r, weight);
+            next[e] += 1;
+        }
+    }
+    let rows = x.gather_rows(&order);
+
+    // Grouped GEMM, on the calling thread: the engine's shapes are far too
+    // small to pay for a fork per layer.
+    let mut ys = Matrix::zeros(order.len(), h);
+    let mut scratch = FfnScratch::default();
+    for (e, span) in starts.windows(2).enumerate() {
+        let group = span[0] * h..span[1] * h;
+        if !group.is_empty() {
+            let x = &rows.as_slice()[group.clone()];
+            scratch.run(&w.experts[e], x, 0.0, &mut ys.as_mut_slice()[group]);
         }
     }
 
-    // Each active expert processes its group as one batch (the
-    // grouped-GEMM analogue), on the calling thread: the engine's shapes
-    // are far too small to pay for a fork per layer.
-    let mut out = Matrix::zeros(x.rows(), x.cols());
-    for (e, group) in groups.iter().enumerate() {
-        if group.is_empty() {
-            continue;
-        }
-        let idx: Vec<usize> = group.iter().map(|(r, _)| *r).collect();
-        let y = expert_forward_batch(&w.experts[e], &x.gather_rows(&idx));
-        for (slot, &(r, weight)) in group.iter().enumerate() {
-            out.scatter_add_row(r, y.row(slot), weight);
-        }
+    // Unpermute.
+    let mut out = Matrix::zeros(x.rows(), h);
+    for (slot, (&r, &weight)) in order.iter().zip(&weights).enumerate() {
+        out.scatter_add_row(r, ys.row(slot), weight);
     }
     add_shared_experts(w, x, &mut out);
     out
@@ -134,9 +176,9 @@ pub fn moe_forward_fused(
 
 fn add_shared_experts(w: &LayerWeights, x: &Matrix, out: &mut Matrix) {
     for shared in &w.shared_experts {
+        let y = ffn_rows(shared, x);
         for r in 0..x.rows() {
-            let y = expert_forward_row(shared, x.row(r));
-            out.scatter_add_row(r, &y, 1.0);
+            out.scatter_add_row(r, y.row(r), 1.0);
         }
     }
 }
@@ -210,16 +252,76 @@ mod tests {
         }
     }
 
+    fn bits(m: &Matrix) -> Vec<u32> {
+        m.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
     #[test]
-    fn expert_batch_equals_row_by_row() {
+    fn ffn_rows_matches_the_one_row_path_bit_for_bit() {
         let (_, w) = setup(4, 1);
         let x = Matrix::random(7, 64, 4, 0.5);
-        let batch = expert_forward_batch(&w.experts[0], &x);
+        let batch = ffn_rows(&w.experts[0], &x);
         for r in 0..7 {
             let row = expert_forward_row(&w.experts[0], x.row(r));
-            for (a, b) in batch.row(r).iter().zip(&row) {
-                assert!((a - b).abs() < 1e-5);
+            let row = Matrix::from_vec(1, row.len(), row);
+            assert_eq!(bits(&batch.gather_rows(&[r])), bits(&row), "row {r}");
+        }
+    }
+
+    /// The per-expert dispatch grouped dispatch replaced: one gather and
+    /// three matrix products per active expert, then scatter-adds in
+    /// expert order, then slot order; shared experts row by row.
+    fn per_expert_reference(w: &LayerWeights, moe: &MoeConfig, x: &Matrix) -> Matrix {
+        let mut groups: Vec<Vec<(usize, f32)>> = vec![Vec::new(); moe.num_experts];
+        for (r, routed) in route(w, moe, x).iter().enumerate() {
+            for (&e, &weight) in routed.experts.indices.iter().zip(&routed.experts.values) {
+                groups[e].push((r, weight));
             }
+        }
+        let mut out = Matrix::zeros(x.rows(), x.cols());
+        for (e, group) in groups.iter().enumerate() {
+            if group.is_empty() {
+                continue;
+            }
+            let idx: Vec<usize> = group.iter().map(|&(r, _)| r).collect();
+            let xs = x.gather_rows(&idx);
+            let mut gate = xs.matmul(&w.experts[e].gate);
+            let up = xs.matmul(&w.experts[e].up);
+            for r in 0..gate.rows() {
+                swiglu_inplace(gate.row_mut(r), up.row(r));
+            }
+            let y = gate.matmul(&w.experts[e].down);
+            for (slot, &(r, weight)) in group.iter().enumerate() {
+                out.scatter_add_row(r, y.row(slot), weight);
+            }
+        }
+        for shared in &w.shared_experts {
+            for r in 0..x.rows() {
+                out.scatter_add_row(r, &expert_forward_row(shared, x.row(r)), 1.0);
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn grouped_dispatch_is_bit_identical_to_the_per_expert_reference() {
+        for (e, k, rows) in [
+            (4usize, 1usize, 1usize),
+            (8, 2, 13),
+            (8, 8, 5),
+            (16, 4, 33),
+            (64, 6, 32),
+        ] {
+            let (moe, mut w) = setup(e, k);
+            let x = Matrix::random(rows, 64, (e * 100 + rows) as u64, 0.5);
+            let got = moe_forward_fused(&w, &moe, &x, None, None, 0);
+            let want = per_expert_reference(&w, &moe, &x);
+            assert_eq!(bits(&got), bits(&want), "e={e} k={k} rows={rows}");
+            // With a shared expert too.
+            w.shared_experts = vec![w.experts[1].clone()];
+            let got = moe_forward_fused(&w, &moe, &x, None, None, 0);
+            let want = per_expert_reference(&w, &moe, &x);
+            assert_eq!(bits(&got), bits(&want), "shared: e={e} k={k} rows={rows}");
         }
     }
 

@@ -12,17 +12,45 @@ use moe_model::{ModelConfig, PruneKind, PruneSpec};
 use moe_tensor::Matrix;
 
 use crate::model::MoeTransformer;
-use crate::weights::{ExpertWeights, ModelWeights};
+use crate::weights::{ExpertWeights, LayerWeights, ModelWeights};
 
+// Weights are stored k-major (`[in x out]`), so a logical row of a weight
+// (one output unit) is a stored column and a logical column is a stored
+// row. Every norm sums in the logical row-major order.
+
+/// Norm of stored row `r`: logical column `r`.
 fn row_norm(m: &Matrix, r: usize) -> f32 {
     m.row(r).iter().map(|v| v * v).sum::<f32>().sqrt()
 }
 
+/// Norm of stored column `c`: logical row `c`.
 fn col_norm(m: &Matrix, c: usize) -> f32 {
     (0..m.rows())
         .map(|r| m.get(r, c) * m.get(r, c))
         .sum::<f32>()
         .sqrt()
+}
+
+/// Frobenius norm of a k-major weight, summed over its logical rows.
+fn frobenius_norm(m: &Matrix) -> f32 {
+    (0..m.cols())
+        .flat_map(|c| (0..m.rows()).map(move |r| m.get(r, c)))
+        .map(|v| v * v)
+        .sum::<f32>()
+        .sqrt()
+}
+
+/// Inter-expert score of expert `e`: its router-row norm times its weight
+/// norm.
+fn inter_score(layer: &LayerWeights, e: usize) -> f32 {
+    let traffic = col_norm(&layer.router, e);
+    let weight = frobenius_norm(&layer.experts[e].gate) + frobenius_norm(&layer.experts[e].down);
+    traffic * weight
+}
+
+/// Copy stored columns `kept` of `m` (logical rows) into a new matrix.
+fn keep_cols(m: &Matrix, kept: &[usize]) -> Matrix {
+    m.transpose().gather_rows(kept).transpose()
 }
 
 /// Indices of the `keep` highest-scoring entries, in ascending index order
@@ -38,22 +66,14 @@ fn keep_indices(scores: &[f32], keep: usize) -> Vec<usize> {
 fn prune_expert_intra(e: &ExpertWeights, keep: usize) -> ExpertWeights {
     let ffn = e.ffn_dim();
     let scores: Vec<f32> = (0..ffn)
-        .map(|i| row_norm(&e.gate, i) * col_norm(&e.down, i))
+        .map(|i| col_norm(&e.gate, i) * row_norm(&e.down, i))
         .collect();
     let kept = keep_indices(&scores, keep);
-
-    let hidden = e.gate.cols();
-    let mut gate = Matrix::zeros(keep, hidden);
-    let mut up = Matrix::zeros(keep, hidden);
-    let mut down = Matrix::zeros(e.down.rows(), keep);
-    for (new_i, &old_i) in kept.iter().enumerate() {
-        gate.row_mut(new_i).copy_from_slice(e.gate.row(old_i));
-        up.row_mut(new_i).copy_from_slice(e.up.row(old_i));
-        for r in 0..e.down.rows() {
-            down.set(r, new_i, e.down.get(r, old_i));
-        }
+    ExpertWeights {
+        gate: keep_cols(&e.gate, &kept),
+        up: keep_cols(&e.up, &kept),
+        down: e.down.gather_rows(&kept),
     }
-    ExpertWeights { gate, up, down }
 }
 
 /// Apply a pruning spec to (config, weights) in place.
@@ -68,22 +88,11 @@ fn prune_weights(config: &mut ModelConfig, weights: &mut ModelWeights, spec: Pru
                     continue;
                 }
                 let scores: Vec<f32> = (0..layer.experts.len())
-                    .map(|e| {
-                        let traffic = row_norm(&layer.router, e);
-                        let weight: f32 = layer.experts[e].gate.frobenius_norm()
-                            + layer.experts[e].down.frobenius_norm();
-                        traffic * weight
-                    })
+                    .map(|e| inter_score(layer, e))
                     .collect();
                 let kept = keep_indices(&scores, keep);
                 layer.experts = kept.iter().map(|&e| layer.experts[e].clone()).collect();
-                let mut router = Matrix::zeros(keep, layer.router.cols());
-                for (new_e, &old_e) in kept.iter().enumerate() {
-                    router
-                        .row_mut(new_e)
-                        .copy_from_slice(layer.router.row(old_e));
-                }
-                layer.router = router;
+                layer.router = keep_cols(&layer.router, &kept);
             }
             moe.num_experts = keep;
             moe.top_k = moe.top_k.min(keep);
@@ -124,7 +133,7 @@ mod tests {
         assert_eq!(m.config().moe.as_ref().unwrap().num_experts, 4);
         for layer in &m.weights().layers {
             assert_eq!(layer.experts.len(), 4);
-            assert_eq!(layer.router.rows(), 4);
+            assert_eq!(layer.router.cols(), 4);
         }
         assert!(m.config().validate().is_empty());
     }
@@ -137,7 +146,7 @@ mod tests {
         for layer in &m.weights().layers {
             for e in &layer.experts {
                 assert_eq!(e.ffn_dim(), 72);
-                assert_eq!(e.down.cols(), 72);
+                assert_eq!(e.down.rows(), 72);
             }
         }
     }
@@ -207,12 +216,16 @@ mod tests {
     fn inter_prune_keeps_highest_traffic_experts() {
         let mut m = tiny();
         // Record which experts score highest in layer 0 before pruning.
+        // The score is computed here from the logical `[out x in]`
+        // matrices: router row `e` times (|gate|_F + |down|_F).
         let layer = &m.weights().layers[0];
+        let norm = |v: &[f32]| v.iter().map(|x| x * x).sum::<f32>().sqrt();
+        let router = layer.router.transpose();
         let scores: Vec<f32> = (0..8)
             .map(|e| {
-                row_norm(&layer.router, e)
-                    * (layer.experts[e].gate.frobenius_norm()
-                        + layer.experts[e].down.frobenius_norm())
+                let ex = &layer.experts[e];
+                norm(router.row(e))
+                    * (norm(ex.gate.transpose().as_slice()) + norm(ex.down.transpose().as_slice()))
             })
             .collect();
         let expect = keep_indices(&scores, 4);

@@ -1,24 +1,31 @@
 //! Weight containers and deterministic initialization.
 //!
-//! All weights are stored as f32 [`Matrix`] values. Quantized execution is
-//! weight-only fake-quantization: weights are passed through the *real*
-//! [`QuantizedMatrix`] encode/decode (so they take exactly the values the
-//! low-precision format can represent) while accumulation stays in f32 —
-//! the same numerics as weight-only-quantized GPU kernels.
+//! All weights are stored as f32 [`Matrix`] values. Every linear weight is
+//! stored **k-major**, `[in x out]`, so a layer computes `y = x @ W` with
+//! [`moe_tensor::matrix`]'s one kernel; only the embedding stays
+//! `[vocab x hidden]`, for its row gather. Initialization draws each
+//! weight in its logical `[out x in]` order and writes every value to its
+//! k-major slot, so the layout changes no value.
+//!
+//! Quantized execution is weight-only fake-quantization: weights are passed
+//! through the *real* [`QuantizedMatrix`] encode/decode (so they take
+//! exactly the values the low-precision format can represent) while
+//! accumulation stays in f32 — the same numerics as weight-only-quantized
+//! GPU kernels. The integer formats scale blocks of the logical `[out x
+//! in]` rows, so quantization runs on that layout too.
 
-use moe_json::{FromJson, ToJson};
 use moe_model::ModelConfig;
-use moe_tensor::rng::derive_seed;
+use moe_tensor::rng::{derive_seed, normals};
 use moe_tensor::{Matrix, Precision, QuantizedMatrix};
 
 /// One expert's SwiGLU FFN.
-#[derive(Debug, Clone, PartialEq, ToJson, FromJson)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExpertWeights {
-    /// `[ffn_dim x hidden]` gate projection (applied as `x @ W^T`).
+    /// `[hidden x ffn_dim]` gate projection (applied as `x @ W`).
     pub gate: Matrix,
-    /// `[ffn_dim x hidden]` up projection.
+    /// `[hidden x ffn_dim]` up projection.
     pub up: Matrix,
-    /// `[hidden x ffn_dim]` down projection.
+    /// `[ffn_dim x hidden]` down projection.
     pub down: Matrix,
 }
 
@@ -26,38 +33,38 @@ impl ExpertWeights {
     fn init(hidden: usize, ffn: usize, seed: u64) -> Self {
         let std = (2.0 / (hidden + ffn) as f32).sqrt();
         Self {
-            gate: Matrix::random_normal(ffn, hidden, derive_seed(seed, 1), std),
-            up: Matrix::random_normal(ffn, hidden, derive_seed(seed, 2), std),
-            down: Matrix::random_normal(hidden, ffn, derive_seed(seed, 3), std),
+            gate: linear(ffn, hidden, derive_seed(seed, 1), std),
+            up: linear(ffn, hidden, derive_seed(seed, 2), std),
+            down: linear(hidden, ffn, derive_seed(seed, 3), std),
         }
     }
 
     /// FFN intermediate dimension.
     pub fn ffn_dim(&self) -> usize {
-        self.gate.rows()
+        self.gate.cols()
     }
 
     fn quantize(&mut self, p: Precision) {
-        self.gate = fake_quant(&self.gate, p);
-        self.up = fake_quant(&self.up, p);
-        self.down = fake_quant(&self.down, p);
+        fake_quant(&mut self.gate, p);
+        fake_quant(&mut self.up, p);
+        fake_quant(&mut self.down, p);
     }
 }
 
 /// One decoder layer's weights.
-#[derive(Debug, Clone, PartialEq, ToJson, FromJson)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LayerWeights {
-    /// `[q_dim x hidden]`.
-    pub wq: Matrix,
-    /// `[kv_dim x hidden]`.
-    pub wk: Matrix,
-    /// `[kv_dim x hidden]`.
-    pub wv: Matrix,
     /// `[hidden x q_dim]`.
+    pub wq: Matrix,
+    /// `[hidden x kv_dim]`.
+    pub wk: Matrix,
+    /// `[hidden x kv_dim]`.
+    pub wv: Matrix,
+    /// `[q_dim x hidden]`.
     pub wo: Matrix,
     pub attn_norm: Vec<f32>,
     pub ffn_norm: Vec<f32>,
-    /// `[num_experts x hidden]` router; empty matrix for dense layers.
+    /// `[hidden x num_experts]` router; empty matrix for dense layers.
     pub router: Matrix,
     /// Per-expert routing bias (zero-initialized; adjusted by
     /// [`crate::balance`] to emulate aux-loss load balancing, the
@@ -80,11 +87,11 @@ impl LayerWeights {
 }
 
 /// All weights of a model.
-#[derive(Debug, Clone, PartialEq, ToJson, FromJson)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModelWeights {
-    /// `[vocab x hidden]` token embedding.
+    /// `[vocab x hidden]` token embedding (row-major, for the row gather).
     pub embedding: Matrix,
-    /// `[vocab x hidden]` LM head (may alias the embedding values when the
+    /// `[hidden x vocab]` LM head (the embedding's transpose when the
     /// config ties them).
     pub lm_head: Matrix,
     pub final_norm: Vec<f32>,
@@ -93,13 +100,37 @@ pub struct ModelWeights {
     pub precision: Precision,
 }
 
-/// Pass a matrix through a quantized encoding and back, so its values are
-/// exactly representable in `p`.
-fn fake_quant(m: &Matrix, p: Precision) -> Matrix {
-    if p == Precision::F32 {
-        return m.clone();
+/// A linear weight of logical shape `[out x inp]` with ~N(0, std^2)
+/// entries drawn from `seed` in that order, each written straight to its
+/// k-major slot.
+fn linear(out: usize, inp: usize, seed: u64, std: f32) -> Matrix {
+    let mut m = Matrix::zeros(inp, out);
+    let w = m.as_mut_slice();
+    let mut draws = normals(seed, std);
+    for o in 0..out {
+        for (i, v) in draws.by_ref().take(inp).enumerate() {
+            w[i * out + o] = v;
+        }
     }
-    QuantizedMatrix::quantize(m, p).dequantize()
+    m
+}
+
+/// Pass a row-major matrix through a quantized encoding and back, so its
+/// values are exactly representable in `p`.
+fn fake_quant_rows(m: &mut Matrix, p: Precision) {
+    if p != Precision::F32 {
+        *m = QuantizedMatrix::quantize(m, p).dequantize();
+    }
+}
+
+/// [`fake_quant_rows`] for a k-major weight: quantized on its logical
+/// `[out x in]` rows, stored k-major again.
+fn fake_quant(m: &mut Matrix, p: Precision) {
+    if p != Precision::F32 {
+        let mut rows = m.transpose();
+        fake_quant_rows(&mut rows, p);
+        *m = rows.transpose();
+    }
 }
 
 impl ModelWeights {
@@ -152,7 +183,7 @@ impl ModelWeights {
                         ExpertWeights::init(h, moe.expert_ffn_dim, derive_seed(ls, 20 + e as u64))
                     })
                     .collect();
-                (router, experts)
+                (router.transpose(), experts)
             } else {
                 (Matrix::zeros(0, 0), Vec::new())
             };
@@ -182,12 +213,12 @@ impl ModelWeights {
                 ))
             };
 
-            let router_bias = vec![0.0; router.rows()];
+            let router_bias = vec![0.0; router.cols()];
             layers.push(LayerWeights {
-                wq: Matrix::random_normal(q_dim, h, derive_seed(ls, 1), std),
-                wk: Matrix::random_normal(kv_dim, h, derive_seed(ls, 2), std),
-                wv: Matrix::random_normal(kv_dim, h, derive_seed(ls, 3), std),
-                wo: Matrix::random_normal(h, q_dim, derive_seed(ls, 4), std),
+                wq: linear(q_dim, h, derive_seed(ls, 1), std),
+                wk: linear(kv_dim, h, derive_seed(ls, 2), std),
+                wv: linear(kv_dim, h, derive_seed(ls, 3), std),
+                wo: linear(h, q_dim, derive_seed(ls, 4), std),
                 attn_norm: vec![1.0; h],
                 ffn_norm: vec![1.0; h],
                 router,
@@ -200,9 +231,9 @@ impl ModelWeights {
 
         let embedding = Matrix::random_normal(config.vocab_size, h, derive_seed(seed, 1), 0.02);
         let lm_head = if config.tie_embeddings {
-            embedding.clone()
+            embedding.transpose()
         } else {
-            Matrix::random_normal(config.vocab_size, h, derive_seed(seed, 2), 0.02)
+            linear(config.vocab_size, h, derive_seed(seed, 2), 0.02)
         };
 
         Self {
@@ -217,15 +248,15 @@ impl ModelWeights {
     /// Fake-quantize every weight matrix to `p` (norms stay f32, as on real
     /// deployments).
     pub fn quantize(&mut self, p: Precision) {
-        self.embedding = fake_quant(&self.embedding, p);
-        self.lm_head = fake_quant(&self.lm_head, p);
+        fake_quant_rows(&mut self.embedding, p);
+        fake_quant(&mut self.lm_head, p);
         for layer in &mut self.layers {
-            layer.wq = fake_quant(&layer.wq, p);
-            layer.wk = fake_quant(&layer.wk, p);
-            layer.wv = fake_quant(&layer.wv, p);
-            layer.wo = fake_quant(&layer.wo, p);
+            fake_quant(&mut layer.wq, p);
+            fake_quant(&mut layer.wk, p);
+            fake_quant(&mut layer.wv, p);
+            fake_quant(&mut layer.wo, p);
             if !layer.router.is_empty() {
-                layer.router = fake_quant(&layer.router, p);
+                fake_quant(&mut layer.router, p);
             }
             for e in &mut layer.experts {
                 e.quantize(p);
@@ -301,7 +332,23 @@ mod tests {
         assert!(w.layers[0].dense_ffn.is_some());
         assert!(w.layers[1].is_moe());
         assert_eq!(w.layers[1].experts.len(), 4);
-        assert_eq!(w.layers[1].router.rows(), 4);
+        assert_eq!(w.layers[1].router.cols(), 4);
+    }
+
+    #[test]
+    fn k_major_weights_hold_the_values_drawn_in_out_by_in_order() {
+        let cfg = tiny_test_model(4, 2);
+        let w = ModelWeights::init(&cfg, 7);
+        let h = cfg.hidden_size;
+        let std = (1.0 / h as f32).sqrt();
+        let ls = derive_seed(derive_seed(7, 100), 1);
+        let drawn = Matrix::random_normal(cfg.num_heads * cfg.head_dim, h, ls, std);
+        assert_eq!(w.layers[0].wq.transpose(), drawn);
+        let e0 = derive_seed(derive_seed(7, 100), 20);
+        let ffn = w.layers[0].experts[0].ffn_dim();
+        let std = (2.0 / (h + ffn) as f32).sqrt();
+        let down = Matrix::random_normal(h, ffn, derive_seed(e0, 3), std);
+        assert_eq!(w.layers[0].experts[0].down.transpose(), down);
     }
 
     #[test]
@@ -309,7 +356,7 @@ mod tests {
         let mut cfg = tiny_test_model(4, 1);
         cfg.tie_embeddings = true;
         let w = ModelWeights::init(&cfg, 3);
-        assert_eq!(w.embedding, w.lm_head);
+        assert_eq!(w.embedding, w.lm_head.transpose());
     }
 
     #[test]

@@ -62,12 +62,21 @@ impl BlockManager {
         }
     }
 
+    /// Blocks kept free when admitting a new sequence.
+    fn reserve(&self) -> usize {
+        (self.total_blocks as f64 * WATERMARK).ceil() as usize
+    }
+
     /// Can a *new* sequence of `tokens` be admitted without crossing the
     /// watermark?
     pub fn can_admit(&self, tokens: usize) -> bool {
-        let needed = self.blocks_for(tokens);
-        let reserve = (self.total_blocks as f64 * WATERMARK).ceil() as usize;
-        self.free_blocks >= needed + reserve
+        self.free_blocks >= self.blocks_for(tokens) + self.reserve()
+    }
+
+    /// Could an empty pool admit a new sequence of `tokens`? One that
+    /// fails this can never be admitted here, whatever else finishes.
+    pub fn fits_when_empty(&self, tokens: usize) -> bool {
+        self.total_blocks >= self.blocks_for(tokens) + self.reserve()
     }
 
     /// Allocate blocks to hold `tokens` for a new sequence. Returns false

@@ -14,11 +14,12 @@
 //! * **Determinism** — every random initializer takes an explicit seed and
 //!   uses a counter-based ChaCha stream ([`rng`]), so functional experiments
 //!   are bit-reproducible across thread counts.
-//! * **Parallelism** — GEMMs parallelize over output-row blocks with the
-//!   contiguous-run helper in `moe_par` (the workspace's deterministic
-//!   fork/join executor); sequential kernels are used below a size
-//!   threshold to avoid fork/join overhead on the tiny matrices the
-//!   down-scaled models use.
+//! * **Parallelism** — the one dense-product kernel
+//!   ([`matrix::matmul_into`]) parallelizes over output-row blocks (a
+//!   single row over column blocks) with the contiguous-run helper in
+//!   `moe_par` (the workspace's deterministic fork/join executor); below a
+//!   size threshold it runs on the calling thread to avoid fork/join
+//!   overhead on the tiny matrices the down-scaled models use.
 //! * **No `unsafe`** — the kernels stay within safe Rust; performance on the
 //!   down-scaled models is more than sufficient and data-race freedom is
 //!   guaranteed by construction.

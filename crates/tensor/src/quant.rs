@@ -498,7 +498,7 @@ mod tests {
     fn quantized_gemv_close_to_f32() {
         let m = Matrix::random(24, 48, 46, 0.5);
         let x: Vec<f32> = (0..48).map(|i| (i as f32 * 0.1).sin()).collect();
-        let exact = crate::matrix::gemv(&m, &x);
+        let exact = crate::matrix::gemv(&m.transpose(), &x);
         for p in [
             Precision::F16,
             Precision::Fp8E4M3,

@@ -163,14 +163,22 @@ pub fn fill_uniform(data: &mut [f32], seed: u64, scale: f32) {
 /// using the sum-of-uniforms approximation (Irwin–Hall with n=12), which is
 /// deterministic, branch-free and accurate enough for weight initialization.
 pub fn fill_normal(data: &mut [f32], seed: u64, std: f32) {
+    for (v, x) in data.iter_mut().zip(normals(seed, std)) {
+        *v = x;
+    }
+}
+
+/// The endless stream [`fill_normal`] writes, for callers that place the
+/// values themselves.
+pub fn normals(seed: u64, std: f32) -> impl Iterator<Item = f32> {
     let mut rng = rng_from_seed(seed);
-    for v in data.iter_mut() {
+    std::iter::repeat_with(move || {
         let mut acc = 0.0f32;
         for _ in 0..12 {
             acc += rng.next_f32();
         }
-        *v = (acc - 6.0) * std;
-    }
+        (acc - 6.0) * std
+    })
 }
 
 #[cfg(test)]

@@ -1,26 +1,45 @@
 //! Golden engine bits: the logits of real `moe-engine` forwards hash to a
 //! fixed FNV-1a digest over their `f32::to_bits`, at every worker count.
 //!
-//! The kernels under the engine (`gemv`, `matmul_transposed`, the
-//! attention scores and RoPE) may be restructured for speed only if every
-//! output keeps its exact bits. This gate pins that for a prefill, a
-//! decode, a continuous-batching `forward_multi` step and both MoE
-//! dispatch paths, on the tiny test model and on the Fig. 15
-//! DeepSeek-VL2-Tiny analogue. The digests were recorded before the
-//! multi-chain kernels replaced the single-chain loops.
+//! The kernel under the engine (`moe_tensor::matrix::matmul_into` behind
+//! `gemv`, `gemv_rows` and `Matrix::matmul`), the grouped MoE dispatch,
+//! the chunk-batched attention and RoPE may be restructured for speed only
+//! if every output keeps its exact bits. This gate pins that for a
+//! prefill, a decode, a continuous-batching `forward_multi` step and both
+//! MoE dispatch paths, on the tiny test model, on the Fig. 15
+//! DeepSeek-VL2-Tiny analogue, on a config with a dense first layer and a
+//! shared expert, on `Int8`-quantized weights and on inter- and
+//! intra-pruned weights (which pins the pruning scores and the kept rows
+//! and columns). The first two digests were recorded before the
+//! multi-chain kernels replaced the single-chain loops; all six were
+//! recorded with weights stored `[out x in]`, before they moved to the
+//! k-major `[in x out]` layout.
 
 mod common;
 
 use common::{fnv1a, FNV_OFFSET};
-use moe_engine::{KvStore, MoeTransformer};
+use moe_engine::prune::prune_transformer;
+use moe_engine::{KvStore, ModelWeights, MoeTransformer};
 use moe_eval::activation::analogue_config;
 use moe_model::registry::{deepseek_vl2_tiny, tiny_test_model};
-use moe_tensor::Matrix;
+use moe_model::{ModelConfig, PruneKind, PruneSpec};
+use moe_tensor::{Matrix, Precision};
 
 /// Digest of [`engine_digest`] on `tiny_test_model(8, 2)`, seed 11.
 const TINY_DIGEST: u64 = 0xb16a_69d6_c08f_5865;
 /// Digest of [`engine_digest`] on the DeepSeek-VL2-Tiny analogue, seed 11.
 const VL2_ANALOGUE_DIGEST: u64 = 0x0a54_d0e8_f750_9237;
+/// Digest of [`engine_digest`] on [`dense_and_shared_model`], seed 11.
+const DENSE_SHARED_DIGEST: u64 = 0x6696_03e7_3e87_bbc5;
+/// Digest of [`engine_digest`] on `tiny_test_model(8, 2)`, seed 11, with
+/// `Int8`-quantized weights.
+const INT8_DIGEST: u64 = 0x5e5a_cefd_cd61_93b1;
+/// Digest of [`engine_digest`] on `tiny_test_model(8, 2)`, seed 11, with
+/// half its experts inter-pruned.
+const INTER_PRUNED_DIGEST: u64 = 0x704b_4c17_6f63_3d15;
+/// Digest of [`engine_digest`] on `tiny_test_model(8, 2)`, seed 11, with a
+/// quarter of every expert's FFN units intra-pruned.
+const INTRA_PRUNED_DIGEST: u64 = 0x88cd_0222_c4d5_a831;
 
 fn hash_logits(hash: &mut u64, logits: &Matrix) {
     for v in logits.as_slice() {
@@ -109,4 +128,67 @@ fn vl2_tiny_analogue_logit_bits_match_the_golden_digest() {
         || MoeTransformer::new(analogue_config(&deepseek_vl2_tiny()), 11),
         VL2_ANALOGUE_DIGEST,
     );
+}
+
+/// The tiny test model with a dense first layer and one shared expert, so
+/// a forward runs dense, routed and shared FFNs.
+fn dense_and_shared_model() -> ModelConfig {
+    let mut cfg = tiny_test_model(8, 2);
+    cfg.first_k_dense_layers = 1;
+    cfg.dense_ffn_dim = 128;
+    let moe = cfg.moe.as_mut().expect("the tiny test model routes");
+    moe.num_shared_experts = 1;
+    moe.shared_expert_ffn_dim = 48;
+    cfg
+}
+
+#[test]
+fn dense_and_shared_ffn_logit_bits_match_the_golden_digest() {
+    assert_digest_at_every_worker_count(
+        "dense first layer + shared expert",
+        || MoeTransformer::new(dense_and_shared_model(), 11),
+        DENSE_SHARED_DIGEST,
+    );
+}
+
+#[test]
+fn int8_quantized_logit_bits_match_the_golden_digest() {
+    assert_digest_at_every_worker_count(
+        "Int8-quantized tiny-test",
+        || {
+            let cfg = tiny_test_model(8, 2);
+            let mut weights = ModelWeights::init(&cfg, 11);
+            weights.quantize(Precision::Int8);
+            MoeTransformer::with_weights(cfg, weights)
+        },
+        INT8_DIGEST,
+    );
+}
+
+#[test]
+fn pruned_logit_bits_match_the_golden_digest() {
+    for (name, kind, ratio, golden) in [
+        (
+            "inter-pruned",
+            PruneKind::InterExpert,
+            0.5,
+            INTER_PRUNED_DIGEST,
+        ),
+        (
+            "intra-pruned",
+            PruneKind::IntraExpert,
+            0.25,
+            INTRA_PRUNED_DIGEST,
+        ),
+    ] {
+        assert_digest_at_every_worker_count(
+            name,
+            || {
+                let mut m = MoeTransformer::new(tiny_test_model(8, 2), 11);
+                prune_transformer(&mut m, PruneSpec::new(kind, ratio));
+                m
+            },
+            golden,
+        );
+    }
 }
