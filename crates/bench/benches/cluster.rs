@@ -116,7 +116,7 @@ fn sharded_json() -> String {
     let sched = scheduler_config_for(&model, 2048);
     let trace = generate(&spec(REQUESTS), 42);
     let plan = ShardPlan::single_region(50, REPLICAS / 50);
-    let report = run_sharded(&model, sched, &config(), &plan, &faults(), &trace);
+    let (report, _) = run_sharded(&model, sched, &config(), &plan, &faults(), &trace);
     moe_json::to_string(&report)
 }
 

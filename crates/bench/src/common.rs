@@ -41,6 +41,7 @@ pub fn auto_place(
             &cluster,
             batch,
             max_seq,
+            1.0,
         )
         .is_ok()
         {

@@ -164,6 +164,7 @@ fn fits_single(device: &DeviceProfile, model: &ModelConfig, precision: Precision
         &cluster,
         KNEE_BATCH,
         KNEE_INPUT + KNEE_OUTPUT,
+        1.0,
     )
     .is_ok()
 }

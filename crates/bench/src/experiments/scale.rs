@@ -26,7 +26,7 @@
 
 use moe_cluster::shard::merge_reports;
 use moe_cluster::{
-    run_sharded_detailed, run_sharded_stream, ClusterConfig, ClusterReport, FaultPlan, RegionTier,
+    run_sharded, run_sharded_stream, ClusterConfig, ClusterReport, FaultPlan, RegionTier,
     RoutePolicy, ShardPlan, WorkloadSpec,
 };
 use moe_gpusim::perfmodel::PerfModel;
@@ -225,7 +225,7 @@ fn build(fast: bool) -> ExperimentReport {
     let spec = WorkloadSpec::diurnal_users(users, THINK_S, requests);
     let trace = moe_cluster::generate(&spec, 42);
     let sched = scheduler_config_for(&model, 2048);
-    let (merged, per_shard_reports) = run_sharded_detailed(
+    let (merged, per_shard_reports) = run_sharded(
         &model,
         sched,
         &base_config(),

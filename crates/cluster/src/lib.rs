@@ -73,7 +73,7 @@ pub use ctrl::{ControlAction, ControlHook, ControlObs, ReplicaObs, ReplicaSpec};
 pub use fault::{FaultEvent, FaultPlan};
 pub use router::{RoutePolicy, RouterConfig};
 pub use serve::serve_one_replica;
-pub use shard::{run_sharded, run_sharded_detailed, run_sharded_stream, RegionTier, ShardPlan};
+pub use shard::{run_sharded, run_sharded_stream, RegionTier, ShardPlan};
 pub use sim::{ClusterConfig, ClusterOutput, ClusterReport, ClusterSim};
 pub use workload::{
     generate, ArrivalProcess, ArrivalSource, ClusterRequest, RequestTrace, TenantSpec, TraceSource,

@@ -37,7 +37,9 @@ use moe_trace::{Histogram, Tracer};
 use crate::fault::FaultPlan;
 use crate::router::mix;
 use crate::sim::{ClusterConfig, ClusterReport, ClusterSim};
-use crate::workload::{ArrivalSource, ClusterRequest, RequestTrace, WorkloadSpec, WorkloadStream};
+use crate::workload::{
+    ArrivalSource, ClusterRequest, RequestTrace, TraceSource, WorkloadSpec, WorkloadStream,
+};
 
 /// Salt decorrelating shard placement from the router's affinity
 /// hashes, which reuse the same mixer with the raw config seed.
@@ -208,31 +210,30 @@ fn shard_config(base: &ClusterConfig, plan: &ShardPlan, shard: usize) -> Cluster
     cfg
 }
 
-/// Run a sharded deployment over a materialized trace and return the
-/// merged report plus every per-shard report (for tier breakdowns).
-/// Shards execute on the `moe-par` pool; the result is byte-identical
-/// for any worker count.
-pub fn run_sharded_detailed(
+/// The one sharded runner behind [`run_sharded`] and
+/// [`run_sharded_stream`]: split the faults over shards, simulate every
+/// shard on the `moe-par` pool fed by `source(shard)`, and merge in shard
+/// order. Returns the merged report plus every per-shard report; both
+/// are byte-identical for any worker count.
+fn run_shards(
     model: &PerfModel,
     sched: SchedulerConfig,
     base: &ClusterConfig,
     plan: &ShardPlan,
     faults: &FaultPlan,
-    trace: &RequestTrace,
+    source: impl Fn(usize) -> Box<dyn ArrivalSource> + Sync,
 ) -> (ClusterReport, Vec<ClusterReport>) {
-    let shards = plan.shards().max(1);
-    let traces = partition_trace(trace, base.seed, shards);
-    let fault_parts = partition_faults(faults, shards, plan.replicas_per_shard);
-    let reports = moe_par::map_collect(shards, |s| {
+    let fault_parts = partition_faults(faults, plan.shards().max(1), plan.replicas_per_shard);
+    let reports = moe_par::map_collect(fault_parts.len(), |s| {
         let cfg = shard_config(base, plan, s);
-        ClusterSim::new(model, sched, cfg, fault_parts[s].clone(), traces[s].clone())
+        ClusterSim::with_source(model, sched, cfg, fault_parts[s].clone(), source(s))
             .run(&mut Tracer::disabled())
     });
-    let merged = merge_reports(&reports);
-    (merged, reports)
+    (merge_reports(&reports), reports)
 }
 
-/// [`run_sharded_detailed`] keeping only the merged report.
+/// Run a sharded deployment over a materialized trace and return the
+/// merged report plus every per-shard report (for tier breakdowns).
 pub fn run_sharded(
     model: &PerfModel,
     sched: SchedulerConfig,
@@ -240,8 +241,11 @@ pub fn run_sharded(
     plan: &ShardPlan,
     faults: &FaultPlan,
     trace: &RequestTrace,
-) -> ClusterReport {
-    run_sharded_detailed(model, sched, base, plan, faults, trace).0
+) -> (ClusterReport, Vec<ClusterReport>) {
+    let traces = partition_trace(trace, base.seed, plan.shards().max(1));
+    run_shards(model, sched, base, plan, faults, |s| {
+        Box::new(TraceSource::new(traces[s].clone()))
+    })
 }
 
 /// Fully streaming sharded run: every shard draws its slice lazily from
@@ -258,14 +262,16 @@ pub fn run_sharded_stream(
 ) -> ClusterReport {
     let sched = scheduler_config_for(model, max_seq);
     let shards = plan.shards().max(1);
-    let fault_parts = partition_faults(faults, shards, plan.replicas_per_shard);
-    let reports = moe_par::map_collect(shards, |s| {
-        let cfg = shard_config(base, plan, s);
-        let source = ShardStream::new(spec.clone(), workload_seed, base.seed, s, shards);
-        ClusterSim::with_source(model, sched, cfg, fault_parts[s].clone(), Box::new(source))
-            .run(&mut Tracer::disabled())
-    });
-    merge_reports(&reports)
+    run_shards(model, sched, base, plan, faults, |s| {
+        Box::new(ShardStream::new(
+            spec.clone(),
+            workload_seed,
+            base.seed,
+            s,
+            shards,
+        ))
+    })
+    .0
 }
 
 /// Fold per-shard reports into one deployment-level report, in shard
@@ -461,7 +467,7 @@ mod tests {
         let sched = scheduler_config_for(&model, 2048);
         let trace = generate(&spec(240), 7);
         let plan = ShardPlan::single_region(4, 2);
-        let (merged, per_shard) = run_sharded_detailed(
+        let (merged, per_shard) = run_sharded(
             &model,
             sched,
             &base_cfg(),
@@ -496,7 +502,7 @@ mod tests {
         let cfg = base_cfg();
         let plan = ShardPlan::single_region(3, 2);
         let w = spec(150);
-        let from_trace = run_sharded(
+        let (from_trace, _) = run_sharded(
             &model,
             sched,
             &cfg,
@@ -525,7 +531,7 @@ mod tests {
                 rtt_s: 0.25,
             }],
         };
-        let near = run_sharded(
+        let (near, _) = run_sharded(
             &model,
             sched,
             &base_cfg(),
@@ -533,7 +539,7 @@ mod tests {
             &FaultPlan::none(),
             &trace,
         );
-        let remote = run_sharded(&model, sched, &base_cfg(), &far, &FaultPlan::none(), &trace);
+        let (remote, _) = run_sharded(&model, sched, &base_cfg(), &far, &FaultPlan::none(), &trace);
         assert!((remote.ttft.max_s - near.ttft.max_s - 0.25).abs() < 1e-9);
         assert_eq!(remote.itl, near.itl, "rtt does not touch inter-token gaps");
         assert_eq!(far.tier_of(1).map(|t| t.name.as_str()), Some("ap-south"));

@@ -91,35 +91,13 @@ fn kv_cache_bytes(
 }
 
 /// Compute the per-device footprint of serving `config` under `plan` on
-/// `cluster`, with `batch` sequences of up to `max_seq` total tokens.
-pub fn footprint(
-    config: &ModelConfig,
-    precision: Precision,
-    kv_precision: Precision,
-    plan: &ParallelPlan,
-    cluster: &Cluster,
-    batch: usize,
-    max_seq: usize,
-) -> MemoryFootprint {
-    footprint_resident(
-        config,
-        precision,
-        kv_precision,
-        plan,
-        cluster,
-        batch,
-        max_seq,
-        1.0,
-    )
-}
-
-/// Like [`footprint`], but with only `expert_resident_frac` of the
-/// routed-expert weights charged to HBM — the remainder lives on an
-/// offload tier (host DRAM / NVMe) and is streamed in on demand, which
-/// the perf model prices separately as prefetch/miss stalls. A fraction
-/// of `1.0` reproduces [`footprint`] exactly.
+/// `cluster`, with `batch` sequences of up to `max_seq` total tokens and
+/// only `expert_resident_frac` of the routed-expert weights charged to
+/// HBM — the remainder lives on an offload tier (host DRAM / NVMe) and is
+/// streamed in on demand, which the perf model prices separately as
+/// prefetch/miss stalls. A fraction of `1.0` charges every parameter.
 #[allow(clippy::too_many_arguments)]
-fn footprint_resident(
+pub fn footprint(
     config: &ModelConfig,
     precision: Precision,
     kv_precision: Precision,
@@ -153,33 +131,9 @@ fn footprint_resident(
 }
 
 /// Like [`footprint`] but returns an [`OomError`] when the placement does
-/// not fit.
-pub fn check_fits(
-    config: &ModelConfig,
-    precision: Precision,
-    kv_precision: Precision,
-    plan: &ParallelPlan,
-    cluster: &Cluster,
-    batch: usize,
-    max_seq: usize,
-) -> Result<MemoryFootprint, OomError> {
-    check_fits_resident(
-        config,
-        precision,
-        kv_precision,
-        plan,
-        cluster,
-        batch,
-        max_seq,
-        1.0,
-    )
-}
-
-/// Like [`check_fits`] with only `expert_resident_frac` of the routed
-/// experts in HBM: returns an [`OomError`] when the placement does not
-/// fit even with the offloaded experts out of HBM.
+/// not fit, even with the offloaded experts out of HBM.
 #[allow(clippy::too_many_arguments)]
-pub fn check_fits_resident(
+pub fn check_fits(
     config: &ModelConfig,
     precision: Precision,
     kv_precision: Precision,
@@ -189,7 +143,7 @@ pub fn check_fits_resident(
     max_seq: usize,
     expert_resident_frac: f64,
 ) -> Result<MemoryFootprint, OomError> {
-    let fp = footprint_resident(
+    let fp = footprint(
         config,
         precision,
         kv_precision,
@@ -245,6 +199,7 @@ mod tests {
             &Cluster::h100_node(1),
             1,
             4096,
+            1.0,
         );
         assert!(one.is_err());
         let two = check_fits(
@@ -255,6 +210,7 @@ mod tests {
             &Cluster::h100_node(2),
             1,
             4096,
+            1.0,
         );
         assert!(two.is_ok(), "{two:?}");
     }
@@ -263,8 +219,17 @@ mod tests {
     fn fp8_halves_weight_footprint() {
         let m = mixtral_8x7b();
         let c = Cluster::h100_node(1);
-        let f16 = footprint(&m, Precision::F16, Precision::F16, &tp(1), &c, 1, 2048);
-        let f8 = footprint(&m, Precision::Fp8E4M3, Precision::F16, &tp(1), &c, 1, 2048);
+        let f16 = footprint(&m, Precision::F16, Precision::F16, &tp(1), &c, 1, 2048, 1.0);
+        let f8 = footprint(
+            &m,
+            Precision::Fp8E4M3,
+            Precision::F16,
+            &tp(1),
+            &c,
+            1,
+            2048,
+            1.0,
+        );
         assert!((f8.weight_bytes - f16.weight_bytes / 2.0).abs() / f16.weight_bytes < 0.01);
         // And Mixtral at fp8 *does* fit one H100 (as vLLM users observe).
         assert!(f8.fits());
@@ -294,6 +259,7 @@ mod tests {
                 &cluster,
                 16,
                 4096,
+                1.0,
             )
             .is_err()
         };
@@ -318,6 +284,7 @@ mod tests {
             &Cluster::h100_node(1),
             8,
             2048,
+            1.0,
         );
         let f4 = footprint(
             &m,
@@ -327,6 +294,7 @@ mod tests {
             &Cluster::h100_node(4),
             8,
             2048,
+            1.0,
         );
         assert!((f1.weight_bytes / f4.weight_bytes - 4.0).abs() < 1e-9);
         assert!((f1.kv_bytes / f4.kv_bytes - 4.0).abs() < 1e-9);
@@ -343,6 +311,7 @@ mod tests {
             &Cluster::h100_node(1),
             1,
             2048,
+            1.0,
         )
         .unwrap_err();
         let msg = err.to_string();
@@ -351,13 +320,15 @@ mod tests {
     }
 
     #[test]
-    fn full_residency_matches_legacy_footprint_bitwise() {
+    fn full_residency_charges_every_parameter() {
         let m = mixtral_8x7b();
         let c = Cluster::h100_node(2);
-        let legacy = footprint(&m, Precision::F16, Precision::F16, &tp(2), &c, 8, 2048);
-        let resident =
-            footprint_resident(&m, Precision::F16, Precision::F16, &tp(2), &c, 8, 2048, 1.0);
-        assert_eq!(legacy, resident);
+        let fp = footprint(&m, Precision::F16, Precision::F16, &tp(2), &c, 8, 2048, 1.0);
+        let all_params = ParamBreakdown::of(&m).total() as f64;
+        assert_eq!(
+            fp.weight_bytes,
+            all_params * Precision::F16.bytes_per_param() / 2.0
+        );
     }
 
     #[test]
@@ -365,7 +336,7 @@ mod tests {
         let m = mixtral_8x7b();
         let c = Cluster::h100_node(1);
         let fits = |frac: f64| {
-            check_fits_resident(
+            check_fits(
                 &m,
                 Precision::F16,
                 Precision::F16,
@@ -381,7 +352,7 @@ mod tests {
         assert!(half.is_ok(), "{half:?}");
         // Footprint shrinks monotonically with the resident fraction.
         let fp = |frac: f64| {
-            footprint_resident(
+            footprint(
                 &m,
                 Precision::F16,
                 Precision::F16,
@@ -401,7 +372,7 @@ mod tests {
         // Half-resident Mixtral fits the weights, but a monster KV cache
         // still OOMs — the error must say which regime it priced.
         let m = mixtral_8x7b();
-        let err = check_fits_resident(
+        let err = check_fits(
             &m,
             Precision::F16,
             Precision::F16,
@@ -419,8 +390,17 @@ mod tests {
     fn activation_workspace_bounded_by_chunking() {
         let m = mixtral_8x7b();
         let c = Cluster::h100_node(4);
-        let small = footprint(&m, Precision::F16, Precision::F16, &tp(4), &c, 1, 128);
-        let huge = footprint(&m, Precision::F16, Precision::F16, &tp(4), &c, 128, 65_536);
+        let small = footprint(&m, Precision::F16, Precision::F16, &tp(4), &c, 1, 128, 1.0);
+        let huge = footprint(
+            &m,
+            Precision::F16,
+            Precision::F16,
+            &tp(4),
+            &c,
+            128,
+            65_536,
+            1.0,
+        );
         // Chunked prefill caps the activation working set.
         assert!(
             huge.activation_bytes

@@ -9,10 +9,10 @@ use moe_tensor::Precision;
 use moe_trace::{Tracer, TrackId};
 
 use crate::device::Cluster;
-use crate::memory::{check_fits_resident, MemoryFootprint, OomError};
+use crate::memory::{check_fits, MemoryFootprint, OomError};
 use crate::moecost::{expected_distinct_experts, imbalance_factor, moe_layer_cost, router_skew};
 use crate::parallel::{all_to_all_time, allreduce_time, p2p_time, ParallelMode, ParallelPlan};
-use crate::residency::ExpertResidency;
+use crate::residency::{offload_stall, ExpertResidency};
 use crate::roofline::{gemm_cost, stream_cost, OpCost};
 use crate::steptrace::StepParts;
 
@@ -225,7 +225,7 @@ impl PerfModel {
     /// Check that the run fits in memory. With an offloaded residency
     /// configured, only the resident expert fraction is charged to HBM.
     pub fn check_memory(&self, batch: usize, max_seq: usize) -> Result<MemoryFootprint, OomError> {
-        check_fits_resident(
+        check_fits(
             &self.config,
             self.opts.precision,
             self.opts.kv_precision,
@@ -378,9 +378,9 @@ impl PerfModel {
     /// those, the predictor prefetched `predictor_hit` a layer ahead, so
     /// their transfer overlaps `window` seconds of compute and stalls by
     /// `max(0, load - window)`. The rest are synchronous misses whose load
-    /// is fully exposed. Exactly `0.0` when every needed expert is
-    /// resident, so an all-resident residency prices bit-for-bit like no
-    /// residency model at all.
+    /// is fully exposed ([`offload_stall`]). Exactly `0.0` when every
+    /// needed expert is resident, so an all-resident residency prices
+    /// bit-for-bit like no residency model at all.
     fn expert_load_stall(&self, tokens: usize, moe: &MoeConfig, window: f64) -> f64 {
         let Some(res) = &self.opts.residency else {
             return 0.0;
@@ -411,16 +411,13 @@ impl PerfModel {
             return 0.0;
         }
         let predicted = non_resident * res.predictor_hit;
-        let missed = non_resident - predicted;
-        let load =
-            |experts: f64| res.link.latency + experts * bytes_per_expert / res.link.bandwidth;
-        let prefetch_stall = if predicted > 0.0 {
-            (load(predicted) - window).max(0.0)
-        } else {
-            0.0
-        };
-        let miss_stall = if missed > 0.0 { load(missed) } else { 0.0 };
-        prefetch_stall + miss_stall
+        offload_stall(
+            &res.link,
+            window,
+            predicted,
+            non_resident - predicted,
+            bytes_per_expert,
+        )
     }
 
     /// Per-component times of one transformer layer on one device:

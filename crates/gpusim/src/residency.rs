@@ -86,6 +86,30 @@ impl Default for ExpertResidency {
     }
 }
 
+/// Closed-form stall of one MoE layer's offload traffic (the overlap
+/// model in `docs/MEMORY.md`): `predicted` experts were prefetched a
+/// layer ahead, so their load overlaps `window_s` seconds of compute and
+/// stalls only by the overshoot `max(0, load - window_s)`; `missed`
+/// experts load synchronously and their whole load is exposed. A load of
+/// `n` experts costs `latency + n * bytes_per_expert / bandwidth` on
+/// `link`; a zero count costs nothing.
+pub fn offload_stall(
+    link: &Interconnect,
+    window_s: f64,
+    predicted: f64,
+    missed: f64,
+    bytes_per_expert: f64,
+) -> f64 {
+    let load = |experts: f64| link.latency + experts * bytes_per_expert / link.bandwidth;
+    let prefetch_stall = if predicted > 0.0 {
+        (load(predicted) - window_s).max(0.0)
+    } else {
+        0.0
+    };
+    let miss_stall = if missed > 0.0 { load(missed) } else { 0.0 };
+    prefetch_stall + miss_stall
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,9 +1,10 @@
 //! Discrete-event validation of the prefetch-overlap stall model, compiled
-//! for tests only: the closed form and the event replay are a reference
-//! pair the unit tests below check against each other.
+//! for tests only: the unit tests below check the event replay against
+//! the closed form the cost model prices with.
 //!
 //! The analytic cost model (`moe_gpusim::perfmodel`) prices a layer's
-//! expert-load stall as `max(0, load(predicted) - window) + load(missed)`:
+//! expert-load stall with [`moe_gpusim::residency::offload_stall`]:
+//! `max(0, load(predicted) - window) + load(missed)`:
 //! predicted experts stream over the offload link *during* the previous
 //! layer's compute window and stall only by the overshoot, while missed
 //! experts are synchronous, fully exposed loads. This module replays the
@@ -56,18 +57,6 @@ fn link_time(link: Interconnect, bytes: f64) -> f64 {
     }
 }
 
-/// Closed-form stall for one layer: prefetch overshoot past the previous
-/// layer's compute window, plus the fully exposed miss load. This is the
-/// same arithmetic the perf model's `expert_load_stall` applies.
-fn analytic_stall(link: Interconnect, window_s: f64, demand: LayerDemand) -> f64 {
-    let prefetch = if demand.prefetch_bytes > 0.0 {
-        (link_time(link, demand.prefetch_bytes) - window_s).max(0.0)
-    } else {
-        0.0
-    };
-    prefetch + link_time(link, demand.miss_bytes)
-}
-
 /// Replay the layer sequence on an event timeline with the offload link
 /// as a serializing resource. Layer `l + 1`'s prefetch is issued when
 /// layer `l` starts computing; layer 0 has no window, so its prefetch is
@@ -117,6 +106,14 @@ fn simulate_prefetch(layers: &[LayerDemand], link: Interconnect) -> PrefetchOutc
 #[cfg(test)]
 mod tests {
     use super::*;
+    use moe_gpusim::residency::offload_stall;
+
+    /// The cost model's closed-form stall for one layer, in bytes (one
+    /// "expert" of one byte, so the load is `latency + bytes / bandwidth`
+    /// to the bit).
+    fn closed_form(window_s: f64, prefetch_bytes: f64, miss_bytes: f64) -> f64 {
+        offload_stall(&link(), window_s, prefetch_bytes, miss_bytes, 1.0)
+    }
 
     fn link() -> Interconnect {
         Interconnect::pcie_gen5()
@@ -168,27 +165,16 @@ mod tests {
                 })
                 .collect();
             let out = simulate_prefetch(&layers, link());
-            let mut expect = analytic_stall(
-                link(),
-                0.0,
-                LayerDemand {
-                    compute_s: 0.0,
-                    prefetch_bytes: layers[0].prefetch_bytes,
-                    miss_bytes: 0.0,
-                },
-            );
+            // Layer 0's prefetch has no window; it is priced on its own.
+            let mut expect = closed_form(0.0, layers[0].prefetch_bytes, 0.0);
             for l in 0..layers.len() {
                 let window = if l == 0 { 0.0 } else { layers[l - 1].compute_s };
-                let miss_only = LayerDemand {
-                    miss_bytes: layers[l].miss_bytes,
-                    prefetch_bytes: if l == 0 {
-                        0.0
-                    } else {
-                        layers[l].prefetch_bytes
-                    },
-                    compute_s: 0.0,
+                let prefetch = if l == 0 {
+                    0.0
+                } else {
+                    layers[l].prefetch_bytes
                 };
-                expect += analytic_stall(link(), window, miss_only);
+                expect += closed_form(window, prefetch, layers[l].miss_bytes);
             }
             // Windows (>= 1 s) dwarf the transfers (<= ~0.46 s), so the
             // link never queues and the DES must equal the closed form.
@@ -253,7 +239,7 @@ mod tests {
             let mut independent = 0.0;
             for l in 0..layers.len() {
                 let window = if l == 0 { 0.0 } else { layers[l - 1].compute_s };
-                independent += analytic_stall(link(), window, layers[l]);
+                independent += closed_form(window, layers[l].prefetch_bytes, layers[l].miss_bytes);
             }
             // First layer's prefetch has no window in the DES either; the
             // analytic sum above treats it the same (window 0).

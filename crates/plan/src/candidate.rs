@@ -71,14 +71,9 @@ fn prune_pct(ratio: f64) -> u32 {
     (ratio * 100.0 + 0.5) as u32 // lint:allow(no-lossy-float-cast) -- display-only percent from a validated [0,1) ratio
 }
 
-/// Total order over candidates used for every enumeration and tie-break:
-/// devices, then degree, mode, EP flag, replicas, precision, prune,
-/// spec-decode, batch budget, residency (all-resident first).
-/// Deterministic and independent of scoring.
-#[allow(clippy::type_complexity)]
-pub fn order_key(
-    c: &CandidateConfig,
-) -> (
+/// A candidate's position in the total enumeration order: see
+/// [`order_key`].
+pub type OrderKey = (
     usize,
     usize,
     u8,
@@ -89,7 +84,13 @@ pub fn order_key(
     u8,
     usize,
     (u64, u64, u64),
-) {
+);
+
+/// Total order over candidates used for every enumeration and tie-break:
+/// devices, then degree, mode, EP flag, replicas, precision, prune,
+/// spec-decode, batch budget, residency (all-resident first).
+/// Deterministic and independent of scoring.
+pub fn order_key(c: &CandidateConfig) -> OrderKey {
     (
         c.devices(),
         c.plan.degree,

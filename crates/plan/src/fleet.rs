@@ -5,11 +5,13 @@
 //! its `CandidateConfig` describes replicas of one device type, and its
 //! reports are frozen byte-for-byte in `reports/`. [`plan_fleet`] layers
 //! heterogeneity on top without touching that contract: each pool of a
-//! mixed [`FleetSpec`] is planned independently
-//! with the classic pipeline (so per-class feasibility and frontiers are
-//! exactly what the homogeneous planner would say), then per-class
+//! mixed [`FleetSpec`] is searched independently with the classic grid
+//! [`search`] (so per-class feasibility and frontiers are exactly the
+//! frontiers the homogeneous planner would refine), then per-class
 //! frontier picks are composed into *mixed deployments* whose traffic is
-//! split proportionally to each class's throughput capacity.
+//! split proportionally to each class's throughput capacity. Nothing is
+//! refined through the cluster simulator: the blend works on analytic
+//! scores alone.
 //!
 //! Blending is exact where it can be and conservative where it cannot:
 //!
@@ -24,19 +26,21 @@
 //! * cost adds a USD axis: `usd_per_mtok` from per-device prices in the
 //!   device zoo, the end-to-end MoE-CAP cost metric.
 
+use moe_cluster::generate;
 use moe_gpusim::cap;
 use moe_json::ToJson;
 
-use crate::candidate::order_key;
-use crate::planner::{plan, PlanFailure, PlanReport};
+use crate::candidate::{order_key, OrderKey};
+use crate::planner::{sketch_of, PlanFailure};
 use crate::score::{queueing_inflation, CandidateScore, WorkloadSketch, MAX_RHO};
+use crate::search::search;
 use crate::spec::{FleetSpec, PlannerSpec};
 
 /// Frontier picks per class considered for mixing. Small and fixed: with
 /// `C` classes the composition space is `(MIXED_TOP_PER_CLASS + 1)^C - 1`.
 pub const MIXED_TOP_PER_CLASS: usize = 3;
 
-/// The classic planner's verdict on one device class of a mixed fleet.
+/// The grid search's verdict on one device class of a mixed fleet.
 #[derive(Debug, Clone, PartialEq, ToJson)]
 pub struct ClassPlan {
     /// Device name (zoo profile name).
@@ -47,7 +51,7 @@ pub struct ClassPlan {
     pub count: usize,
     /// Indicative price of one device-hour (USD).
     pub usd_per_device_hour: f64,
-    /// Whether the classic planner found any feasible candidate.
+    /// Whether the search found any feasible candidate.
     pub feasible: bool,
     /// Failure label when infeasible (`""` when feasible).
     pub failure: String,
@@ -125,25 +129,12 @@ pub struct FleetPlanReport {
 /// joins each part's candidate enumeration key, so mixed frontiers are
 /// byte-stable across worker counts regardless of which class finished
 /// scoring first.
-fn mixed_order_key(m: &MixedScore) -> Vec<(String, MixedPartKey)> {
+fn mixed_order_key(m: &MixedScore) -> Vec<(String, OrderKey)> {
     m.parts
         .iter()
         .map(|p| (p.device.clone(), order_key(&p.score.config)))
         .collect()
 }
-
-type MixedPartKey = (
-    usize,
-    usize,
-    u8,
-    u8,
-    usize,
-    u8,
-    u64,
-    u8,
-    usize,
-    (u64, u64, u64),
-);
 
 /// `a` dominates `b` over the mixed CAP axes: USD cost and ITL minimized,
 /// accuracy and throughput maximized.
@@ -240,7 +231,7 @@ fn class_pick_rank(c: &CandidateScore) -> impl Ord {
 
 /// Recommendation order over blends: SLO-meeting first, then cheapest in
 /// USD, then the deterministic mixed key.
-fn recommendation_rank(m: &MixedScore) -> (u8, u64, Vec<(String, MixedPartKey)>) {
+fn recommendation_rank(m: &MixedScore) -> (u8, u64, Vec<(String, OrderKey)>) {
     (
         u8::from(!m.meets_slo),
         m.usd_per_mtok.to_bits(),
@@ -248,10 +239,10 @@ fn recommendation_rank(m: &MixedScore) -> (u8, u64, Vec<(String, MixedPartKey)>)
     )
 }
 
-/// Plan a (possibly mixed) fleet: run the classic planner per pool, then
-/// compose per-class frontier picks into blended mixed deployments.
-/// Uniform fleets work too — the blend frontier then contains the
-/// single-class deployments.
+/// Plan a (possibly mixed) fleet: search each pool's grid, then compose
+/// per-class frontier picks into blended mixed deployments. Uniform
+/// fleets work too — the blend frontier then contains the single-class
+/// deployments.
 pub fn plan_fleet(spec: &PlannerSpec) -> Result<FleetPlanReport, PlanFailure> {
     if spec.fleet.pools.is_empty() {
         return Err(PlanFailure::InvalidSpec("fleet has zero pools".into()));
@@ -264,42 +255,44 @@ pub fn plan_fleet(spec: &PlannerSpec) -> Result<FleetPlanReport, PlanFailure> {
             )));
         }
     }
+    let subs = spec
+        .fleet
+        .pools
+        .iter()
+        .map(|pool| {
+            let sub = PlannerSpec {
+                fleet: FleetSpec {
+                    pools: vec![pool.clone()],
+                },
+                ..spec.clone()
+            };
+            sub.check().map(|()| sub)
+        })
+        .collect::<Result<Vec<_>, _>>()?;
 
-    // Classic plan per pool, sequentially in pool order (each plan
-    // already fans out on the worker pool internally).
-    let mut classes = Vec::with_capacity(spec.fleet.pools.len());
-    let mut class_reports: Vec<Option<PlanReport>> = Vec::with_capacity(spec.fleet.pools.len());
-    let mut sketch: Option<WorkloadSketch> = None;
-    for pool in &spec.fleet.pools {
-        let sub = PlannerSpec {
-            fleet: FleetSpec {
-                pools: vec![pool.clone()],
-            },
-            ..spec.clone()
-        };
-        let outcome = plan(&sub);
-        let (feasible, failure, frontier, report) = match outcome {
-            Ok(report) => {
-                sketch.get_or_insert(report.sketch);
-                (true, String::new(), report.frontier.clone(), Some(report))
+    // One workload sketch serves every class; each pool's search already
+    // fans out on the worker pool internally, so pools run in order.
+    let sketch = sketch_of(&generate(&spec.workload, spec.seed));
+    let classes: Vec<ClassPlan> = subs
+        .iter()
+        .map(|sub| {
+            let pool = &sub.fleet.pools[0];
+            let frontier = search(sub, &sketch).frontier;
+            ClassPlan {
+                device: pool.device.name.clone(),
+                class: pool.device.class.label().to_string(),
+                count: pool.count,
+                usd_per_device_hour: pool.device.power.price_per_hour_usd,
+                feasible: !frontier.is_empty(),
+                failure: if frontier.is_empty() {
+                    "no feasible candidate".to_string()
+                } else {
+                    String::new()
+                },
+                frontier,
             }
-            Err(PlanFailure::NoFeasibleCandidate) => {
-                (false, "no feasible candidate".to_string(), Vec::new(), None)
-            }
-            Err(e) => return Err(e),
-        };
-        classes.push(ClassPlan {
-            device: pool.device.name.clone(),
-            class: pool.device.class.label().to_string(),
-            count: pool.count,
-            usd_per_device_hour: pool.device.power.price_per_hour_usd,
-            feasible,
-            failure,
-            frontier,
-        });
-        class_reports.push(report);
-    }
-    let sketch = sketch.ok_or(PlanFailure::NoFeasibleCandidate)?;
+        })
+        .collect();
 
     // Per class: the top picks offered to the mixer.
     let mut class_picks: Vec<Vec<&CandidateScore>> = Vec::with_capacity(classes.len());
@@ -430,6 +423,45 @@ mod tests {
         }
         assert_eq!(report.fleet, "2x H100-SXM5-80GB + 4x RTX-4090-24GB");
         assert_eq!(report.devices, 6);
+    }
+
+    #[test]
+    fn class_frontiers_are_the_per_pool_search_frontiers() {
+        let spec = mixed_spec();
+        let report = plan_fleet(&spec).expect("mixed plan succeeds");
+        let sketch = sketch_of(&generate(&spec.workload, spec.seed));
+        assert_eq!(report.sketch, sketch);
+        for (class, pool) in report.classes.iter().zip(&spec.fleet.pools) {
+            let sub = PlannerSpec {
+                fleet: FleetSpec {
+                    pools: vec![pool.clone()],
+                },
+                ..spec.clone()
+            };
+            assert_eq!(
+                class.frontier,
+                search(&sub, &sketch).frontier,
+                "{}",
+                class.device
+            );
+        }
+    }
+
+    #[test]
+    fn sub_spec_defects_fail_typed_not_as_infeasible_classes() {
+        let mut zero_refine = mixed_spec();
+        zero_refine.refine_top_k = 0;
+        let mut no_policies = mixed_spec();
+        no_policies.space.policies.clear();
+        for (spec, field) in [
+            (zero_refine, "refine_top_k"),
+            (no_policies, "search-space dimension"),
+        ] {
+            match plan_fleet(&spec) {
+                Err(PlanFailure::InvalidSpec(msg)) => assert!(msg.contains(field), "{msg}"),
+                other => panic!("expected InvalidSpec naming {field}, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -241,7 +241,25 @@ fn shape_bound(
 
 /// Traverse the grid in the requested mode.
 pub fn search(spec: &PlannerSpec, sketch: &WorkloadSketch) -> SearchOutcome {
-    let shapes = enumerate_shapes(&spec.fleet, &spec.space);
+    traverse(
+        spec,
+        sketch,
+        enumerate_shapes(&spec.fleet, &spec.space),
+        None,
+    )
+}
+
+/// The one grid traversal behind [`search`] and [`warm_search`]: every
+/// shape in `shapes` times every knob completion, in `spec.mode`. A
+/// `warm` shape found in `shapes` expands first and unconditionally —
+/// never probed, exempt from the beam-width cap — so its scores seed the
+/// dominance pruning of every other shape.
+fn traverse(
+    spec: &PlannerSpec,
+    sketch: &WorkloadSketch,
+    shapes: Vec<Shape>,
+    warm: Option<Shape>,
+) -> SearchOutcome {
     let completions = Completions::for_model(&spec.space, &spec.model, spec.draft.is_some());
     let mut counts = SearchCounts {
         shapes: shapes.len(),
@@ -249,6 +267,18 @@ pub fn search(spec: &PlannerSpec, sketch: &WorkloadSketch) -> SearchOutcome {
         ..SearchCounts::default()
     };
     let mut scored: Vec<CandidateScore> = Vec::new();
+    let warm_idx = warm.and_then(|w| shapes.iter().position(|s| *s == w));
+    if let Some(i) = warm_idx {
+        expand_shape(
+            spec,
+            sketch,
+            &shapes[i],
+            &completions,
+            &mut scored,
+            &mut counts,
+        );
+    }
+    let cold = |i: usize| Some(i) != warm_idx;
 
     match spec.mode {
         SearchMode::Exhaustive => {
@@ -259,14 +289,16 @@ pub fn search(spec: &PlannerSpec, sketch: &WorkloadSketch) -> SearchOutcome {
             let expanded = moe_par::map_collect(shapes.len(), |i| {
                 let mut part = Vec::new();
                 let mut delta = SearchCounts::default();
-                expand_shape(
-                    spec,
-                    sketch,
-                    &shapes[i],
-                    &completions,
-                    &mut part,
-                    &mut delta,
-                );
+                if cold(i) {
+                    expand_shape(
+                        spec,
+                        sketch,
+                        &shapes[i],
+                        &completions,
+                        &mut part,
+                        &mut delta,
+                    );
+                }
                 (part, delta)
             });
             for (part, delta) in expanded {
@@ -275,14 +307,18 @@ pub fn search(spec: &PlannerSpec, sketch: &WorkloadSketch) -> SearchOutcome {
             }
         }
         SearchMode::Beam { width } => {
-            // Bound every shape (independent probes, parallel), then
+            // Bound every cold shape (independent probes, parallel), then
             // keep the `width` most promising by optimistic cost (ties:
             // accuracy, throughput, order key). The expansion phase
             // below stays serial: its dominance pruning is
             // order-dependent by design.
             let probes = moe_par::map_collect(shapes.len(), |i| {
                 let mut delta = SearchCounts::default();
-                let bound = shape_bound(spec, sketch, &shapes[i], &completions, &mut delta);
+                let bound = if cold(i) {
+                    shape_bound(spec, sketch, &shapes[i], &completions, &mut delta)
+                } else {
+                    None
+                };
                 (bound, delta)
             });
             let mut bounded: Vec<(usize, OptimisticBound)> = Vec::new();
@@ -396,106 +432,17 @@ pub fn warm_search(
     incumbent: &CandidateConfig,
     reach: &ReachableSpace,
 ) -> SearchOutcome {
-    let shapes = reachable_shapes(spec, incumbent, reach);
-    let completions = Completions::for_model(&spec.space, &spec.model, spec.draft.is_some());
-    let mut counts = SearchCounts {
-        shapes: shapes.len(),
-        enumerated: shapes.len() * completions.len(),
-        ..SearchCounts::default()
-    };
-    let mut scored: Vec<CandidateScore> = Vec::new();
-
     let incumbent_shape = Shape {
         plan: incumbent.plan,
         replicas: incumbent.replicas,
         precision: incumbent.precision,
     };
-    let warm_idx = shapes.iter().position(|s| *s == incumbent_shape);
-    if let Some(i) = warm_idx {
-        expand_shape(
-            spec,
-            sketch,
-            &shapes[i],
-            &completions,
-            &mut scored,
-            &mut counts,
-        );
-    }
-
-    match spec.mode {
-        SearchMode::Exhaustive => {
-            let expanded = moe_par::map_collect(shapes.len(), |i| {
-                let mut part = Vec::new();
-                let mut delta = SearchCounts::default();
-                if Some(i) != warm_idx {
-                    expand_shape(
-                        spec,
-                        sketch,
-                        &shapes[i],
-                        &completions,
-                        &mut part,
-                        &mut delta,
-                    );
-                }
-                (part, delta)
-            });
-            for (part, delta) in expanded {
-                scored.extend(part);
-                add_counts(&mut counts, &delta);
-            }
-        }
-        SearchMode::Beam { width } => {
-            let probes = moe_par::map_collect(shapes.len(), |i| {
-                let mut delta = SearchCounts::default();
-                let bound = if Some(i) == warm_idx {
-                    None // already expanded, never re-probed
-                } else {
-                    shape_bound(spec, sketch, &shapes[i], &completions, &mut delta)
-                };
-                (bound, delta)
-            });
-            let mut bounded: Vec<(usize, OptimisticBound)> = Vec::new();
-            for (i, (bound, delta)) in probes.into_iter().enumerate() {
-                add_counts(&mut counts, &delta);
-                if let Some(b) = bound {
-                    bounded.push((i, b));
-                }
-            }
-            bounded.sort_by(|(ia, a), (ib, b)| {
-                a.cost_lb
-                    .total_cmp(&b.cost_lb)
-                    .then(b.accuracy_ub.total_cmp(&a.accuracy_ub))
-                    .then(b.tok_ub.total_cmp(&a.tok_ub))
-                    .then(ia.cmp(ib))
-            });
-            if bounded.len() > width {
-                counts.pruned_by_width += (bounded.len() - width) * completions.len();
-                bounded.truncate(width);
-            }
-            bounded.sort_by_key(|(i, _)| *i);
-            for (i, bound) in &bounded {
-                if scored.iter().any(|s| strictly_dominates_bound(s, bound)) {
-                    counts.pruned_by_bound += completions.len();
-                    continue;
-                }
-                expand_shape(
-                    spec,
-                    sketch,
-                    &shapes[*i],
-                    &completions,
-                    &mut scored,
-                    &mut counts,
-                );
-            }
-        }
-    }
-
-    let frontier = pareto_frontier(&scored);
-    SearchOutcome {
-        scored,
-        frontier,
-        counts,
-    }
+    traverse(
+        spec,
+        sketch,
+        reachable_shapes(spec, incumbent, reach),
+        Some(incumbent_shape),
+    )
 }
 
 #[cfg(test)]

@@ -25,6 +25,7 @@ pub fn scheduler_config_for(model: &PerfModel, max_seq: usize) -> SchedulerConfi
         model.cluster(),
         1,
         max_seq,
+        1.0,
     );
     let kv_budget = (fp.capacity_bytes - fp.weight_bytes - fp.reserve_bytes - fp.activation_bytes)
         .max(0.0)
