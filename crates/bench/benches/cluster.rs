@@ -42,6 +42,13 @@ const REQUESTS: usize = 20_000;
 const BASELINE_LABEL: &str = "linear-scan core (pre event-heap)";
 const BASELINE_EVENTS_PER_S: f64 = 119_150.0;
 
+/// Events the scenario processes under that definition, on every core.
+const EVENTS: u64 = 820_234;
+
+/// The core this build measures, named in its trajectory entry.
+const CORE_LABEL: &str = "event heap + TTFT deadline cursor + hashed decode prices + \
+                          one-pass least-outstanding scan";
+
 /// The benchmark scenario: ~0.6M simulated users (peak 2000 QPS at a
 /// 300 s think time) on a diurnal cycle, against 1000 single-H100
 /// OLMoE replicas with TTFT timeouts, retries and a seeded crash plan.
@@ -137,10 +144,14 @@ fn main() {
         report = Some(r);
     }
     let report = report.expect("at least one rep ran");
+    assert_eq!(
+        report.events, EVENTS,
+        "the scenario's event count moved, so events/s is no longer comparable"
+    );
     let events_per_s = report.events as f64 / best_wall;
     let speedup = events_per_s / BASELINE_EVENTS_PER_S;
     println!(
-        "heap core: {} events in {:.3} s = {:.0} events/s ({speedup:.1}x over {BASELINE_LABEL}), \
+        "{CORE_LABEL}: {} events in {:.3} s = {:.0} events/s ({speedup:.1}x over {BASELINE_LABEL}), \
          completed {}/{}, timed_out {}, dropped {}, makespan {:.2} s, peak_live {}",
         report.events,
         best_wall,
@@ -204,11 +215,21 @@ fn main() {
             ("committed".into(), Json::Bool(true)),
         ]));
     }
+    let cores = if host_cores > 1 {
+        "multi-core"
+    } else {
+        "single-core"
+    };
     trajectory.push(Json::Obj(vec![
+        ("core".into(), Json::Str(CORE_LABEL.into())),
         (
-            "core".into(),
-            Json::Str("indexed event heap + streaming aggregation".into()),
+            "note".into(),
+            Json::Str(format!(
+                "measured on a {host_cores}-core ({cores}) host; the timed event loop is \
+                 single-threaded, only the sharded byte-identity check uses more cores"
+            )),
         ),
+        ("host_cores".into(), Json::Int(host_cores as i128)),
         ("events_per_s".into(), Json::Float(events_per_s)),
         ("events".into(), Json::Int(report.events as i128)),
         ("wall_s".into(), Json::Float(best_wall)),

@@ -6,20 +6,28 @@
 //! `f64::total_cmp` on time. `source` is the fixed round-priority
 //! enumeration — faults, step completions, retry releases, arrivals,
 //! timeouts — and `id` is the event's natural index (replica for step
-//! completions, request for retries/timeouts). Because the key is total
-//! and every push is deterministic, the pop sequence is a pure function
-//! of the pushed set: no tie is ever left to container iteration order.
-//! `docs/SCALE.md` walks through why this makes the heap-driven loop
-//! replay byte-identically.
+//! completions, request for retries and for the timeouts of a round).
+//! Because the key is total and every push is deterministic, the pop
+//! sequence is a pure function of the pushed set: no tie is ever left to
+//! container iteration order. `docs/SCALE.md` walks through why this
+//! makes the heap-driven loop replay byte-identically.
 //!
 //! ## Staleness
 //!
 //! The heap is *lazy*: entries are never removed when they are
-//! invalidated (a request times out, a crash wipes an in-flight step).
+//! invalidated (a request finishes, a crash wipes an in-flight step).
 //! Producers instead tag entries so consumers can recognize and skip
 //! dead ones — step completions carry the replica's step generation,
-//! retry/timeout entries are checked against the live-request table.
+//! retry entries are checked against the live-request table.
 //! This keeps every mutation O(log n) with no indexed deletes.
+//!
+//! TTFT deadlines stay out of the heap: almost none fires, so as heap
+//! entries they would mostly be dead weight on every pop. The simulator
+//! keeps them in a FIFO in delivery order, which is deadline order
+//! because arrival times never decrease, and one [`Source::Timeout`]
+//! cursor sits in the heap at the first live deadline. A cursor whose
+//! request left the system is stale; skipping it re-arms it on the next
+//! live deadline, so the clock never stops at a dead one.
 
 /// Event-source priority, the second component of the heap key. The
 /// discriminant order *is* the processing order within a coalesced
@@ -36,7 +44,8 @@ pub(crate) enum Source {
     Retry = 2,
     /// Arrival cursor: deliver every request that is due.
     Arrival = 3,
-    /// A request's TTFT deadline passed.
+    /// Timeout cursor: the first live TTFT deadline is due. The round
+    /// then holds one event per due deadline, with the request as `id`.
     Timeout = 4,
     /// A provisioning replica finished warming up and goes live.
     Reconfig = 5,
@@ -45,10 +54,11 @@ pub(crate) enum Source {
     Control = 6,
 }
 
-/// One scheduled event. `id` is the replica index for [`Source::StepEnd`],
-/// the request id for [`Source::Retry`]/[`Source::Timeout`], and 0 for
-/// the two cursor sources (at most one of each is ever pending). `gen`
-/// is the step generation for staleness checks, 0 elsewhere.
+/// One scheduled event. `id` is the replica index for [`Source::StepEnd`]
+/// and [`Source::Reconfig`], the request id for [`Source::Retry`] and for
+/// a round's [`Source::Timeout`] firings, and 0 for the cursor sources
+/// (at most one of each is ever pending in the heap). `gen` is the step
+/// generation for staleness checks, 0 elsewhere.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Event {
     pub t_s: f64,

@@ -186,7 +186,7 @@ impl Router {
                     }
                     (true, false) => Some(a),
                     (false, true) => Some(b),
-                    (false, false) => least_outstanding(loads),
+                    (false, false) => least_outstanding(loads, 0),
                 }
             }
             RoutePolicy::PrefixAffinity => {
@@ -208,31 +208,32 @@ impl Router {
     /// Under rank ties this *is* round-robin, so the policy never herds
     /// onto low indices when the cluster is idle.
     fn least_outstanding_rotating(&mut self, loads: &[ReplicaLoad]) -> Option<usize> {
-        let n = loads.len();
-        let best = loads
-            .iter()
-            .filter(|l| l.alive)
-            .map(ReplicaLoad::rank)
-            .min()?;
-        for probe in 0..n {
-            let idx = (self.rr_next + probe) % n;
-            if loads[idx].alive && loads[idx].rank() == best {
-                self.rr_next = (idx + 1) % n;
-                return Some(idx);
-            }
-        }
-        None
+        let idx = least_outstanding(loads, self.rr_next)?;
+        self.rr_next = (idx + 1) % loads.len();
+        Some(idx)
     }
 }
 
-/// Alive replica with minimum load; ties break to the lower index.
-fn least_outstanding(loads: &[ReplicaLoad]) -> Option<usize> {
-    loads
-        .iter()
-        .enumerate()
-        .filter(|(_, l)| l.alive)
-        .min_by_key(|(i, l)| (l.rank(), *i))
-        .map(|(i, _)| i)
+/// Alive replica with minimum rank; ties break to the first in cyclic
+/// order from `start`. One pass keeps the first strict minimum and stops
+/// at an idle replica, whose rank `(0, 0)` nothing can beat.
+fn least_outstanding(loads: &[ReplicaLoad], start: usize) -> Option<usize> {
+    let start = start % loads.len().max(1);
+    let mut best: Option<(usize, (usize, usize))> = None;
+    for idx in (start..loads.len()).chain(0..start) {
+        let load = &loads[idx];
+        if !load.alive {
+            continue;
+        }
+        let rank = load.rank();
+        if best.is_none_or(|(_, b)| rank < b) {
+            best = Some((idx, rank));
+            if rank == (0, 0) {
+                break;
+            }
+        }
+    }
+    best.map(|(idx, _)| idx)
 }
 
 /// SplitMix64-style avalanche of seed and key — stable across platforms.
@@ -279,6 +280,50 @@ mod tests {
         assert_eq!(r.choose(&loads(&[2, 2, 2]), None), Some(2));
         assert_eq!(r.choose(&loads(&[2, 2, 2]), None), Some(0));
         assert_eq!(r.choose(&loads(&[2, 2, 2]), None), Some(1));
+    }
+
+    /// The definition the scan must match: the minimum rank over alive
+    /// replicas, then the first replica of that rank in cyclic order
+    /// from `start`.
+    fn reference_pick(loads: &[ReplicaLoad], start: usize) -> Option<usize> {
+        let n = loads.len();
+        let best = loads.iter().filter(|l| l.alive).map(|l| l.rank()).min()?;
+        (0..n)
+            .map(|probe| (start + probe) % n)
+            .find(|&idx| loads[idx].alive && loads[idx].rank() == best)
+    }
+
+    #[test]
+    fn one_pass_scan_matches_the_brute_force_reference() {
+        let mut rng = moe_tensor::rng::rng_from_seed(17);
+        for case in 0..300 {
+            let n = 1 + rng.next_below(24);
+            // Small ranges make rank ties, idle replicas and all-dead
+            // fleets common.
+            let loads: Vec<ReplicaLoad> = (0..n)
+                .map(|_| {
+                    let queued = rng.next_below(3);
+                    ReplicaLoad {
+                        alive: rng.next_below(4) != 0,
+                        queued,
+                        outstanding: queued + rng.next_below(3),
+                    }
+                })
+                .collect();
+            assert_eq!(
+                least_outstanding(&loads, 0),
+                reference_pick(&loads, 0),
+                "case {case}: scan from 0"
+            );
+            for start in 0..n {
+                let mut r = Router::new(RoutePolicy::LeastOutstanding, 1);
+                r.rr_next = start;
+                let want = reference_pick(&loads, start);
+                assert_eq!(r.choose(&loads, None), want, "case {case}, start {start}");
+                let next = want.map_or(start, |idx| (idx + 1) % n);
+                assert_eq!(r.rr_next, next, "case {case}, start {start}: pointer");
+            }
+        }
     }
 
     #[test]

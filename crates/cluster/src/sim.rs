@@ -12,10 +12,11 @@
 //! buffer and processed in **fixed priority order** — faults (plan
 //! order), step completions (time, then replica index), retry releases,
 //! arrivals, then timeouts — after which the router dispatches and idle
-//! replicas restart. Invalidated heap entries (a canceled request's
-//! timeout, a crashed step's completion) are skipped lazily via
-//! generation/liveness checks rather than removed. `docs/SCALE.md`
-//! documents the full ordering contract.
+//! replicas restart. Invalidated heap entries (a crashed step's
+//! completion, a dropped request's retry) are skipped lazily via
+//! generation/liveness checks rather than removed. TTFT deadlines wait
+//! in a FIFO behind one timeout cursor instead of one heap entry each
+//! (see `events`). `docs/SCALE.md` documents the full ordering contract.
 //!
 //! ## Streaming aggregation
 //!
@@ -348,8 +349,14 @@ pub struct ClusterSim {
     live: BTreeMap<u64, LiveReq>,
     faults: FaultPlan,
     fault_idx: usize,
-    /// The indexed event heap over all five sources.
+    /// The indexed event heap: step ends, retry releases, reconfigs and
+    /// the fault, arrival, timeout and control cursors.
     heap: EventHeap,
+    /// TTFT deadlines `(deadline, request id)` in delivery order, hence
+    /// non-decreasing (the arrival source yields non-decreasing arrival
+    /// times). While it is non-empty, one [`Source::Timeout`] cursor sits
+    /// in the heap at its front's deadline.
+    deadlines: VecDeque<(f64, u64)>,
     /// Reusable buffer of one coalesced round's events.
     round: Vec<Event>,
     /// Router admission queue: trace ids, FIFO. May contain entries for
@@ -432,6 +439,7 @@ impl ClusterSim {
             faults,
             fault_idx: 0,
             heap: EventHeap::new(),
+            deadlines: VecDeque::new(),
             round: Vec::new(),
             queue: VecDeque::new(),
             queue_dead: 0,
@@ -485,11 +493,12 @@ impl ClusterSim {
         Self::new(model, sched, cfg, faults, trace)
     }
 
-    /// Is a heap entry invalidated? Cursor events never are; step
-    /// completions are stale when the replica's in-flight generation
-    /// moved on (crash, or the step already committed); retry releases
-    /// are stale unless the request still waits in backoff; timeouts
-    /// are stale once the request left the system.
+    /// Is a heap entry invalidated? The fault, arrival and control
+    /// cursors never are; step completions are stale when the replica's
+    /// in-flight generation moved on (crash, or the step already
+    /// committed); retry releases are stale unless the request still
+    /// waits in backoff; the timeout cursor is stale once the request of
+    /// the front deadline left the system.
     fn is_stale(&self, ev: &Event) -> bool {
         match ev.source {
             Source::Fault | Source::Arrival | Source::Reconfig | Source::Control => false,
@@ -503,24 +512,64 @@ impl ClusterSim {
                 .live
                 .get(&ev.id)
                 .is_some_and(|l| l.state == ReqState::Backoff),
-            Source::Timeout => !self.live.contains_key(&ev.id),
+            Source::Timeout => self
+                .deadlines
+                .front()
+                .is_none_or(|(_, id)| !self.live.contains_key(id)),
         }
     }
 
     /// Next pending event time; `None` when drained. Pops stale entries
-    /// off the top so the clock never jumps to a dead deadline.
+    /// off the top, re-arming a stale timeout cursor past the dead
+    /// deadlines, so the clock never jumps to a dead deadline.
     fn next_event_s(&mut self) -> Option<f64> {
         loop {
-            let (t, stale) = match self.heap.peek() {
-                Some(ev) => (ev.t_s, self.is_stale(ev)),
+            let (t, source, stale) = match self.heap.peek() {
+                Some(ev) => (ev.t_s, ev.source, self.is_stale(ev)),
                 None => return None,
             };
             if stale {
                 self.heap.pop();
+                if source == Source::Timeout {
+                    self.arm_timeout();
+                }
                 continue;
             }
             return Some(t);
         }
+    }
+
+    /// Drop the dead deadlines at the front of the queue and put the
+    /// timeout cursor on the first live one, if any is left.
+    fn arm_timeout(&mut self) {
+        while let Some(&(t_s, id)) = self.deadlines.front() {
+            if self.live.contains_key(&id) {
+                self.heap.push_at(t_s, Source::Timeout, 0);
+                return;
+            }
+            self.deadlines.pop_front();
+        }
+    }
+
+    /// The timeout cursor came due: move every deadline due at `now`
+    /// whose request is still live into the round, then re-arm. The
+    /// round's sort fires them in `(deadline, id)` order.
+    fn take_due_deadlines(&mut self, now: f64, round: &mut Vec<Event>) {
+        while let Some(&(t_s, id)) = self.deadlines.front() {
+            if t_s > now + EPS {
+                break;
+            }
+            self.deadlines.pop_front();
+            if self.live.contains_key(&id) {
+                round.push(Event {
+                    t_s,
+                    source: Source::Timeout,
+                    id,
+                    gen: 0,
+                });
+            }
+        }
+        self.arm_timeout();
     }
 
     /// Run to completion and build the report, recording router
@@ -588,7 +637,9 @@ impl ClusterSim {
                 break;
             }
             if let Some(ev) = self.heap.pop() {
-                if !self.is_stale(&ev) {
+                if ev.source == Source::Timeout {
+                    self.take_due_deadlines(now, &mut round);
+                } else if !self.is_stale(&ev) {
                     round.push(ev);
                 }
             }
@@ -773,7 +824,14 @@ impl ClusterSim {
             let id = req.id;
             if self.cfg.router.ttft_timeout_s > 0.0 {
                 let deadline = req.arrival_s + self.cfg.router.ttft_timeout_s;
-                self.heap.push_at(deadline, Source::Timeout, id);
+                debug_assert!(
+                    self.deadlines.back().is_none_or(|&(t, _)| t <= deadline),
+                    "arrival source yielded a decreasing arrival time"
+                );
+                if self.deadlines.is_empty() {
+                    self.heap.push_at(deadline, Source::Timeout, 0);
+                }
+                self.deadlines.push_back((deadline, id));
             }
             self.queue.push_back(id);
             self.live.insert(
@@ -797,8 +855,9 @@ impl ClusterSim {
     }
 
     /// A request's TTFT deadline passed: cancel it wherever it sits.
-    /// Liveness was checked at pop time, but a step completion earlier
-    /// in this same round may have finished it — re-check.
+    /// Liveness was checked when the round was collected, but a step
+    /// completion earlier in this same round may have finished it —
+    /// re-check.
     fn fire_timeout(&mut self, id: u64, now: f64) {
         let Some(lv) = self.live.get(&id) else {
             return;
@@ -1600,6 +1659,87 @@ mod tests {
             );
         }
         assert!(report.ttft.max_s <= 0.5 + 1e-6);
+    }
+
+    #[test]
+    fn same_round_deadlines_fire_in_deadline_then_id_order() {
+        use moe_trace::{ArgValue, MemorySink, TraceEvent};
+        let request = |id: u64, arrival_s: f64| crate::workload::ClusterRequest {
+            id,
+            arrival_s,
+            prompt_len: 64,
+            max_new_tokens: 4,
+            tenant: "t".to_string(),
+            prefix_group: 0,
+            prefix_len: 0,
+        };
+        // Delivery order 2, 0, 1, 3: ids 2 and 0 share a deadline, id 1's
+        // lies within the round's coalescing window after theirs.
+        let trace = RequestTrace {
+            requests: vec![
+                request(2, 0.1),
+                request(0, 0.1),
+                request(1, 0.1 + 0.5 * EPS),
+                request(3, 0.3),
+            ],
+        };
+        let mut cfg = base_cfg(RoutePolicy::RoundRobin);
+        cfg.replicas = 1;
+        cfg.router.ttft_timeout_s = 0.5;
+        // The only replica is down for good: every request waits at the
+        // router until its deadline.
+        let faults = FaultPlan {
+            events: vec![FaultEvent::Crash {
+                t_s: 0.0,
+                replica: 0,
+            }],
+        };
+        let mut tracer = Tracer::new(Box::new(MemorySink::new()));
+        let report = ClusterSim::sized_for(&olmoe(), 2048, cfg, faults, trace).run(&mut tracer);
+        assert_accounted(&report);
+        assert_eq!(report.timed_out, 4);
+        let fired: Vec<(f64, i64)> = tracer
+            .snapshot()
+            .into_iter()
+            .filter_map(|e| match e {
+                TraceEvent::Instant {
+                    name, t_s, args, ..
+                } if name == "timeout" => match args[..] {
+                    [("req", ArgValue::Int(id))] => Some((t_s, id)),
+                    _ => None,
+                },
+                _ => None,
+            })
+            .collect();
+        assert_eq!(fired, vec![(0.6, 0), (0.6, 2), (0.6, 1), (0.8, 3)]);
+        assert_eq!(report.makespan_s, 0.8);
+    }
+
+    #[test]
+    fn a_run_that_finishes_early_ends_at_its_last_completion() {
+        let mut cfg = base_cfg(RoutePolicy::LeastOutstanding);
+        cfg.router.ttft_timeout_s = 100.0;
+        cfg.retain_outputs = true;
+        let sim = ClusterSim::sized_for(
+            &olmoe(),
+            2048,
+            cfg,
+            FaultPlan::none(),
+            small_trace(40, 20.0, 3),
+        );
+        let report = sim.run(&mut Tracer::disabled());
+        assert_accounted(&report);
+        assert_eq!(report.completed, 40);
+        let last = report
+            .outputs
+            .iter()
+            .map(|o| o.finish_s)
+            .fold(0.0, f64::max);
+        assert!(last < 100.0);
+        assert_eq!(
+            report.makespan_s, last,
+            "the clock must not run on to a dead deadline"
+        );
     }
 
     #[test]

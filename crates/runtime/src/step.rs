@@ -6,7 +6,8 @@
 //! may cancel requests in between; single-engine experiments run it as a
 //! one-replica cluster.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 
 use moe_gpusim::perfmodel::{PerfModel, Phase};
 use moe_gpusim::steptrace::StepParts;
@@ -84,9 +85,14 @@ impl StepShape {
 /// shape, so a hit returns bit-identically what the model would
 /// recompute; drivers apply any slowdown after lookup, so straggler
 /// windows never pollute a cache shared by replicas of one model.
+///
+/// Decode shapes, priced once per decode step, hit a hashed map keyed by
+/// `(batch, mean_ctx)`; the rarer prefill shapes stay in an ordered map.
+/// Neither map is ever iterated, so the hash order never shows.
 #[derive(Debug, Default)]
 pub struct PriceCache {
-    map: BTreeMap<StepShape, f64>,
+    decode: HashMap<(usize, usize), f64, BuildHasherDefault<MulHasher>>,
+    prefill: BTreeMap<StepShape, f64>,
 }
 
 impl PriceCache {
@@ -95,7 +101,46 @@ impl PriceCache {
     }
 
     fn price(&mut self, shape: StepShape, model: &PerfModel) -> f64 {
-        *self.map.entry(shape).or_insert_with(|| shape.price(model))
+        let price = || shape.price(model);
+        match shape {
+            StepShape::Decode { batch, mean_ctx } => {
+                *self.decode.entry((batch, mean_ctx)).or_insert_with(price)
+            }
+            StepShape::Prefill { .. } => *self.prefill.entry(shape).or_insert_with(price),
+        }
+    }
+}
+
+/// Multiply-rotate hasher for the price cache's integer keys: one
+/// multiply per word, where std's default SipHash costs a few dozen
+/// cycles per lookup. The keys are the simulator's own step shapes, not
+/// attacker input, so flooding resistance buys nothing here.
+#[derive(Debug, Default)]
+struct MulHasher(u64);
+
+impl MulHasher {
+    const K: u64 = 0x9e37_79b9_7f4a_7c15;
+}
+
+impl Hasher for MulHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(Self::K);
+    }
+
+    fn write_usize(&mut self, word: usize) {
+        self.write_u64(word as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        // The multiply leaves the low bits weakest; the table indexes
+        // buckets by them.
+        self.0.rotate_left(26)
     }
 }
 
@@ -281,7 +326,7 @@ mod tests {
                 fresh.to_bits()
             );
         }
-        assert_eq!(prices.map.len(), 2);
+        assert_eq!((prices.decode.len(), prices.prefill.len()), (1, 1));
     }
 
     #[test]
