@@ -1,5 +1,6 @@
 //! Paged vs contiguous KV-cache storage: append and full-sweep read; and
-//! the KV bookkeeping of one continuous-batching decode step.
+//! the KV bookkeeping of one continuous-batching decode step, with no
+//! sequence finishing and with a few finishing on every step.
 
 use moe_bench::timing::Runner;
 use moe_engine::kvcache::{ContiguousKv, KvStore, PagedKv};
@@ -59,6 +60,51 @@ fn main() {
         }
         ids.len()
     });
+
+    // The cluster-day shape: about 140 running sequences with outputs of
+    // 16-79 tokens, so about three finish on every decode step. Each
+    // iteration commits one decode step the way a replica does, then
+    // resubmits one request per finish and commits the prefill that
+    // admits them, keeping the batch full.
+    let (mut sched, mut submitted) = churning_scheduler(140);
+    r.bench("scheduler/decode_step_140_finishing", || {
+        let plan = sched.plan_step();
+        assert!(matches!(plan, StepPlan::Decode { .. }), "the batch decodes");
+        let finished = sched.commit_step(plan).len();
+        for _ in 0..finished {
+            sched.submit(churn_request(submitted));
+            submitted += 1;
+        }
+        if finished > 0 {
+            let refill = sched.plan_step();
+            black_box(sched.commit_step(refill));
+        }
+        finished
+    });
+}
+
+/// The `n`-th request of [`churning_scheduler`]'s stream: a 192-token
+/// prompt and 16-79 new tokens, spread by a multiplicative step.
+fn churn_request(n: usize) -> Request {
+    Request::new(192, 16 + (n * 29) % 64)
+}
+
+/// A scheduler with `running` sequences of [`churn_request`] decoding;
+/// returns it with the number of requests submitted so far.
+fn churning_scheduler(running: usize) -> (Scheduler, usize) {
+    let prompt = 192;
+    let mut s = Scheduler::new(SchedulerConfig {
+        max_running: running,
+        max_batched_tokens: running * prompt,
+        block_tokens: 16,
+        total_blocks: 1 << 24,
+    });
+    for n in 0..running {
+        s.submit(churn_request(n));
+    }
+    let admit = s.plan_step();
+    s.commit_step(admit);
+    (s, running)
 }
 
 /// A scheduler with `running` never-ending sequences decoding, behind

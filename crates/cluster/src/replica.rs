@@ -26,9 +26,10 @@
 //! block sharing included, as in vLLM automatic prefix caching). This is
 //! the signal the prefix-affinity routing policies exploit.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 
 use moe_gpusim::perfmodel::PerfModel;
+use moe_runtime::inthash::IntHash;
 use moe_runtime::request::{Request, RequestId};
 use moe_runtime::scheduler::{SchedEvent, SchedulerConfig};
 use moe_runtime::step::{Finished, PlannedStep, PriceCache, StepCore, StepShape};
@@ -67,8 +68,9 @@ pub(crate) struct Replica {
     prefix_lru: BTreeMap<u64, u64>,
     lru_clock: u64,
     prefix_capacity: usize,
-    /// Scheduler id -> cluster request id, for resident requests.
-    active: BTreeMap<RequestId, u64>,
+    /// Scheduler id -> cluster request id, for resident requests. Only
+    /// [`Self::crash`] reads it whole, in scheduler-id order.
+    active: HashMap<RequestId, u64, IntHash>,
     /// Generation of the most recently started step (see [`InFlight::gen`]).
     step_gen: u64,
     pub prefix_hits: u64,
@@ -87,7 +89,7 @@ impl Replica {
             prefix_lru: BTreeMap::new(),
             lru_clock: 0,
             prefix_capacity,
-            active: BTreeMap::new(),
+            active: HashMap::default(),
             step_gen: 0,
             prefix_hits: 0,
             prefix_misses: 0,
@@ -283,14 +285,21 @@ impl Replica {
 
     /// Kill the replica: the in-flight step is lost, every resident
     /// request fails back to the caller for retry, the scheduler and
-    /// prefix cache restart cold. Returns the failed cluster request ids.
+    /// prefix cache restart cold. Returns the failed cluster request ids
+    /// in scheduler-id (submission) order.
     pub fn crash(&mut self) -> Vec<u64> {
         self.alive = false;
         self.in_flight = None;
         self.slowdown = 1.0;
         self.prefix_lru.clear();
         self.core.reset();
-        std::mem::take(&mut self.active).into_values().collect()
+        let mut failed: Vec<(RequestId, u64)> =
+            std::mem::take(&mut self.active).into_iter().collect();
+        failed.sort_unstable();
+        failed
+            .into_iter()
+            .map(|(_, cluster_id)| cluster_id)
+            .collect()
     }
 
     /// Bring a crashed replica back, empty and cold.
@@ -447,13 +456,17 @@ mod tests {
     #[test]
     fn crash_fails_active_requests_and_clears_state() {
         let mut r = test_replica(4);
-        r.enqueue(&req(10, 128, 64));
-        r.enqueue(&req(11, 128, 64));
+        // Cluster ids out of order: the failed list follows enqueue
+        // (scheduler-id) order, not the cluster ids or the hash order.
+        let ids: Vec<u64> = (0..40).map(|i| (i * 7919) % 1000).collect();
+        for &id in &ids {
+            r.enqueue(&req(id, 128, 64));
+        }
         let mut prices = PriceCache::new();
         let (end, _) = r.try_start_step(0.0, &mut prices).expect("step starts");
         assert!(end > 0.0);
         let failed = r.crash();
-        assert_eq!(failed.len(), 2);
+        assert_eq!(failed, ids);
         assert!(!r.alive);
         assert_eq!(r.outstanding(), 0);
         assert!(r.current_gen().is_none());

@@ -23,8 +23,10 @@
 //! Latency distributions accumulate into fixed-footprint log-linear
 //! [`Histogram`]s as requests finish, and per-request state lives in a
 //! table keyed by request id that only holds requests currently *in*
-//! the system. Peak memory is therefore bounded by peak concurrency,
-//! not trace length — the report's `peak_live` field records it.
+//! the system, so the simulator's own per-request state is bounded by
+//! peak concurrency — the report's `peak_live` field records it. The
+//! replica schedulers are not: each keeps a small record of every
+//! request it was ever given (`docs/CLUSTER.md`).
 //! Per-request [`ClusterOutput`] rows are only collected when
 //! [`ClusterConfig::retain_outputs`] is set (tests and small debugging
 //! runs).
@@ -38,16 +40,17 @@
 //! byte-identically — `tests/determinism.rs` pins this end to end
 //! through the report *and* trace JSON.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 
 use moe_gpusim::perfmodel::PerfModel;
 use moe_json::{FromJson, ToJson};
+use moe_runtime::inthash::IntHash;
 use moe_runtime::metrics::LatencySummary;
 use moe_runtime::request::RequestId;
 use moe_runtime::scheduler::SchedulerConfig;
 use moe_runtime::simserver::scheduler_config_for;
 use moe_runtime::step::{Finished, PriceCache};
-use moe_trace::{Category, Histogram, Tracer};
+use moe_trace::{ArgValue, Category, Histogram, Tracer};
 
 use crate::ctrl::{ControlAction, ControlHook, ControlObs, ReplicaObs};
 use crate::events::{sort_round, Event, EventHeap, Source};
@@ -345,8 +348,8 @@ pub struct ClusterSim {
     /// Lazy request source; only the next undelivered request is held.
     source: Box<dyn ArrivalSource>,
     pending_arrival: Option<crate::workload::ClusterRequest>,
-    /// Requests currently in the system, by trace id.
-    live: BTreeMap<u64, LiveReq>,
+    /// Requests currently in the system, by trace id. Never iterated.
+    live: HashMap<u64, LiveReq, IntHash>,
     faults: FaultPlan,
     fault_idx: usize,
     /// The indexed event heap: step ends, retry releases, reconfigs and
@@ -435,7 +438,7 @@ impl ClusterSim {
             cfg,
             source,
             pending_arrival: None,
-            live: BTreeMap::new(),
+            live: HashMap::default(),
             faults,
             fault_idx: 0,
             heap: EventHeap::new(),
@@ -679,26 +682,26 @@ impl ClusterSim {
             }
             self.events += 1;
             let mut failed = Vec::new();
-            let (name, args) = match ev {
+            let (name, arg) = match ev {
                 FaultEvent::Crash { .. } => {
                     if !self.replicas[idx].alive {
                         continue;
                     }
                     self.crashes += 1;
                     failed = self.replicas[idx].crash();
-                    ("crash", vec![("lost", failed.len().into())])
+                    ("crash", Some(("lost", failed.len().into())))
                 }
                 FaultEvent::Recover { .. } => {
                     self.replicas[idx].recover();
-                    ("recover", vec![])
+                    ("recover", None)
                 }
                 FaultEvent::SlowdownStart { factor, .. } => {
                     self.replicas[idx].slowdown = factor.max(1.0);
-                    ("slowdown", vec![("factor", factor.into())])
+                    ("slowdown", Some(("factor", factor.into())))
                 }
                 FaultEvent::SlowdownEnd { .. } => {
                     self.replicas[idx].slowdown = 1.0;
-                    ("full-speed", vec![])
+                    ("full-speed", None)
                 }
                 FaultEvent::Preempt { .. } => {
                     // Spot reclaim: a crash that also retires the slot —
@@ -710,12 +713,12 @@ impl ClusterSim {
                     self.meta[idx].retired_s = Some(now);
                     self.meta[idx].extra_s = 0.0; // no migration tail on reclaim
                     self.cur_devices = self.cur_devices.saturating_sub(self.meta[idx].devices);
-                    ("preempt", vec![("lost", failed.len().into())])
+                    ("preempt", Some(("lost", failed.len().into())))
                 }
             };
             self.refresh_load(idx);
             let track = REPLICA_TRACK_BASE.saturating_add(idx as u32);
-            self.trace_instant(track, name, now, args);
+            self.trace_instant(track, name, now, || arg.into_iter().collect());
             for id in failed {
                 self.requeue_after_crash(id, now);
             }
@@ -734,7 +737,9 @@ impl ClusterSim {
         if lv.attempts > self.cfg.router.max_retries {
             self.live.remove(&cluster_id);
             self.dropped += 1;
-            self.trace_instant(ROUTER_TRACK, "drop", now, vec![("req", cluster_id.into())]);
+            self.trace_instant(ROUTER_TRACK, "drop", now, || {
+                vec![("req", cluster_id.into())]
+            });
             return;
         }
         // Exponential backoff keyed on the attempt that just failed.
@@ -743,12 +748,9 @@ impl ClusterSim {
         lv.state = ReqState::Backoff;
         self.retry_count += 1;
         self.heap.push_at(ready, Source::Retry, cluster_id);
-        self.trace_instant(
-            ROUTER_TRACK,
-            "retry",
-            now,
-            vec![("req", cluster_id.into()), ("ready", ready.into())],
-        );
+        self.trace_instant(ROUTER_TRACK, "retry", now, || {
+            vec![("req", cluster_id.into()), ("ready", ready.into())]
+        });
     }
 
     /// Commit a replica's in-flight step. `gen` guards against a crash
@@ -878,29 +880,27 @@ impl ClusterSim {
         self.live.remove(&id);
         self.events += 1;
         self.timed_out += 1;
-        self.trace_instant(ROUTER_TRACK, "timeout", now, vec![("req", id.into())]);
+        self.trace_instant(ROUTER_TRACK, "timeout", now, || vec![("req", id.into())]);
     }
 
     /// Drain the router queue onto alive replicas, then enforce the
     /// admission bound (newest arrivals bounce first).
     fn dispatch(&mut self, now: f64) {
         while let Some(&id) = self.queue.front() {
-            let Some((key, state)) = self.live.get(&id).map(|l| {
-                (
-                    (l.req.prefix_len > 0).then_some(l.req.prefix_group),
-                    l.state,
-                )
-            }) else {
-                // Lazily deleted entry (timed out while queued).
+            // One lookup per dispatch: `lv` borrows only `self.live`, so
+            // the router and replicas stay reachable as disjoint fields.
+            let Some(lv) = self
+                .live
+                .get_mut(&id)
+                .filter(|l| l.state == ReqState::AtRouter)
+            else {
+                // Lazily deleted entry: timed out while queued, or no
+                // longer waiting at the router.
                 self.queue.pop_front();
                 self.queue_dead = self.queue_dead.saturating_sub(1);
                 continue;
             };
-            if state != ReqState::AtRouter {
-                self.queue.pop_front();
-                self.queue_dead = self.queue_dead.saturating_sub(1);
-                continue;
-            }
+            let key = (lv.req.prefix_len > 0).then_some(lv.req.prefix_group);
             let target = match self.canary {
                 Some((generation, frac)) => {
                     // Restrict each side of the split to its generations,
@@ -926,47 +926,29 @@ impl ClusterSim {
                 break; // nobody alive; leave the queue parked
             };
             self.queue.pop_front();
-            let mut attempts = 0;
-            if let Some(lv) = self.live.get_mut(&id) {
-                lv.state = ReqState::Dispatched;
-                lv.replica = target;
-                lv.attempts += 1;
-                attempts = lv.attempts;
-            }
-            // Split the borrow: enqueue reads the request, then the
-            // scheduler id is written back.
-            let sched_id = match self
-                .live
-                .get(&id)
-                .map(|lv| self.replicas[target].enqueue(&lv.req))
-            {
-                Some(Some(sched_id)) => sched_id,
-                Some(None) => {
-                    // Even an empty KV pool could not admit it, so it
-                    // could never run: drop it now rather than park it
-                    // where only the end of the run would drop it.
-                    self.live.remove(&id);
-                    self.dropped += 1;
-                    self.trace_instant(ROUTER_TRACK, "drop", now, vec![("req", id.into())]);
-                    continue;
-                }
-                None => continue,
+            let Some(sched_id) = self.replicas[target].enqueue(&lv.req) else {
+                // Even an empty KV pool could not admit it, so it could
+                // never run: drop it now rather than park it where only
+                // the end of the run would drop it.
+                self.live.remove(&id);
+                self.dropped += 1;
+                self.trace_instant(ROUTER_TRACK, "drop", now, || vec![("req", id.into())]);
+                continue;
             };
-            if let Some(lv) = self.live.get_mut(&id) {
-                lv.sched_id = sched_id;
-            }
+            lv.state = ReqState::Dispatched;
+            lv.replica = target;
+            lv.sched_id = sched_id;
+            lv.attempts += 1;
+            let attempts = lv.attempts;
             self.refresh_load(target);
             self.dirty.push(target);
-            self.trace_instant(
-                ROUTER_TRACK,
-                "dispatch",
-                now,
+            self.trace_instant(ROUTER_TRACK, "dispatch", now, || {
                 vec![
                     ("req", id.into()),
                     ("replica", target.into()),
                     ("attempt", attempts.into()),
-                ],
-            );
+                ]
+            });
         }
         // Admission control: bounce the newest arrivals over capacity.
         while self.queue.len().saturating_sub(self.queue_dead) > self.cfg.router.queue_capacity {
@@ -980,7 +962,7 @@ impl ClusterSim {
             {
                 self.live.remove(&id);
                 self.rejected += 1;
-                self.trace_instant(ROUTER_TRACK, "reject", now, vec![("req", id.into())]);
+                self.trace_instant(ROUTER_TRACK, "reject", now, || vec![("req", id.into())]);
             } else {
                 self.queue_dead = self.queue_dead.saturating_sub(1);
             }
@@ -1035,7 +1017,9 @@ impl ClusterSim {
         self.replicas[idx].recover();
         self.refresh_load(idx);
         self.dirty.push(idx);
-        self.trace_instant(CONTROL_TRACK, "ready", now, vec![("replica", idx.into())]);
+        self.trace_instant(CONTROL_TRACK, "ready", now, || {
+            vec![("replica", idx.into())]
+        });
     }
 
     /// A draining replica with no resident work retires: it stops
@@ -1051,7 +1035,9 @@ impl ClusterSim {
         self.meta[idx].retired_s = Some(now);
         self.cur_devices = self.cur_devices.saturating_sub(self.meta[idx].devices);
         self.refresh_load(idx);
-        self.trace_instant(CONTROL_TRACK, "retire", now, vec![("replica", idx.into())]);
+        self.trace_instant(CONTROL_TRACK, "retire", now, || {
+            vec![("replica", idx.into())]
+        });
     }
 
     /// Device-seconds accrued by the whole fleet up to `now`: each
@@ -1162,15 +1148,12 @@ impl ClusterSim {
                 self.reconfigs += 1;
                 self.dynamic_fleet = true;
                 self.heap.push_at(ready_s, Source::Reconfig, idx as u64);
-                self.trace_instant(
-                    CONTROL_TRACK,
-                    "provision",
-                    now,
+                self.trace_instant(CONTROL_TRACK, "provision", now, || {
                     vec![
                         ("replica", idx.into()),
                         ("generation", u64::from(spec.generation).into()),
-                    ],
-                );
+                    ]
+                });
             }
             ControlAction::DrainReplica {
                 replica,
@@ -1187,12 +1170,9 @@ impl ClusterSim {
                 self.reconfigs += 1;
                 self.dynamic_fleet = true;
                 self.refresh_load(replica);
-                self.trace_instant(
-                    CONTROL_TRACK,
-                    "drain",
-                    now,
-                    vec![("replica", replica.into())],
-                );
+                self.trace_instant(CONTROL_TRACK, "drain", now, || {
+                    vec![("replica", replica.into())]
+                });
                 self.maybe_retire(replica, now);
             }
             ControlAction::SetCanary {
@@ -1201,19 +1181,16 @@ impl ClusterSim {
             } => {
                 self.canary = Some((generation, fraction.clamp(0.0, 1.0)));
                 self.dynamic_fleet = true;
-                self.trace_instant(
-                    CONTROL_TRACK,
-                    "canary",
-                    now,
+                self.trace_instant(CONTROL_TRACK, "canary", now, || {
                     vec![
                         ("generation", u64::from(generation).into()),
                         ("fraction", fraction.into()),
-                    ],
-                );
+                    ]
+                });
             }
             ControlAction::ClearCanary => {
                 if self.canary.take().is_some() {
-                    self.trace_instant(CONTROL_TRACK, "canary-clear", now, vec![]);
+                    self.trace_instant(CONTROL_TRACK, "canary-clear", now, Vec::new);
                 }
             }
         }
@@ -1234,15 +1211,18 @@ impl ClusterSim {
         }
     }
 
+    /// Record an instant; `args` runs only when the tracer is enabled,
+    /// so untraced runs build no argument list.
     fn trace_instant(
         &mut self,
         track: moe_trace::TrackId,
         name: &str,
         t_s: f64,
-        args: Vec<(&'static str, moe_trace::ArgValue)>,
+        args: impl FnOnce() -> Vec<(&'static str, ArgValue)>,
     ) {
         if self.tracer.is_enabled() {
-            self.tracer.instant(track, Category::Sched, name, t_s, args);
+            self.tracer
+                .instant(track, Category::Sched, name, t_s, args());
         }
     }
 

@@ -99,6 +99,12 @@ impl BlockManager {
     pub fn grow(&mut self, id: RequestId, old_tokens: usize, new_tokens: usize) -> bool {
         assert!(new_tokens >= old_tokens);
         let have = self.owned_by(id);
+        // The owned blocks already hold `new_tokens` on most steps; only a
+        // block boundary (or an owner left behind by an earlier failed
+        // grow) pays the division below.
+        if new_tokens <= have * self.block_tokens {
+            return true;
+        }
         debug_assert!(
             have >= self.blocks_for(old_tokens).saturating_sub(1),
             "grow with stale accounting for {id}"
@@ -186,6 +192,30 @@ mod tests {
         assert!(m.grow(1, 17, 18)); // same block
         assert_eq!(m.owned_by(1), 2);
         assert_eq!(m.free_blocks, 8);
+    }
+
+    /// A failed first-token grow (`Scheduler::commit_prefill` ignores
+    /// it) leaves the owner holding one token more than its blocks do.
+    /// The next grow must not take the in-block fast path: it takes every
+    /// missing block — both of them at one token per block, where the
+    /// failed token and the new one each need a block.
+    #[test]
+    fn grow_catches_up_an_owner_left_behind_by_a_failed_grow() {
+        for block_tokens in [1, 16] {
+            let prompt = 2 * block_tokens;
+            let mut m = BlockManager::new(4, block_tokens);
+            assert!(m.allocate(1, prompt)); // 2 blocks
+            assert!(m.allocate(2, prompt)); // the other 2: the pool is full
+            assert!(!m.grow(1, prompt, prompt + 1));
+            assert_eq!(m.owned_by(1), 2);
+            m.release(2);
+            assert!(m.grow(1, prompt + 1, prompt + 2));
+            let need = (prompt + 2).div_ceil(block_tokens);
+            assert_eq!(need - 2, if block_tokens == 1 { 2 } else { 1 });
+            assert_eq!(m.owned_by(1), need, "{block_tokens}-token blocks");
+            assert_eq!(m.used_blocks(), need);
+            m.check_invariants();
+        }
     }
 
     #[test]

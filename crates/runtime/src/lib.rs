@@ -9,6 +9,8 @@
 //! * a **continuous-batching scheduler**: FCFS admission of prefills under
 //!   a token budget, batched decode for running sequences,
 //!   recompute-style preemption under memory pressure ([`scheduler`]);
+//! * the one integer hasher of the simulator's id- and shape-keyed
+//!   hash tables ([`inthash`]);
 //! * the **step core** of simulated serving: plan a step, price it
 //!   through a shape-keyed cache, commit it, report finished requests
 //!   with their first-token times ([`step`]). One driver steps it: the
@@ -25,6 +27,7 @@
 #![forbid(unsafe_code)]
 
 pub mod blockmgr;
+pub mod inthash;
 pub mod liveserver;
 pub mod metrics;
 pub mod prefixcache;

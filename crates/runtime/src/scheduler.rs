@@ -24,12 +24,15 @@
 //! ## State layout and per-step cost
 //!
 //! A decode step touches every running sequence, so each per-sequence
-//! operation of a step is O(1):
+//! operation of a step is O(1), and a step costs O(batch) however many
+//! of its sequences finish:
 //!
 //! * **Dense ids.** Ids are handed out densely from 0, so sequence
 //!   records live in a `Vec` indexed by id (`None` once canceled;
 //!   finished records stay queryable), and the [`BlockManager`] keeps
-//!   its per-sequence block counts the same way.
+//!   its per-sequence block counts the same way. Both keep a slot for
+//!   every request ever submitted — 48 B of record plus 8 B of block
+//!   count — until [`Scheduler::reset`].
 //! * **Admission-ordered `running`.** Admission appends to `running` in
 //!   admission-stamp order and removals keep the order, so `running` is
 //!   always sorted by `admitted_at` (stamps are unique) and the newest
@@ -37,6 +40,15 @@
 //! * **Running context sum.** Σ `context_len` over `running` is kept up
 //!   to date on admit, commit, finish, preemption and cancel, so pricing
 //!   a decode step reads its mean context without a pass over the batch.
+//! * **In-block growth.** Reserving a decode token's KV compares the
+//!   context against the blocks the sequence owns; only a token that
+//!   crosses a block boundary pays the block count's division.
+//! * **One-pass commit.** [`Scheduler::commit_step`] commits a planned
+//!   step's tokens, releases the blocks of the sequences that finished
+//!   at once, and drops them from `running` together in one pass at the
+//!   end, so a finish costs no pass over the batch of its own.
+//!   [`Scheduler::commit_decode`] and [`Scheduler::commit_prefill`] are
+//!   the same per-token commit over one id and over a prefill's ids.
 //!
 //! `tests/scheduler_ops.rs` checks both invariants after every operation
 //! of seeded random submit/plan/commit/cancel sequences.
@@ -76,10 +88,10 @@ impl Default for SchedulerConfig {
     }
 }
 
-/// Scheduler-internal sequence record.
+/// Scheduler-internal sequence record. Its id is its index in the
+/// scheduler's record table, so the record does not repeat it.
 #[derive(Debug, Clone)]
 pub struct SeqRecord {
-    pub id: RequestId,
     pub request: Request,
     pub state: SeqState,
     /// Tokens generated so far (survives preemption).
@@ -219,7 +231,6 @@ impl Scheduler {
         assert!(request.max_new_tokens > 0, "nothing to generate");
         let id = self.seqs.len() as RequestId;
         self.seqs.push(Some(SeqRecord {
-            id,
             request,
             state: SeqState::Waiting,
             generated: 0,
@@ -386,8 +397,68 @@ impl Scheduler {
     /// Commit one decoded token for a sequence (KV block already reserved
     /// by `plan_step`). Returns true when the sequence just finished.
     pub fn commit_decode(&mut self, id: RequestId) -> bool {
+        let finished = self.commit_token(id);
+        if finished {
+            self.drop_finished();
+        }
+        finished
+    }
+
+    /// Prefill also produces each sequence's first token; commit it.
+    /// Returns sequences that finished at the first token. Ids canceled
+    /// between planning and commit (a serving front-end timing out a
+    /// request mid-step) are skipped.
+    pub fn commit_prefill(&mut self, ids: &[RequestId]) -> Vec<RequestId> {
+        self.commit_tokens(ids.to_vec(), true)
+    }
+
+    /// Commit a whole planned step: one token for every sequence it ran
+    /// (the first token, for a prefill). Returns the sequences that
+    /// finished, in plan order; ids canceled while the step was in flight
+    /// are skipped.
+    pub fn commit_step(&mut self, plan: StepPlan) -> Vec<RequestId> {
+        match plan {
+            StepPlan::Prefill { ids, .. } => self.commit_tokens(ids, true),
+            StepPlan::Decode { ids } => self.commit_tokens(ids, false),
+            StepPlan::Idle => Vec::new(),
+        }
+    }
+
+    /// Commit one token for each of `ids` and return the ids that
+    /// finished, in order, reusing `ids`' buffer. The finished sequences
+    /// leave `running` together, in one pass at the end.
+    fn commit_tokens(&mut self, mut ids: Vec<RequestId>, prefill: bool) -> Vec<RequestId> {
+        let mut finished = 0;
+        for i in 0..ids.len() {
+            let id = ids[i];
+            if prefill {
+                // The first token occupies KV beyond the prompt. Growth
+                // may dip into the watermark reserve; if even that fails
+                // the next decode plan will preempt.
+                if let Some(ctx) = self.seq(id).map(SeqRecord::context_len) {
+                    let _ = self.blocks.grow(id, ctx, ctx + 1);
+                }
+            }
+            if self.commit_token(id) {
+                ids[finished] = id;
+                finished += 1;
+            }
+        }
+        if finished > 0 {
+            self.drop_finished();
+        }
+        ids.truncate(finished);
+        ids
+    }
+
+    /// The one token commit under every public commit: advance a known
+    /// sequence by one token. A sequence that finishes releases its blocks
+    /// at once but stays in `running` until the caller's
+    /// [`Self::drop_finished`]. False for canceled ids.
+    #[inline]
+    fn commit_token(&mut self, id: RequestId) -> bool {
         let Some(Some(seq)) = self.seqs.get_mut(id as usize) else {
-            return false;
+            return false; // canceled while the step was in flight
         };
         assert_eq!(seq.state, SeqState::Running, "decode on non-running seq");
         seq.generated += 1;
@@ -398,32 +469,22 @@ impl Scheduler {
         seq.state = SeqState::Finished;
         let generated = seq.generated;
         self.running_ctx -= seq.context_len();
-        self.running.retain(|&r| r != id);
         self.blocks.release(id);
         self.record(SchedEvent::Finished { id, generated });
         true
     }
 
-    /// Prefill also produces each sequence's first token; commit it.
-    /// Returns sequences that finished at the first token. Ids canceled
-    /// between planning and commit (a serving front-end timing out a
-    /// request mid-step) are skipped.
-    pub fn commit_prefill(&mut self, ids: &[RequestId]) -> Vec<RequestId> {
-        let mut finished = Vec::new();
-        for &id in ids {
-            let Some(seq) = self.seq(id) else {
-                continue; // canceled while the step was in flight
-            };
-            // The first token occupies KV beyond the prompt.
-            let ctx = seq.context_len();
-            // Growth may dip into the watermark reserve; if even that
-            // fails the next decode plan will preempt.
-            let _ = self.blocks.grow(id, ctx, ctx + 1);
-            if self.commit_decode(id) {
-                finished.push(id);
-            }
-        }
-        finished
+    /// Drop the sequences that finished from `running`, keeping its
+    /// order: one pass however many finished. Kept out of line so the
+    /// per-token commits around it stay small enough to inline.
+    #[inline(never)]
+    fn drop_finished(&mut self) {
+        let seqs = &self.seqs;
+        self.running.retain(|&r| {
+            seqs[r as usize]
+                .as_ref()
+                .is_some_and(|seq| seq.state == SeqState::Running)
+        });
     }
 
     /// Remove a sequence entirely — its queue slots, KV blocks, and

@@ -7,12 +7,12 @@
 //! one-replica cluster.
 
 use std::collections::{BTreeMap, HashMap};
-use std::hash::{BuildHasherDefault, Hasher};
 
 use moe_gpusim::perfmodel::{PerfModel, Phase};
 use moe_gpusim::steptrace::StepParts;
 use moe_trace::ArgValue;
 
+use crate::inthash::IntHash;
 use crate::request::{Request, RequestId};
 use crate::scheduler::{SchedEvent, Scheduler, SchedulerConfig, StepPlan};
 
@@ -91,7 +91,7 @@ impl StepShape {
 /// Neither map is ever iterated, so the hash order never shows.
 #[derive(Debug, Default)]
 pub struct PriceCache {
-    decode: HashMap<(usize, usize), f64, BuildHasherDefault<MulHasher>>,
+    decode: HashMap<(usize, usize), f64, IntHash>,
     prefill: BTreeMap<StepShape, f64>,
 }
 
@@ -108,39 +108,6 @@ impl PriceCache {
             }
             StepShape::Prefill { .. } => *self.prefill.entry(shape).or_insert_with(price),
         }
-    }
-}
-
-/// Multiply-rotate hasher for the price cache's integer keys: one
-/// multiply per word, where std's default SipHash costs a few dozen
-/// cycles per lookup. The keys are the simulator's own step shapes, not
-/// attacker input, so flooding resistance buys nothing here.
-#[derive(Debug, Default)]
-struct MulHasher(u64);
-
-impl MulHasher {
-    const K: u64 = 0x9e37_79b9_7f4a_7c15;
-}
-
-impl Hasher for MulHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(u64::from(b));
-        }
-    }
-
-    fn write_u64(&mut self, word: u64) {
-        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(Self::K);
-    }
-
-    fn write_usize(&mut self, word: usize) {
-        self.write_u64(word as u64);
-    }
-
-    fn finish(&self) -> u64 {
-        // The multiply leaves the low bits weakest; the table indexes
-        // buckets by them.
-        self.0.rotate_left(26)
     }
 }
 
@@ -170,7 +137,8 @@ pub struct StepCore {
     scheduler: Scheduler,
     /// First-token times of prefilled, unfinished requests. An entry
     /// survives preemption: a recompute keeps the original first token.
-    first_token: BTreeMap<RequestId, f64>,
+    /// Never iterated.
+    first_token: HashMap<RequestId, f64, IntHash>,
 }
 
 impl StepCore {
@@ -178,7 +146,7 @@ impl StepCore {
         Self {
             model,
             scheduler: Scheduler::new(cfg),
-            first_token: BTreeMap::new(),
+            first_token: HashMap::default(),
         }
     }
 
@@ -248,22 +216,15 @@ impl StepCore {
     /// Commit `step` at time `end_s`; returns the requests that finished,
     /// in commit order.
     pub fn commit(&mut self, step: PlannedStep, end_s: f64) -> Vec<Finished> {
-        let finished = match step.plan {
-            StepPlan::Prefill { ids, .. } => {
-                for &id in &ids {
-                    if self.scheduler.seq(id).is_some() {
-                        self.first_token.entry(id).or_insert(end_s);
-                    }
+        if let StepPlan::Prefill { ids, .. } = &step.plan {
+            for &id in ids {
+                if self.scheduler.seq(id).is_some() {
+                    self.first_token.entry(id).or_insert(end_s);
                 }
-                self.scheduler.commit_prefill(&ids)
             }
-            StepPlan::Decode { mut ids } => {
-                ids.retain(|&id| self.scheduler.commit_decode(id));
-                ids
-            }
-            StepPlan::Idle => Vec::new(),
-        };
-        finished
+        }
+        self.scheduler
+            .commit_step(step.plan)
             .into_iter()
             .filter_map(|id| {
                 let seq = self.scheduler.seq(id)?;

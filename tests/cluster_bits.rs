@@ -7,11 +7,15 @@
 //! at the router, in a retry backoff and on a replica (with equal
 //! arrival times from merged identical segments); least-outstanding
 //! routing over 1000 replicas with crashed slots; power-of-two and
-//! prefix-affinity routing whose candidates are down; and a controlled
-//! canary rollout. Each test also asserts that its path really ran, so a
-//! digest cannot pass by exercising nothing. The digests were recorded
-//! before the TTFT deadlines left the event heap, the decode prices moved
-//! to a hashed map and the least-outstanding scan became one pass.
+//! prefix-affinity routing whose candidates are down; a controlled
+//! canary rollout; and small KV pools whose decode plans preempt and
+//! recompute while deadlines cancel admitted requests and a crash fails
+//! the resident ones. Each test also asserts that its path really ran, so
+//! a digest cannot pass by exercising nothing. The first five digests
+//! were recorded before the TTFT deadlines left the event heap, the
+//! decode prices moved to a hashed map and the least-outstanding scan
+//! became one pass; the KV-pressure digest before the decode commit
+//! became one pass per step and the request tables moved to hashed maps.
 
 mod common;
 
@@ -31,6 +35,7 @@ const THOUSAND_REPLICAS_DIGEST: u64 = 0x0749_e3db_fed3_5312;
 const POWER_OF_TWO_DIGEST: u64 = 0xdb7c_f1a7_b8a0_ab07;
 const PREFIX_AFFINITY_DIGEST: u64 = 0x551c_998e_b253_ec81;
 const CANARY_DIGEST: u64 = 0x3a23_de74_ea0a_33b2;
+const KV_PRESSURE_DIGEST: u64 = 0xdccc_b409_5f4d_08cc;
 
 fn digest(report: &ClusterReport) -> u64 {
     let mut hash = FNV_OFFSET;
@@ -58,6 +63,14 @@ fn recover(t_s: f64, replica: usize) -> FaultEvent {
     FaultEvent::Recover { t_s, replica }
 }
 
+/// The integer argument `key` of a trace instant.
+fn int_arg(args: &[(&'static str, ArgValue)], key: &str) -> Option<i64> {
+    args.iter().find_map(|(k, v)| match v {
+        ArgValue::Int(i) if *k == key => Some(*i),
+        _ => None,
+    })
+}
+
 /// Timed-out requests by where they sat when the deadline fired:
 /// `[at router, in backoff, on a replica]`, read back from the router
 /// track's dispatch / retry / timeout instants in record order.
@@ -68,12 +81,6 @@ fn timeout_states(events: &[TraceEvent]) -> [usize; 3] {
         Backoff(f64),
         Replica,
     }
-    let int = |args: &[(&'static str, ArgValue)], key: &str| {
-        args.iter().find_map(|(k, v)| match v {
-            ArgValue::Int(i) if *k == key => Some(*i),
-            _ => None,
-        })
-    };
     let mut last = std::collections::BTreeMap::new();
     let mut states = [0; 3];
     for ev in events {
@@ -90,7 +97,7 @@ fn timeout_states(events: &[TraceEvent]) -> [usize; 3] {
         if *track != ROUTER_TRACK {
             continue;
         }
-        let Some(req) = int(args, "req") else {
+        let Some(req) = int_arg(args, "req") else {
             continue;
         };
         match name.as_str() {
@@ -311,4 +318,93 @@ fn controlled_canary_run_keeps_its_bits() {
         "the canary replicas serve"
     );
     assert_digest(&report, CANARY_DIGEST, "canary");
+}
+
+/// Three replicas with a 128-block KV pool each (2,048 tokens) under more
+/// long-output traffic than they can hold, a 2.5 s TTFT timeout and one
+/// crash of replica 1 over `[6.0, 6.5)` s. Decode plans preempt and
+/// recompute on every replica, deadlines cancel requests that replicas
+/// already admitted, and the crash fails resident requests back to the
+/// router.
+fn kv_pressure() -> ClusterSim {
+    let model = olmoe();
+    let sched = moe_runtime::SchedulerConfig {
+        total_blocks: 128,
+        ..scheduler_config_for(&model, 2048)
+    };
+    let trace = generate(
+        &WorkloadSpec::poisson(
+            14.0,
+            240,
+            TenantSpec::uniform("t", 1.0, (64, 384), (64, 320)),
+        ),
+        17,
+    );
+    let mut cfg = ClusterConfig {
+        replicas: 3,
+        policy: RoutePolicy::LeastOutstanding,
+        seed: 21,
+        ..ClusterConfig::default()
+    };
+    cfg.router.ttft_timeout_s = 2.5;
+    cfg.router.backoff_s = 0.1;
+    ClusterSim::new(
+        &model,
+        sched,
+        cfg,
+        FaultPlan::crash_window(1, 6.0, 0.5),
+        trace,
+    )
+}
+
+/// Scheduler preemptions per replica, read from the replica tracks'
+/// `preempt` instants, and the timeouts that hit a request a replica had
+/// admitted since its last dispatch (running or preempted, not waiting
+/// for its first prefill).
+fn kv_decisions(events: &[TraceEvent], replicas: usize) -> (Vec<usize>, usize) {
+    let mut preempts = vec![0; replicas];
+    let mut admitted = std::collections::BTreeSet::new();
+    let mut admitted_timeouts = 0;
+    for ev in events {
+        let TraceEvent::Instant {
+            name, track, args, ..
+        } = ev
+        else {
+            continue;
+        };
+        let replica = track.wrapping_sub(moe_cluster::REPLICA_TRACK_BASE) as usize;
+        match (name.as_str(), int_arg(args, "req")) {
+            ("preempt", _) if replica < replicas => preempts[replica] += 1,
+            ("admit", Some(req)) => {
+                admitted.insert(req);
+            }
+            ("dispatch", Some(req)) => {
+                admitted.remove(&req);
+            }
+            ("timeout", Some(req)) if admitted.contains(&req) => admitted_timeouts += 1,
+            _ => {}
+        }
+    }
+    (preempts, admitted_timeouts)
+}
+
+#[test]
+fn kv_pressure_cell_keeps_its_bits() {
+    let report = kv_pressure().run(&mut Tracer::disabled());
+    assert_eq!(report.crashes, 1);
+    assert!(report.completed > 0 && report.retries > 0 && report.timed_out > 0);
+    assert_digest(&report, KV_PRESSURE_DIGEST, "kv-pressure");
+
+    let mut tracer = Tracer::new(Box::new(MemorySink::new()));
+    let traced = kv_pressure().run(&mut tracer);
+    assert_eq!(moe_json::to_string(&traced), moe_json::to_string(&report));
+    let (preempts, admitted_timeouts) = kv_decisions(&tracer.snapshot(), 3);
+    assert!(
+        preempts.iter().filter(|&&n| n > 0).count() >= 2,
+        "decode plans must preempt on several replicas: {preempts:?}"
+    );
+    assert!(
+        admitted_timeouts > 0,
+        "deadlines must cancel requests a replica admitted"
+    );
 }
