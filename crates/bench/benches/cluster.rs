@@ -1,7 +1,8 @@
 //! Cluster-core speed trajectory: times the 1000-replica diurnal
-//! scenario on the current event core, probes the streaming-aggregation
-//! memory bound, checks sharded determinism across worker counts, and
-//! writes `BENCH_cluster.json` at the repo root. CI runs this as the
+//! scenario on the current event core, times a KV-pressure cell whose
+//! TTFT deadlines fire, probes the streaming-aggregation memory bound,
+//! checks sharded determinism across worker counts, and writes
+//! `BENCH_cluster.json` at the repo root. CI runs this as the
 //! cluster-core timing smoke; `docs/SCALE.md` explains each field.
 //!
 //! The `trajectory` array is an append-only history, like
@@ -26,6 +27,7 @@ use moe_gpusim::perfmodel::PerfModel;
 use moe_json::Json;
 use moe_model::registry::olmoe_1b_7b;
 use moe_runtime::simserver::scheduler_config_for;
+use moe_runtime::SchedulerConfig;
 use moe_trace::Tracer;
 
 /// Replicas in the benchmark cell.
@@ -90,6 +92,44 @@ fn run_once(requests: usize) -> (ClusterReport, f64) {
     let report = sim.run(&mut Tracer::disabled());
     let wall = t0.elapsed().as_secs_f64();
     (report, wall)
+}
+
+/// The KV-pressure cell of `tests/cluster_bits.rs` scaled tenfold: 30
+/// replicas whose 128-block KV pools make decode plans preempt, Poisson
+/// arrivals at 140 QPS (12,000 requests), a 2.5 s TTFT timeout with
+/// retries and one crash window. The diurnal scenario's deadlines never
+/// fire; these do, so this cell times the cancel path (`fire_timeout`,
+/// `Scheduler::cancel` and the record window's trim) the other one
+/// skips.
+fn timeout_cell() -> ClusterSim {
+    let model = PerfModel::h100(olmoe_1b_7b());
+    let sched = SchedulerConfig {
+        total_blocks: 128,
+        ..scheduler_config_for(&model, 2048)
+    };
+    let trace = generate(
+        &WorkloadSpec::poisson(
+            140.0,
+            12_000,
+            TenantSpec::uniform("t", 1.0, (64, 384), (64, 320)),
+        ),
+        17,
+    );
+    let mut cfg = ClusterConfig {
+        replicas: 30,
+        policy: RoutePolicy::LeastOutstanding,
+        seed: 21,
+        ..ClusterConfig::default()
+    };
+    cfg.router.ttft_timeout_s = 2.5;
+    cfg.router.backoff_s = 0.1;
+    ClusterSim::new(
+        &model,
+        sched,
+        cfg,
+        FaultPlan::crash_window(1, 6.0, 0.5),
+        trace,
+    )
 }
 
 /// Constant-rate variant of the scenario for the memory probe. The
@@ -162,6 +202,34 @@ fn main() {
         report.dropped,
         report.makespan_s,
         report.peak_live,
+    );
+
+    eprintln!("timing the KV-pressure timeout cell ({reps} reps, best-of) ...");
+    let mut timeout_wall = f64::INFINITY;
+    let mut timeout_report = None;
+    for _ in 0..reps {
+        let sim = timeout_cell();
+        let t0 = Instant::now();
+        let r = sim.run(&mut Tracer::disabled());
+        timeout_wall = timeout_wall.min(t0.elapsed().as_secs_f64());
+        timeout_report = Some(r);
+    }
+    let timeout_report = timeout_report.expect("at least one rep ran");
+    assert!(
+        timeout_report.timed_out > 0,
+        "the timeout cell must fire TTFT deadlines"
+    );
+    let timeout_events_per_s = timeout_report.events as f64 / timeout_wall;
+    println!(
+        "KV-pressure timeout cell: {} events in {:.3} s = {timeout_events_per_s:.0} events/s, \
+         completed {}/{}, timed_out {}, retries {}, dropped {}",
+        timeout_report.events,
+        timeout_wall,
+        timeout_report.completed,
+        timeout_report.submitted,
+        timeout_report.timed_out,
+        timeout_report.retries,
+        timeout_report.dropped,
     );
 
     // Memory bound: streaming aggregation keeps the high-water mark a
@@ -246,6 +314,18 @@ fn main() {
         ("host_cores".into(), Json::Int(host_cores as i128)),
         ("reps".into(), Json::Int(reps as i128)),
         ("trajectory".into(), Json::Arr(trajectory)),
+        (
+            "timeout_cell".into(),
+            Json::Obj(vec![
+                ("events".into(), Json::Int(timeout_report.events as i128)),
+                ("wall_s".into(), Json::Float(timeout_wall)),
+                ("events_per_s".into(), Json::Float(timeout_events_per_s)),
+                (
+                    "timed_out".into(),
+                    Json::Int(timeout_report.timed_out as i128),
+                ),
+            ]),
+        ),
         (
             "memory".into(),
             Json::Obj(vec![

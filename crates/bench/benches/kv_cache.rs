@@ -63,14 +63,15 @@ fn main() {
 
     // The cluster-day shape: about 140 running sequences with outputs of
     // 16-79 tokens, so about three finish on every decode step. Each
-    // iteration commits one decode step the way a replica does, then
-    // resubmits one request per finish and commits the prefill that
-    // admits them, keeping the batch full.
+    // iteration commits one decode step the way a replica does, taking
+    // the finished records it hands out, then resubmits one request per
+    // finish and commits the prefill that admits them, keeping the batch
+    // full.
     let (mut sched, mut submitted) = churning_scheduler(140);
     r.bench("scheduler/decode_step_140_finishing", || {
         let plan = sched.plan_step();
         assert!(matches!(plan, StepPlan::Decode { .. }), "the batch decodes");
-        let finished = sched.commit_step(plan).len();
+        let finished = black_box(sched.commit_step(plan)).len();
         for _ in 0..finished {
             sched.submit(churn_request(submitted));
             submitted += 1;
@@ -108,8 +109,8 @@ fn churning_scheduler(running: usize) -> (Scheduler, usize) {
 }
 
 /// A scheduler with `running` never-ending sequences decoding, behind
-/// `finished` one-token requests that already completed (a long-lived
-/// replica keeps every finished record).
+/// `finished` one-token requests that already completed (their records
+/// are freed, so they only advance the ids).
 fn busy_scheduler(running: usize, finished: usize) -> Scheduler {
     let prompt = 192;
     let mut s = Scheduler::new(SchedulerConfig {

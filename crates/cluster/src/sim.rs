@@ -25,8 +25,8 @@
 //! table keyed by request id that only holds requests currently *in*
 //! the system, so the simulator's own per-request state is bounded by
 //! peak concurrency — the report's `peak_live` field records it. The
-//! replica schedulers are not: each keeps a small record of every
-//! request it was ever given (`docs/CLUSTER.md`).
+//! replica schedulers free each request's record when it finishes or is
+//! canceled, so their state follows concurrency too (`docs/CLUSTER.md`).
 //! Per-request [`ClusterOutput`] rows are only collected when
 //! [`ClusterConfig::retain_outputs`] is set (tests and small debugging
 //! runs).

@@ -325,25 +325,25 @@ pub trait ArrivalSource: std::fmt::Debug {
     fn next_request(&mut self) -> Option<ClusterRequest>;
 }
 
-/// A materialized trace consumed front to back.
+/// A materialized trace consumed front to back, each request moved out
+/// as it is pulled.
 #[derive(Debug)]
 pub struct TraceSource {
-    trace: RequestTrace,
-    next: usize,
+    requests: std::vec::IntoIter<ClusterRequest>,
 }
 
 impl TraceSource {
     /// Wrap a trace for consumption.
     pub fn new(trace: RequestTrace) -> Self {
-        Self { trace, next: 0 }
+        Self {
+            requests: trace.requests.into_iter(),
+        }
     }
 }
 
 impl ArrivalSource for TraceSource {
     fn next_request(&mut self) -> Option<ClusterRequest> {
-        let req = self.trace.requests.get(self.next)?.clone();
-        self.next += 1;
-        Some(req)
+        self.requests.next()
     }
 }
 

@@ -1,15 +1,16 @@
 //! Paged-KV block accounting (the management half of vLLM's
 //! PagedAttention; the storage half lives in `moe_engine::kvcache`).
 //!
-//! The manager tracks physical-block ownership per sequence. Capacity is
-//! expressed in blocks of `block_tokens` tokens; one logical sequence
-//! block corresponds to `num_layers` physical blocks, which is folded into
-//! the capacity accounting by the caller. A fixed watermark reserve (1%
-//! of the pool) is kept free when admitting new sequences, so running
-//! sequences can grow without immediately preempting. Ownership is
-//! indexed by `RequestId`, which the scheduler hands out densely from 0.
-
-use crate::request::RequestId;
+//! The manager is the pool arithmetic only: free blocks, the watermark
+//! and block counts. Capacity is expressed in blocks of `block_tokens`
+//! tokens; one logical sequence block corresponds to `num_layers`
+//! physical blocks, which is folded into the capacity accounting by the
+//! caller. A fixed watermark reserve (1% of the pool) is kept free when
+//! admitting new sequences, so running sequences can grow without
+//! immediately preempting. Each sequence's block count lives with its
+//! owner (the scheduler's sequence record); [`BlockManager::allocate`],
+//! [`BlockManager::grow`] and [`BlockManager::release`] update it through
+//! `&mut usize`, so the manager keeps no per-sequence table.
 
 /// Fraction of blocks kept free when admitting *new* sequences.
 const WATERMARK: f64 = 0.01;
@@ -20,8 +21,6 @@ pub struct BlockManager {
     block_tokens: usize,
     total_blocks: usize,
     free_blocks: usize,
-    /// Blocks owned per sequence, indexed by id; 0 = owns nothing.
-    owned: Vec<usize>,
 }
 
 impl BlockManager {
@@ -31,7 +30,6 @@ impl BlockManager {
             block_tokens,
             total_blocks,
             free_blocks: total_blocks,
-            owned: Vec::new(),
         }
     }
 
@@ -46,11 +44,6 @@ impl BlockManager {
 
     pub fn used_blocks(&self) -> usize {
         self.total_blocks - self.free_blocks
-    }
-
-    /// Blocks currently owned by a sequence.
-    pub fn owned_by(&self, id: RequestId) -> usize {
-        self.owned.get(id as usize).copied().unwrap_or(0)
     }
 
     /// Pool utilization in [0, 1].
@@ -79,26 +72,26 @@ impl BlockManager {
         self.total_blocks >= self.blocks_for(tokens) + self.reserve()
     }
 
-    /// Allocate blocks to hold `tokens` for a new sequence. Returns false
-    /// (allocating nothing) if the pool cannot satisfy it. Ownership is
-    /// stored densely up to the largest id seen, so ids should be small
-    /// and dense, as the scheduler's are.
-    pub fn allocate(&mut self, id: RequestId, tokens: usize) -> bool {
-        assert!(self.owned_by(id) == 0, "sequence {id} already allocated");
+    /// Allocate blocks to hold `tokens` for a new sequence whose block
+    /// count is `owned` (0: it owns nothing yet). Returns false
+    /// (allocating nothing) if the pool cannot satisfy it.
+    pub fn allocate(&mut self, owned: &mut usize, tokens: usize) -> bool {
+        assert!(*owned == 0, "sequence already allocated");
         let needed = self.blocks_for(tokens);
         if needed > self.free_blocks {
             return false;
         }
         self.free_blocks -= needed;
-        self.set_owned(id, needed);
+        *owned = needed;
         true
     }
 
-    /// Grow a sequence from `old_tokens` to `new_tokens`. Returns false if
-    /// the extra blocks are unavailable (caller should preempt).
-    pub fn grow(&mut self, id: RequestId, old_tokens: usize, new_tokens: usize) -> bool {
+    /// Grow a sequence owning `owned` blocks from `old_tokens` to
+    /// `new_tokens`. Returns false if the extra blocks are unavailable
+    /// (caller should preempt).
+    pub fn grow(&mut self, owned: &mut usize, old_tokens: usize, new_tokens: usize) -> bool {
         assert!(new_tokens >= old_tokens);
-        let have = self.owned_by(id);
+        let have = *owned;
         // The owned blocks already hold `new_tokens` on most steps; only a
         // block boundary (or an owner left behind by an earlier failed
         // grow) pays the division below.
@@ -107,7 +100,7 @@ impl BlockManager {
         }
         debug_assert!(
             have >= self.blocks_for(old_tokens).saturating_sub(1),
-            "grow with stale accounting for {id}"
+            "grow with stale accounting"
         );
         let need = self.blocks_for(new_tokens);
         let extra = need.saturating_sub(have);
@@ -118,28 +111,19 @@ impl BlockManager {
             return false;
         }
         self.free_blocks -= extra;
-        self.set_owned(id, need);
+        *owned = need;
         true
     }
 
-    fn set_owned(&mut self, id: RequestId, blocks: usize) {
-        let i = id as usize;
-        if i >= self.owned.len() {
-            self.owned.resize(i + 1, 0);
-        }
-        self.owned[i] = blocks;
+    /// Release all of a sequence's `owned` blocks (finish or preemption),
+    /// leaving it owning none.
+    pub fn release(&mut self, owned: &mut usize) {
+        self.free_blocks += std::mem::take(owned);
     }
 
-    /// Release all blocks of a sequence (finish or preemption).
-    pub fn release(&mut self, id: RequestId) {
-        if let Some(n) = self.owned.get_mut(id as usize) {
-            self.free_blocks += std::mem::take(n);
-        }
-    }
-
-    /// Invariant check: free + owned == total.
-    pub fn check_invariants(&self) {
-        let owned: usize = self.owned.iter().sum();
+    /// Invariant check: `owned` (the caller's Σ of its sequences' block
+    /// counts) + free == total.
+    pub fn check_invariants(&self, owned: usize) {
         assert_eq!(
             owned + self.free_blocks,
             self.total_blocks,
@@ -166,31 +150,35 @@ mod tests {
     #[test]
     fn allocate_and_release_roundtrip() {
         let mut m = BlockManager::new(10, 16);
-        assert!(m.allocate(1, 100)); // 7 blocks
+        let mut a = 0;
+        assert!(m.allocate(&mut a, 100)); // 7 blocks
         assert_eq!(m.free_blocks, 3);
-        assert_eq!(m.owned_by(1), 7);
-        m.release(1);
-        assert_eq!(m.free_blocks, 10);
-        m.check_invariants();
+        assert_eq!(a, 7);
+        m.check_invariants(a);
+        m.release(&mut a);
+        assert_eq!((a, m.free_blocks), (0, 10));
+        m.check_invariants(0);
     }
 
     #[test]
     fn allocate_fails_cleanly_when_full() {
         let mut m = BlockManager::new(4, 16);
-        assert!(m.allocate(1, 64)); // all 4 blocks
-        assert!(!m.allocate(2, 1));
-        assert_eq!(m.owned_by(2), 0);
-        m.check_invariants();
+        let (mut a, mut b) = (0, 0);
+        assert!(m.allocate(&mut a, 64)); // all 4 blocks
+        assert!(!m.allocate(&mut b, 1));
+        assert_eq!(b, 0);
+        m.check_invariants(a + b);
     }
 
     #[test]
     fn grow_only_charges_boundary_crossings() {
         let mut m = BlockManager::new(10, 16);
-        assert!(m.allocate(1, 16)); // 1 block
-        assert!(m.grow(1, 16, 17)); // new block
-        assert_eq!(m.owned_by(1), 2);
-        assert!(m.grow(1, 17, 18)); // same block
-        assert_eq!(m.owned_by(1), 2);
+        let mut a = 0;
+        assert!(m.allocate(&mut a, 16)); // 1 block
+        assert!(m.grow(&mut a, 16, 17)); // new block
+        assert_eq!(a, 2);
+        assert!(m.grow(&mut a, 17, 18)); // same block
+        assert_eq!(a, 2);
         assert_eq!(m.free_blocks, 8);
     }
 
@@ -204,27 +192,29 @@ mod tests {
         for block_tokens in [1, 16] {
             let prompt = 2 * block_tokens;
             let mut m = BlockManager::new(4, block_tokens);
-            assert!(m.allocate(1, prompt)); // 2 blocks
-            assert!(m.allocate(2, prompt)); // the other 2: the pool is full
-            assert!(!m.grow(1, prompt, prompt + 1));
-            assert_eq!(m.owned_by(1), 2);
-            m.release(2);
-            assert!(m.grow(1, prompt + 1, prompt + 2));
+            let (mut a, mut b) = (0, 0);
+            assert!(m.allocate(&mut a, prompt)); // 2 blocks
+            assert!(m.allocate(&mut b, prompt)); // the other 2: the pool is full
+            assert!(!m.grow(&mut a, prompt, prompt + 1));
+            assert_eq!(a, 2);
+            m.release(&mut b);
+            assert!(m.grow(&mut a, prompt + 1, prompt + 2));
             let need = (prompt + 2).div_ceil(block_tokens);
             assert_eq!(need - 2, if block_tokens == 1 { 2 } else { 1 });
-            assert_eq!(m.owned_by(1), need, "{block_tokens}-token blocks");
+            assert_eq!(a, need, "{block_tokens}-token blocks");
             assert_eq!(m.used_blocks(), need);
-            m.check_invariants();
+            m.check_invariants(a + b);
         }
     }
 
     #[test]
     fn grow_fails_without_space() {
         let mut m = BlockManager::new(2, 16);
-        assert!(m.allocate(1, 32)); // both blocks
-        assert!(!m.grow(1, 32, 33));
-        assert_eq!(m.owned_by(1), 2); // unchanged
-        m.check_invariants();
+        let mut a = 0;
+        assert!(m.allocate(&mut a, 32)); // both blocks
+        assert!(!m.grow(&mut a, 32, 33));
+        assert_eq!(a, 2); // unchanged
+        m.check_invariants(a);
     }
 
     #[test]
@@ -233,18 +223,21 @@ mod tests {
         let mut m = BlockManager::new(100, 16);
         assert!(m.can_admit(99 * 16)); // 99 blocks + 1 reserve <= 100
         assert!(!m.can_admit(100 * 16)); // 100 + 1 > 100
-                                         // Growth may dip into the reserve.
-        assert!(m.allocate(1, 99 * 16));
-        assert!(m.grow(1, 99 * 16, 100 * 16)); // 100 blocks total
-        assert_eq!(m.free_blocks, 0);
+
+        // Growth may dip into the reserve.
+        let mut a = 0;
+        assert!(m.allocate(&mut a, 99 * 16));
+        assert!(m.grow(&mut a, 99 * 16, 100 * 16)); // 100 blocks total
+        assert_eq!((a, m.free_blocks), (100, 0));
     }
 
     #[test]
     #[should_panic(expected = "already allocated")]
     fn double_allocate_panics() {
         let mut m = BlockManager::new(10, 16);
-        m.allocate(1, 16);
-        m.allocate(1, 16);
+        let mut a = 0;
+        m.allocate(&mut a, 16);
+        m.allocate(&mut a, 16);
     }
 
     // Deterministic randomized sweep (replacing the former proptest version).
@@ -254,32 +247,35 @@ mod tests {
         for _ in 0..48 {
             let n_ops = 1 + rng.next_below(59);
             let mut m = BlockManager::new(64, 16);
-            let mut live: std::collections::BTreeMap<u64, usize> = Default::default();
+            // Per owner: blocks held and tokens, `None` when not live.
+            let mut owned = [0usize; 8];
+            let mut live: [Option<usize>; 8] = [None; 8];
             for _ in 0..n_ops {
-                let id = rng.next_below(8) as u64;
+                let i = rng.next_below(8);
                 let tokens = 1 + rng.next_below(199);
                 match rng.next_below(3) {
                     0 => {
-                        if !live.contains_key(&id) && m.allocate(id, tokens) {
-                            live.insert(id, tokens);
+                        if live[i].is_none() && m.allocate(&mut owned[i], tokens) {
+                            live[i] = Some(tokens);
                         }
                     }
                     1 => {
-                        if let Some(&old) = live.get(&id) {
+                        if let Some(old) = live[i] {
                             let new = old + tokens;
-                            if m.grow(id, old, new) {
-                                live.insert(id, new);
+                            if m.grow(&mut owned[i], old, new) {
+                                live[i] = Some(new);
                             }
                         }
                     }
                     _ => {
-                        m.release(id);
-                        live.remove(&id);
+                        m.release(&mut owned[i]);
+                        live[i] = None;
                     }
                 }
-                m.check_invariants();
-                // Never over-allocated.
+                m.check_invariants(owned.iter().sum());
+                // Never over-allocated, and dead owners hold nothing.
                 assert!(m.used_blocks() <= m.total_blocks());
+                assert!((0..8).all(|j| live[j].is_some() || owned[j] == 0));
             }
         }
     }

@@ -132,7 +132,12 @@ impl LiveServer {
                     live.generated.push(next);
                     live.kv = Some(kv);
                 }
-                self.scheduler.commit_prefill(&ids);
+                // Sequences done at their first token free their KV now.
+                for id in self.scheduler.commit_prefill(&ids) {
+                    if let Some(live) = self.seqs.get_mut(&id) {
+                        live.kv = None;
+                    }
+                }
             }
             StepPlan::Decode { ids } => {
                 self.reap_preempted();
@@ -351,6 +356,22 @@ mod tests {
         };
         assert_eq!(outputs[&a], LiveServer::reference(&mut tiny(), &p1, 4));
         assert_eq!(outputs[&b], LiveServer::reference(&mut tiny(), &p2, 4));
+    }
+
+    #[test]
+    fn a_request_done_at_prefill_frees_its_kv() {
+        let mut server = LiveServer::new(tiny(), roomy_cfg());
+        let one = server.submit(vec![1, 2, 3], 1);
+        let two = server.submit(vec![4, 5], 2);
+        assert!(server.step(), "the prefill step runs");
+        assert!(
+            server.seqs[&one].kv.is_none(),
+            "finished at its first token"
+        );
+        assert!(server.seqs[&two].kv.is_some(), "still decoding");
+        let outputs = server.run();
+        assert_eq!(outputs[&one].len(), 1);
+        assert_eq!(outputs[&two].len(), 2);
     }
 
     #[test]

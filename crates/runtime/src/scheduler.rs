@@ -27,12 +27,17 @@
 //! operation of a step is O(1), and a step costs O(batch) however many
 //! of its sequences finish:
 //!
-//! * **Dense ids.** Ids are handed out densely from 0, so sequence
-//!   records live in a `Vec` indexed by id (`None` once canceled;
-//!   finished records stay queryable), and the [`BlockManager`] keeps
-//!   its per-sequence block counts the same way. Both keep a slot for
-//!   every request ever submitted — 48 B of record plus 8 B of block
-//!   count — until [`Scheduler::reset`].
+//! * **A record window.** Ids are handed out densely from 0, and
+//!   sequence records live in a window that starts at the oldest
+//!   unfinished id, indexed by `id - base`. A sequence's record, KV
+//!   block count included, is freed the moment it finishes or is
+//!   canceled — a finish hands it to the caller through
+//!   [`Scheduler::commit_step`] — and the dead front of the window is
+//!   popped (in batches, so lookups index a plain `Vec`). The window
+//!   therefore spans the requests in the system plus the freed slots
+//!   that an older unfinished request keeps open, not every request ever
+//!   submitted. Ids are never recycled, so the FCFS order by id holds for
+//!   the life of the scheduler.
 //! * **Admission-ordered `running`.** Admission appends to `running` in
 //!   admission-stamp order and removals keep the order, so `running` is
 //!   always sorted by `admitted_at` (stamps are unique) and the newest
@@ -40,13 +45,17 @@
 //! * **Running context sum.** Σ `context_len` over `running` is kept up
 //!   to date on admit, commit, finish, preemption and cancel, so pricing
 //!   a decode step reads its mean context without a pass over the batch.
-//! * **In-block growth.** Reserving a decode token's KV compares the
-//!   context against the blocks the sequence owns; only a token that
-//!   crosses a block boundary pays the block count's division.
+//! * **Block counts in the record.** The [`BlockManager`] is the pool
+//!   arithmetic only; each record carries the blocks its sequence owns,
+//!   so reserving a decode token's KV touches one record per running
+//!   sequence. That compares the context against the owned blocks, and
+//!   only a token that crosses a block boundary pays the block count's
+//!   division.
 //! * **One-pass commit.** [`Scheduler::commit_step`] commits a planned
-//!   step's tokens, releases the blocks of the sequences that finished
-//!   at once, and drops them from `running` together in one pass at the
-//!   end, so a finish costs no pass over the batch of its own.
+//!   step's tokens, releases the blocks and takes the records of the
+//!   sequences that finished at once, and drops them from `running`
+//!   together in one pass at the end, so a finish costs no pass over the
+//!   batch of its own.
 //!   [`Scheduler::commit_decode`] and [`Scheduler::commit_prefill`] are
 //!   the same per-token commit over one id and over a prefill's ids.
 //!
@@ -88,8 +97,8 @@ impl Default for SchedulerConfig {
     }
 }
 
-/// Scheduler-internal sequence record. Its id is its index in the
-/// scheduler's record table, so the record does not repeat it.
+/// Scheduler-internal sequence record. Its id is its position in the
+/// scheduler's record window, so the record does not repeat it.
 #[derive(Debug, Clone)]
 pub struct SeqRecord {
     pub request: Request,
@@ -99,6 +108,8 @@ pub struct SeqRecord {
     /// Admission order stamp of the latest (re-)admission.
     pub admitted_at: u64,
     pub preemptions: usize,
+    /// KV blocks the sequence owns (0 unless running).
+    pub blocks: usize,
 }
 
 impl SeqRecord {
@@ -158,13 +169,75 @@ pub enum StepPlan {
     Idle,
 }
 
+/// The record window (see the module docs): the records of ids
+/// `base + head..base + slots.len()`, at `slots[id - base]`.
+///
+/// A plain `Vec` indexes cheaper than a `VecDeque`, whose wrap-around
+/// costs every lookup of a decode step. So the popped front stays as
+/// `head` dead slots until they are as many as the window's, then leaves
+/// in one `drain` that moves at most as many slots as were popped: each
+/// slot moves O(1) times amortized, and the `Vec` holds at most twice
+/// the window.
+#[derive(Debug, Default)]
+struct Records {
+    /// Id of `slots[0]`.
+    base: RequestId,
+    /// Dead slots before the window.
+    head: usize,
+    /// `None` once finished or canceled; `slots[head]` is always live.
+    slots: Vec<Option<SeqRecord>>,
+}
+
+impl Records {
+    fn push(&mut self, seq: SeqRecord) -> RequestId {
+        let id = self.base + self.slots.len() as RequestId;
+        self.slots.push(Some(seq));
+        id
+    }
+
+    /// Position of `id` in `slots`; ids before `base` wrap to positions
+    /// past the end.
+    fn index(&self, id: RequestId) -> usize {
+        id.wrapping_sub(self.base) as usize
+    }
+
+    fn get(&self, id: RequestId) -> Option<&SeqRecord> {
+        self.slots.get(self.index(id))?.as_ref()
+    }
+
+    fn get_mut(&mut self, id: RequestId) -> Option<&mut SeqRecord> {
+        let i = self.index(id);
+        self.slots.get_mut(i)?.as_mut()
+    }
+
+    /// Slots in the window.
+    fn len(&self) -> usize {
+        self.slots.len() - self.head
+    }
+
+    /// Free `id`'s record, returning it, and pop the window's dead front.
+    fn take(&mut self, id: RequestId) -> Option<SeqRecord> {
+        let i = self.index(id);
+        let seq = self.slots.get_mut(i)?.take()?;
+        while let Some(None) = self.slots.get(self.head) {
+            self.head += 1;
+        }
+        if self.head >= self.len() {
+            self.slots.drain(..self.head);
+            self.base += self.head as RequestId;
+            self.head = 0;
+        }
+        Some(seq)
+    }
+}
+
 /// The continuous-batching scheduler.
 #[derive(Debug)]
 pub struct Scheduler {
     cfg: SchedulerConfig,
     blocks: BlockManager,
-    /// Sequence records indexed by id; `None` once canceled.
-    seqs: Vec<Option<SeqRecord>>,
+    /// Records of the unfinished sequences.
+    seqs: Records,
     /// FCFS waiting queue (front = next to admit).
     waiting: VecDeque<RequestId>,
     /// Running sequences in admission-stamp order (oldest first).
@@ -183,7 +256,7 @@ impl Scheduler {
         Self {
             blocks: BlockManager::new(cfg.total_blocks, cfg.block_tokens),
             cfg,
-            seqs: Vec::new(),
+            seqs: Records::default(),
             waiting: VecDeque::new(),
             running: Vec::new(),
             running_ctx: 0,
@@ -229,20 +302,28 @@ impl Scheduler {
     pub fn submit(&mut self, request: Request) -> RequestId {
         assert!(request.prompt_len > 0, "empty prompt");
         assert!(request.max_new_tokens > 0, "nothing to generate");
-        let id = self.seqs.len() as RequestId;
-        self.seqs.push(Some(SeqRecord {
+        let id = self.seqs.push(SeqRecord {
             request,
             state: SeqState::Waiting,
             generated: 0,
             admitted_at: 0,
             preemptions: 0,
-        }));
+            blocks: 0,
+        });
         self.waiting.push_back(id);
         id
     }
 
+    /// The record of an unfinished sequence; `None` once it finished or
+    /// was canceled.
     pub fn seq(&self, id: RequestId) -> Option<&SeqRecord> {
-        self.seqs.get(id as usize)?.as_ref()
+        self.seqs.get(id)
+    }
+
+    /// Length of the record window: the unfinished sequences plus the
+    /// freed slots that older unfinished ones keep open.
+    pub fn record_window(&self) -> usize {
+        self.seqs.len()
     }
 
     /// Running sequences, oldest admission first.
@@ -279,55 +360,36 @@ impl Scheduler {
             if self.running.len() + admit.len() >= self.cfg.max_running {
                 break;
             }
-            let Some(seq) = self.seq(id) else {
+            let Some(seq) = self.seqs.get_mut(id) else {
                 break;
             };
             // On re-admission after preemption the whole prefix
             // (prompt + generated) is recomputed.
             let need = seq.context_len();
-            if tokens + need > self.cfg.max_batched_tokens && !admit.is_empty() {
+            // A single over-budget prompt still goes alone (chunking is
+            // modeled as one long step).
+            let over_budget = tokens + need > self.cfg.max_batched_tokens;
+            if over_budget && !admit.is_empty() {
                 break;
             }
-            if tokens + need > self.cfg.max_batched_tokens {
-                // A single over-budget prompt still goes alone (chunking
-                // is modeled as one long step).
-                if !self.blocks.can_admit(need) {
-                    break;
-                }
-                if !self.blocks.allocate(id, need) {
-                    break;
-                }
-                self.waiting.pop_front();
-                admit.push(id);
-                tokens += need;
+            if !self.blocks.can_admit(need) || !self.blocks.allocate(&mut seq.blocks, need) {
                 break;
             }
-            if !self.blocks.can_admit(need) {
-                break;
-            }
-            if !self.blocks.allocate(id, need) {
-                break;
-            }
+            seq.state = SeqState::Running;
+            seq.admitted_at = self.admission_stamp;
+            self.admission_stamp += 1;
             self.waiting.pop_front();
             admit.push(id);
             tokens += need;
+            self.record(SchedEvent::Admitted {
+                id,
+                context_tokens: need,
+            });
+            if over_budget {
+                break;
+            }
         }
         if !admit.is_empty() {
-            for id in &admit {
-                let stamp = self.admission_stamp;
-                self.admission_stamp += 1;
-                if let Some(seq) = self.seqs[*id as usize].as_mut() {
-                    seq.state = SeqState::Running;
-                    seq.admitted_at = stamp;
-                }
-            }
-            if self.record_events {
-                for &id in &admit {
-                    if let Some(context_tokens) = self.seq(id).map(SeqRecord::context_len) {
-                        self.record(SchedEvent::Admitted { id, context_tokens });
-                    }
-                }
-            }
             // `tokens` is Σ context_len over the admitted sequences.
             self.running_ctx += tokens;
             self.running.extend(&admit);
@@ -362,11 +424,11 @@ impl Scheduler {
     /// could not grow.
     fn try_grow_all(&mut self) -> bool {
         for &id in &self.running {
-            let Some(seq) = &self.seqs[id as usize] else {
+            let Some(seq) = self.seqs.get_mut(id) else {
                 continue;
             };
             let ctx = seq.context_len();
-            if !self.blocks.grow(id, ctx, ctx + 1) {
+            if !self.blocks.grow(&mut seq.blocks, ctx, ctx + 1) {
                 return false;
             }
         }
@@ -380,9 +442,9 @@ impl Scheduler {
         let Some(id) = self.running.pop() else {
             return false;
         };
-        self.blocks.release(id);
         let mut preemptions = 0;
-        if let Some(seq) = self.seqs[id as usize].as_mut() {
+        if let Some(seq) = self.seqs.get_mut(id) {
+            self.blocks.release(&mut seq.blocks);
             seq.state = SeqState::Waiting;
             seq.preemptions += 1;
             preemptions = seq.preemptions;
@@ -397,7 +459,7 @@ impl Scheduler {
     /// Commit one decoded token for a sequence (KV block already reserved
     /// by `plan_step`). Returns true when the sequence just finished.
     pub fn commit_decode(&mut self, id: RequestId) -> bool {
-        let finished = self.commit_token(id);
+        let finished = self.commit_token(id).is_some();
         if finished {
             self.drop_finished();
         }
@@ -409,69 +471,74 @@ impl Scheduler {
     /// between planning and commit (a serving front-end timing out a
     /// request mid-step) are skipped.
     pub fn commit_prefill(&mut self, ids: &[RequestId]) -> Vec<RequestId> {
-        self.commit_tokens(ids.to_vec(), true)
+        self.commit_tokens(ids, true)
+            .into_iter()
+            .map(|(id, _)| id)
+            .collect()
     }
 
     /// Commit a whole planned step: one token for every sequence it ran
     /// (the first token, for a prefill). Returns the sequences that
-    /// finished, in plan order; ids canceled while the step was in flight
-    /// are skipped.
-    pub fn commit_step(&mut self, plan: StepPlan) -> Vec<RequestId> {
+    /// finished with their final records, in plan order; the scheduler
+    /// keeps no record of them. Ids canceled while the step was in
+    /// flight are skipped.
+    pub fn commit_step(&mut self, plan: StepPlan) -> Vec<(RequestId, SeqRecord)> {
         match plan {
-            StepPlan::Prefill { ids, .. } => self.commit_tokens(ids, true),
-            StepPlan::Decode { ids } => self.commit_tokens(ids, false),
+            StepPlan::Prefill { ids, .. } => self.commit_tokens(&ids, true),
+            StepPlan::Decode { ids } => self.commit_tokens(&ids, false),
             StepPlan::Idle => Vec::new(),
         }
     }
 
-    /// Commit one token for each of `ids` and return the ids that
-    /// finished, in order, reusing `ids`' buffer. The finished sequences
-    /// leave `running` together, in one pass at the end.
-    fn commit_tokens(&mut self, mut ids: Vec<RequestId>, prefill: bool) -> Vec<RequestId> {
-        let mut finished = 0;
-        for i in 0..ids.len() {
-            let id = ids[i];
+    /// Commit one token for each of `ids` and return the sequences that
+    /// finished, in order. The finished sequences leave `running`
+    /// together, in one pass at the end.
+    fn commit_tokens(&mut self, ids: &[RequestId], prefill: bool) -> Vec<(RequestId, SeqRecord)> {
+        let mut finished = Vec::new();
+        for &id in ids {
             if prefill {
                 // The first token occupies KV beyond the prompt. Growth
                 // may dip into the watermark reserve; if even that fails
                 // the next decode plan will preempt.
-                if let Some(ctx) = self.seq(id).map(SeqRecord::context_len) {
-                    let _ = self.blocks.grow(id, ctx, ctx + 1);
+                if let Some(seq) = self.seqs.get_mut(id) {
+                    let ctx = seq.context_len();
+                    let _ = self.blocks.grow(&mut seq.blocks, ctx, ctx + 1);
                 }
             }
-            if self.commit_token(id) {
-                ids[finished] = id;
-                finished += 1;
+            if let Some(seq) = self.commit_token(id) {
+                finished.push((id, seq));
             }
         }
-        if finished > 0 {
+        if !finished.is_empty() {
             self.drop_finished();
         }
-        ids.truncate(finished);
-        ids
+        finished
     }
 
     /// The one token commit under every public commit: advance a known
     /// sequence by one token. A sequence that finishes releases its blocks
-    /// at once but stays in `running` until the caller's
-    /// [`Self::drop_finished`]. False for canceled ids.
+    /// and leaves the record window at once, returning its record, but
+    /// stays in `running` until the caller's [`Self::drop_finished`].
+    /// `None` for canceled ids.
     #[inline]
-    fn commit_token(&mut self, id: RequestId) -> bool {
-        let Some(Some(seq)) = self.seqs.get_mut(id as usize) else {
-            return false; // canceled while the step was in flight
-        };
+    fn commit_token(&mut self, id: RequestId) -> Option<SeqRecord> {
+        // `None`: canceled while the step was in flight.
+        let seq = self.seqs.get_mut(id)?;
         assert_eq!(seq.state, SeqState::Running, "decode on non-running seq");
         seq.generated += 1;
         self.running_ctx += 1;
         if !seq.done() {
-            return false;
+            return None;
         }
-        seq.state = SeqState::Finished;
-        let generated = seq.generated;
         self.running_ctx -= seq.context_len();
-        self.blocks.release(id);
-        self.record(SchedEvent::Finished { id, generated });
-        true
+        self.blocks.release(&mut seq.blocks);
+        let mut seq = self.seqs.take(id)?;
+        seq.state = SeqState::Finished;
+        self.record(SchedEvent::Finished {
+            id,
+            generated: seq.generated,
+        });
+        Some(seq)
     }
 
     /// Drop the sequences that finished from `running`, keeping its
@@ -480,24 +547,17 @@ impl Scheduler {
     #[inline(never)]
     fn drop_finished(&mut self) {
         let seqs = &self.seqs;
-        self.running.retain(|&r| {
-            seqs[r as usize]
-                .as_ref()
-                .is_some_and(|seq| seq.state == SeqState::Running)
-        });
+        self.running.retain(|&r| seqs.get(r).is_some());
     }
 
     /// Remove a sequence entirely — its queue slots, KV blocks, and
     /// record. Used by serving front-ends to enforce per-request timeouts
     /// and to fail over requests off a crashed replica. Safe to call while
     /// a planned step is in flight: the commit path skips unknown ids.
-    /// Returns `false` when the id is unknown or already finished (a
-    /// finished sequence keeps its record so completions stay queryable).
+    /// Returns `false` when the id is unknown, finished or already
+    /// canceled.
     pub fn cancel(&mut self, id: RequestId) -> bool {
-        let Some(slot) = self.seqs.get_mut(id as usize) else {
-            return false;
-        };
-        let Some(seq) = slot.take_if(|seq| seq.state != SeqState::Finished) else {
+        let Some(mut seq) = self.seqs.take(id) else {
             return false;
         };
         if seq.state == SeqState::Running {
@@ -506,7 +566,7 @@ impl Scheduler {
         } else {
             self.waiting.retain(|&w| w != id);
         }
-        self.blocks.release(id);
+        self.blocks.release(&mut seq.blocks);
         true
     }
 }
@@ -514,6 +574,12 @@ impl Scheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The pool balances against the blocks the running records own.
+    fn check_blocks(s: &Scheduler) {
+        let owned = s.running.iter().map(|&id| s.seq(id).unwrap().blocks).sum();
+        s.blocks().check_invariants(owned);
+    }
 
     fn small_cfg() -> SchedulerConfig {
         SchedulerConfig {
@@ -621,7 +687,7 @@ mod tests {
             }
         }
         assert!(b_preempted, "expected the newer sequence to be preempted");
-        s.blocks().check_invariants();
+        check_blocks(&s);
     }
 
     #[test]
@@ -636,32 +702,57 @@ mod tests {
             s.submit(Request::new(48, 40)),
             s.submit(Request::new(48, 40)),
         ];
-        let mut finished = 0;
+        let mut finished = Vec::new();
         let mut guard = 0;
         while s.has_work() {
             guard += 1;
             assert!(guard < 10_000, "scheduler livelock");
-            match s.plan_step() {
-                StepPlan::Prefill { ids, .. } => {
-                    finished += s.commit_prefill(&ids).len();
-                }
-                StepPlan::Decode { ids } => {
-                    for id in ids {
-                        if s.commit_decode(id) {
-                            finished += 1;
-                        }
-                    }
-                }
-                StepPlan::Idle => break,
+            let plan = s.plan_step();
+            if plan == StepPlan::Idle {
+                break;
             }
+            finished.extend(s.commit_step(plan));
         }
-        assert_eq!(finished, 2);
-        for id in ids {
-            let seq = s.seq(id).unwrap();
+        assert_eq!(finished.len(), 2);
+        assert!(finished.iter().any(|(_, seq)| seq.preemptions > 0));
+        for (id, seq) in finished {
+            assert!(ids.contains(&id));
             assert_eq!(seq.state, SeqState::Finished);
             assert_eq!(seq.generated, 40);
+            assert_eq!(seq.blocks, 0);
+            assert!(s.seq(id).is_none(), "finished records leave the window");
         }
         assert_eq!(s.blocks().used_blocks(), 0);
+        assert_eq!(s.record_window(), 0);
+    }
+
+    /// A freed record leaves the window only once every older one is
+    /// freed too; ids keep counting from where they were.
+    #[test]
+    fn record_window_starts_at_the_oldest_unfinished_id() {
+        let mut s = Scheduler::new(small_cfg());
+        let long = s.submit(Request::new(10, 3));
+        let short = s.submit(Request::new(10, 1));
+        let plan = s.plan_step();
+        let done = s.commit_step(plan);
+        assert_eq!(done.iter().map(|(id, _)| *id).collect::<Vec<_>>(), [short]);
+        assert!(s.seq(short).is_none());
+        assert_eq!(s.record_window(), 2, "`long` keeps `short`'s slot open");
+        let waiting = s.submit(Request::new(10, 1));
+        assert!(s.cancel(waiting));
+        assert_eq!(s.record_window(), 3);
+        while s.has_work() {
+            let plan = s.plan_step();
+            s.commit_step(plan);
+        }
+        assert!(s.seq(long).is_none());
+        assert_eq!(s.record_window(), 0);
+        assert_eq!(
+            s.submit(Request::new(10, 1)),
+            waiting + 1,
+            "ids are never reused"
+        );
+        assert_eq!(s.record_window(), 1);
     }
 
     #[test]
@@ -768,7 +859,7 @@ mod tests {
         assert!(!s.cancel(a), "double cancel is a no-op");
         assert!(!s.has_work());
         assert_eq!(s.blocks().used_blocks(), 0);
-        s.blocks().check_invariants();
+        check_blocks(&s);
 
         // Waiting sequences cancel too.
         let c = s.submit(Request::new(30, 8));

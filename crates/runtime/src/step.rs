@@ -226,15 +226,12 @@ impl StepCore {
         self.scheduler
             .commit_step(step.plan)
             .into_iter()
-            .filter_map(|id| {
-                let seq = self.scheduler.seq(id)?;
-                Some(Finished {
-                    id,
-                    generated: seq.generated,
-                    preemptions: seq.preemptions,
-                    first_token_s: self.first_token.remove(&id).unwrap_or(end_s),
-                    finish_s: end_s,
-                })
+            .map(|(id, seq)| Finished {
+                id,
+                generated: seq.generated,
+                preemptions: seq.preemptions,
+                first_token_s: self.first_token.remove(&id).unwrap_or(end_s),
+                finish_s: end_s,
             })
             .collect()
     }

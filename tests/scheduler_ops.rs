@@ -8,6 +8,8 @@
 //! Σ `context_len` over running, the block pool balances, and the blocks
 //! in use are exactly those owned by running sequences. At drain every
 //! request finished exactly once or was canceled, and the pool is empty.
+//! Finished data is read from the records `commit_step` hands out; the
+//! scheduler keeps none of it.
 //!
 //! The plans (kind, ids, tokens), the cancel results and the finish
 //! order also hash to a fixed FNV-1a digest, recorded before the scheduler's state moved from
@@ -52,18 +54,11 @@ fn hash_plan(hash: &mut u64, plan: &StepPlan) {
 }
 
 /// Per-run bookkeeping: what happened to each id, one entry per
-/// submitted request.
+/// submitted request, and the preemptions the finished ones saw.
 struct Ledger {
     finished: Vec<usize>,
     canceled: Vec<bool>,
-}
-
-impl Ledger {
-    fn finish(&mut self, hash: &mut u64, id: RequestId) {
-        hash_u64(hash, 3);
-        hash_u64(hash, id);
-        self.finished[id as usize] += 1;
-    }
+    preemptions: usize,
 }
 
 fn check_invariants(s: &Scheduler, what: &str) {
@@ -84,28 +79,24 @@ fn check_invariants(s: &Scheduler, what: &str) {
         .map(|&id| s.seq(id).unwrap().context_len())
         .sum();
     assert_eq!(s.running_context_tokens(), ctx, "{what}: context sum");
-    s.blocks().check_invariants();
-    let owned: usize = running.iter().map(|&id| s.blocks().owned_by(id)).sum();
-    assert_eq!(s.blocks().used_blocks(), owned, "{what}: blocks in use");
+    // Only running sequences own blocks, so the pool balances against
+    // their records' counts.
+    let owned: usize = running.iter().map(|&id| s.seq(id).unwrap().blocks).sum();
+    s.blocks().check_invariants(owned);
 }
 
 /// Commit `plan` the way a serving loop does, skipping ids canceled
-/// while it was in flight.
+/// while it was in flight, and check each finished record it hands out.
 fn commit(s: &mut Scheduler, plan: StepPlan, ledger: &mut Ledger, hash: &mut u64) {
-    match plan {
-        StepPlan::Prefill { ids, .. } => {
-            for id in s.commit_prefill(&ids) {
-                ledger.finish(hash, id);
-            }
-        }
-        StepPlan::Decode { ids } => {
-            for id in ids {
-                if s.commit_decode(id) {
-                    ledger.finish(hash, id);
-                }
-            }
-        }
-        StepPlan::Idle => {}
+    for (id, seq) in s.commit_step(plan) {
+        hash_u64(hash, 3);
+        hash_u64(hash, id);
+        ledger.finished[id as usize] += 1;
+        assert_eq!(seq.state, SeqState::Finished);
+        assert_eq!(seq.generated, seq.request.max_new_tokens);
+        assert_eq!(seq.blocks, 0, "a finished sequence owns no blocks");
+        assert!(s.seq(id).is_none(), "finished record is gone");
+        ledger.preemptions += seq.preemptions;
     }
 }
 
@@ -132,6 +123,7 @@ fn drive(cfg: SchedulerConfig, seed: u64, hash: &mut u64) -> usize {
     let mut ledger = Ledger {
         finished: Vec::new(),
         canceled: Vec::new(),
+        preemptions: 0,
     };
     let mut in_flight: Option<StepPlan> = None;
     let mut step = 0usize;
@@ -166,21 +158,14 @@ fn drive(cfg: SchedulerConfig, seed: u64, hash: &mut u64) -> usize {
 
     assert!(!s.has_work(), "seed {seed}: idle with work left");
     assert_eq!(s.blocks().used_blocks(), 0, "seed {seed}: leaked blocks");
-    let mut preemptions = 0;
+    assert_eq!(s.record_window(), 0, "seed {seed}: records outlive drain");
     for (id, (&finished, &canceled)) in ledger.finished.iter().zip(&ledger.canceled).enumerate() {
-        let id = id as RequestId;
         assert!(
             finished + usize::from(canceled) == 1,
             "seed {seed}: id {id} finished {finished}x, canceled {canceled}"
         );
-        if finished == 1 {
-            let seq = s.seq(id).expect("finished record stays queryable");
-            assert_eq!(seq.state, SeqState::Finished);
-            assert_eq!(seq.generated, seq.request.max_new_tokens);
-            preemptions += seq.preemptions;
-        }
     }
-    preemptions
+    ledger.preemptions
 }
 
 #[test]
@@ -201,5 +186,59 @@ fn random_operation_sequences_keep_invariants_and_golden_digest() {
     assert_eq!(
         hash, GOLDEN_DIGEST,
         "scheduler decisions moved: digest {hash:#018x}"
+    );
+}
+
+/// Concurrency held by [`peak_record_window`].
+const CONCURRENCY: usize = 48;
+
+/// Stream `requests` requests through one scheduler, topping its
+/// waiting + running count back up to [`CONCURRENCY`] before every plan,
+/// over a pool tight enough to preempt; returns the longest the record
+/// window got and the preemptions the finished requests saw.
+fn peak_record_window(requests: usize) -> (usize, usize) {
+    let mut s = Scheduler::new(SchedulerConfig {
+        max_running: 32,
+        max_batched_tokens: 512,
+        block_tokens: 16,
+        total_blocks: 160,
+    });
+    let (mut submitted, mut peak, mut preemptions) = (0, 0, 0);
+    loop {
+        while submitted < requests && s.num_waiting() + s.num_running() < CONCURRENCY {
+            // Spread by multiplicative steps: 1-96 prompt, 1-64 new tokens.
+            s.submit(Request::new(
+                1 + submitted * 37 % 96,
+                1 + submitted * 29 % 64,
+            ));
+            submitted += 1;
+        }
+        peak = peak.max(s.record_window());
+        let plan = s.plan_step();
+        if plan == StepPlan::Idle {
+            break;
+        }
+        for (_, seq) in s.commit_step(plan) {
+            preemptions += seq.preemptions;
+        }
+    }
+    assert_eq!(submitted, requests);
+    assert!(!s.has_work());
+    assert_eq!(s.record_window(), 0);
+    (peak, preemptions)
+}
+
+/// The scheduler's records are sized by concurrency, not trace length:
+/// four times the requests at the same concurrency leave the peak record
+/// window where it was, a small multiple of `max_running`.
+#[test]
+fn record_window_is_bounded_by_concurrency_not_trace_length() {
+    let (short, preemptions) = peak_record_window(20_000);
+    assert!(preemptions > 0, "the pool must preempt");
+    let (long, _) = peak_record_window(80_000);
+    assert_eq!(short, long, "the window grew with the trace");
+    assert!(
+        (CONCURRENCY..=8 * 32).contains(&long),
+        "peak window {long} is not a small multiple of max_running"
     );
 }
