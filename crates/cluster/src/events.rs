@@ -1,4 +1,5 @@
-//! The indexed binary event heap driving the cluster event loop.
+//! The cluster event loop's event queue: `std`'s [`BinaryHeap`] over
+//! [`Event`]s, and the TTFT [`Deadlines`] that wait beside it.
 //!
 //! ## Ordering contract
 //!
@@ -7,9 +8,11 @@
 //! enumeration — faults, step completions, retry releases, arrivals,
 //! timeouts — and `id` is the event's natural index (replica for step
 //! completions, request for retries and for the timeouts of a round).
-//! Because the key is total and every push is deterministic, the pop
-//! sequence is a pure function of the pushed set: no tie is ever left to
-//! container iteration order. `docs/SCALE.md` walks through why this
+//! Every field is part of the key, so two events with equal keys are the
+//! same event, and any correct heap pops the same sequence: the pop
+//! sequence is a pure function of the pushed set, no tie is ever left to
+//! container internals. [`Event`]'s `Ord` is the reversed key, which
+//! makes the max-heap a min-heap. `docs/SCALE.md` walks through why this
 //! makes the heap-driven loop replay byte-identically.
 //!
 //! ## Staleness
@@ -22,12 +25,14 @@
 //! This keeps every mutation O(log n) with no indexed deletes.
 //!
 //! TTFT deadlines stay out of the heap: almost none fires, so as heap
-//! entries they would mostly be dead weight on every pop. The simulator
-//! keeps them in a FIFO in delivery order, which is deadline order
-//! because arrival times never decrease, and one [`Source::Timeout`]
-//! cursor sits in the heap at the first live deadline. A cursor whose
-//! request left the system is stale; skipping it re-arms it on the next
-//! live deadline, so the clock never stops at a dead one.
+//! entries they would mostly be dead weight on every pop. [`Deadlines`]
+//! keeps them behind one [`Source::Timeout`] cursor instead.
+
+use std::cmp::Ordering;
+use std::collections::{BinaryHeap, VecDeque};
+
+/// Events closer than this collapse into one processing round.
+pub(crate) const EPS: f64 = 1e-9;
 
 /// Event-source priority, the second component of the heap key. The
 /// discriminant order *is* the processing order within a coalesced
@@ -68,8 +73,18 @@ pub(crate) struct Event {
 }
 
 impl Event {
+    /// A generation-0 event (every source but step ends).
+    pub fn at(t_s: f64, source: Source, id: u64) -> Self {
+        Self {
+            t_s,
+            source,
+            id,
+            gen: 0,
+        }
+    }
+
     /// The total ordering `(time, source, id, gen)` comparison.
-    fn cmp_key(&self, other: &Event) -> std::cmp::Ordering {
+    fn cmp_key(&self, other: &Event) -> Ordering {
         self.t_s
             .total_cmp(&other.t_s)
             .then_with(|| self.source.cmp(&other.source))
@@ -78,90 +93,91 @@ impl Event {
     }
 }
 
-/// A from-scratch binary min-heap over [`Event`]s. `std`'s `BinaryHeap`
-/// would need an `Ord` wrapper over the float key; writing the sift
-/// loops directly keeps the ordering contract in one place and the
-/// dependency surface at zero.
-#[derive(Debug, Default)]
-pub(crate) struct EventHeap {
-    items: Vec<Event>,
+/// `BinaryHeap` is a max-heap, so the order is the reversed key: the
+/// heap's top is the earliest event.
+impl Ord for Event {
+    fn cmp(&self, other: &Self) -> Ordering {
+        other.cmp_key(self)
+    }
 }
 
-impl EventHeap {
-    pub fn new() -> Self {
-        Self { items: Vec::new() }
+impl PartialOrd for Event {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
     }
+}
 
-    /// Pending entry count, stale entries included (tests only).
-    #[cfg(test)]
-    pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
+/// Equal keys, so equal events: every field is part of the key.
+impl PartialEq for Event {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp_key(other).is_eq()
     }
+}
 
-    /// Schedule an event: O(log n).
-    pub fn push(&mut self, ev: Event) {
-        self.items.push(ev);
-        self.sift_up(self.items.len() - 1);
-    }
+impl Eq for Event {}
 
-    /// Schedule a generation-0 event (every source but step ends).
-    pub fn push_at(&mut self, t_s: f64, source: Source, id: u64) {
-        self.push(Event {
-            t_s,
-            source,
-            id,
-            gen: 0,
-        });
-    }
+/// The TTFT deadlines `(deadline, request id)` in delivery order, hence
+/// deadline order (arrival times never decrease), and the one
+/// [`Source::Timeout`] cursor that sits in the heap at the first live
+/// deadline. A cursor whose request left the system is stale; skipping
+/// it re-arms it on the next live deadline, so the clock never stops at
+/// a dead one. `live` answers whether a request is still in the system.
+#[derive(Debug, Default)]
+pub(crate) struct Deadlines {
+    fifo: VecDeque<(f64, u64)>,
+}
 
-    /// The earliest event without removing it.
-    pub fn peek(&self) -> Option<&Event> {
-        self.items.first()
-    }
-
-    /// Remove and return the earliest event: O(log n).
-    pub fn pop(&mut self) -> Option<Event> {
-        if self.items.is_empty() {
-            return None;
+impl Deadlines {
+    /// Queue request `id`'s deadline, putting the cursor on it if the
+    /// queue was empty.
+    pub fn push(&mut self, deadline: f64, id: u64, heap: &mut BinaryHeap<Event>) {
+        debug_assert!(
+            self.fifo.back().is_none_or(|&(t, _)| t <= deadline),
+            "arrival source yielded a decreasing arrival time"
+        );
+        if self.fifo.is_empty() {
+            heap.push(Event::at(deadline, Source::Timeout, 0));
         }
-        let last = self.items.len() - 1;
-        self.items.swap(0, last);
-        let top = self.items.pop();
-        if !self.items.is_empty() {
-            self.sift_down(0);
-        }
-        top
+        self.fifo.push_back((deadline, id));
     }
 
-    fn sift_up(&mut self, mut i: usize) {
-        while i > 0 {
-            let parent = (i - 1) / 2;
-            if self.items[i].cmp_key(&self.items[parent]).is_lt() {
-                self.items.swap(i, parent);
-                i = parent;
-            } else {
+    /// Is the cursor stale: has the front deadline's request left?
+    pub fn cursor_stale(&self, live: impl Fn(u64) -> bool) -> bool {
+        self.fifo.front().is_none_or(|&(_, id)| !live(id))
+    }
+
+    /// Drop the dead deadlines at the front of the queue and put the
+    /// cursor on the first live one, if any is left.
+    pub fn arm(&mut self, heap: &mut BinaryHeap<Event>, live: impl Fn(u64) -> bool) {
+        while let Some(&(t_s, id)) = self.fifo.front() {
+            if live(id) {
+                heap.push(Event::at(t_s, Source::Timeout, 0));
+                return;
+            }
+            self.fifo.pop_front();
+        }
+    }
+
+    /// The cursor came due: move every deadline due at `now` whose
+    /// request is still live into the round, then re-arm. The round's
+    /// sort fires them in `(deadline, id)` order.
+    pub fn take_due(
+        &mut self,
+        now: f64,
+        heap: &mut BinaryHeap<Event>,
+        live: impl Fn(u64) -> bool,
+        round: &mut Vec<Event>,
+    ) {
+        while let Some(&(t_s, id)) = self.fifo.front() {
+            if t_s > now + EPS {
                 break;
             }
+            self.fifo.pop_front();
+            if live(id) {
+                round.push(Event::at(t_s, Source::Timeout, id));
+            }
         }
-    }
-
-    fn sift_down(&mut self, mut i: usize) {
-        let n = self.items.len();
-        loop {
-            let (l, r) = (2 * i + 1, 2 * i + 2);
-            let mut smallest = i;
-            if l < n && self.items[l].cmp_key(&self.items[smallest]).is_lt() {
-                smallest = l;
-            }
-            if r < n && self.items[r].cmp_key(&self.items[smallest]).is_lt() {
-                smallest = r;
-            }
-            if smallest == i {
-                break;
-            }
-            self.items.swap(i, smallest);
-            i = smallest;
-        }
+        self.arm(heap, live);
     }
 }
 
@@ -183,17 +199,12 @@ mod tests {
     use super::*;
 
     fn ev(t_s: f64, source: Source, id: u64) -> Event {
-        Event {
-            t_s,
-            source,
-            id,
-            gen: 0,
-        }
+        Event::at(t_s, source, id)
     }
 
     #[test]
     fn pops_in_time_order() {
-        let mut h = EventHeap::new();
+        let mut h = BinaryHeap::new();
         for (i, t) in [5.0, 1.0, 3.0, 2.0, 4.0].iter().enumerate() {
             h.push(ev(*t, Source::StepEnd, i as u64));
         }
@@ -204,7 +215,7 @@ mod tests {
 
     #[test]
     fn equal_times_break_by_source_then_id() {
-        let mut h = EventHeap::new();
+        let mut h = BinaryHeap::new();
         h.push(ev(1.0, Source::Timeout, 0));
         h.push(ev(1.0, Source::Fault, 9));
         h.push(ev(1.0, Source::StepEnd, 4));
@@ -224,41 +235,51 @@ mod tests {
     }
 
     #[test]
-    fn heap_order_matches_a_full_sort_on_random_pushes() {
-        // Seeded LCG so the shuffle is reproducible without RNG deps.
+    fn std_heap_pops_in_full_sort_order() {
+        // Seeded LCG so the pushes are reproducible without RNG deps.
         let mut state = 0x9e3779b97f4a7c15u64;
         let mut next = move || {
             state = state
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
-            state
+            state >> 33
         };
-        let mut h = EventHeap::new();
+        let sources = [
+            Source::Fault,
+            Source::StepEnd,
+            Source::Retry,
+            Source::Arrival,
+            Source::Timeout,
+            Source::Reconfig,
+            Source::Control,
+        ];
+        // Few distinct times, both zeros among them, so equal times
+        // across sources and exact duplicates are common.
+        let times = [-0.0, 0.0, 0.5, 0.5 + EPS, 1.0, 2.0];
+        let mut h = BinaryHeap::new();
         let mut all = Vec::new();
-        for _ in 0..500 {
-            let t = (next() % 1000) as f64 * 0.01;
-            let src = match next() % 5 {
-                0 => Source::Fault,
-                1 => Source::StepEnd,
-                2 => Source::Retry,
-                3 => Source::Arrival,
-                _ => Source::Timeout,
-            };
+        for _ in 0..2000 {
             let e = Event {
-                t_s: t,
-                source: src,
-                id: next() % 64,
-                gen: next() % 4,
+                t_s: times[next() as usize % times.len()],
+                source: sources[next() as usize % sources.len()],
+                id: next() % 8,
+                gen: next() % 3,
             };
-            h.push(e);
-            all.push(e);
+            let copies = if next() % 4 == 0 { 2 } else { 1 };
+            for _ in 0..copies {
+                h.push(e);
+                all.push(e);
+            }
         }
         all.sort_by(|a, b| a.cmp_key(b));
         let popped: Vec<Event> = std::iter::from_fn(|| h.pop()).collect();
         assert_eq!(popped.len(), all.len());
         for (a, b) in popped.iter().zip(&all) {
             assert!(a.cmp_key(b).is_eq(), "heap order diverged from sort");
+            // `-0.0` pops before `0.0`: the key compares bits, not values.
+            assert_eq!(a.t_s.to_bits(), b.t_s.to_bits());
         }
+        assert!(all[0].t_s.is_sign_negative(), "-0.0 sorts first");
     }
 
     #[test]

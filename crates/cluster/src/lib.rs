@@ -51,11 +51,13 @@
 pub mod ctrl;
 pub(crate) mod events;
 pub mod fault;
+pub(crate) mod fleet;
 pub(crate) mod replica;
 pub mod router;
 pub mod serve;
 pub mod shard;
 pub mod sim;
+pub(crate) mod tally;
 pub mod workload;
 
 /// Trace track carrying control-plane decisions (provision/ready/drain/

@@ -68,7 +68,7 @@ pub fn serve_one_replica(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sim::assert_accounted;
+    use crate::sim::tests::assert_accounted;
     use crate::REPLICA_TRACK_BASE;
     use moe_gpusim::device::Cluster;
     use moe_gpusim::parallel::ParallelPlan;
@@ -90,13 +90,14 @@ mod tests {
         tracer: &mut Tracer,
     ) -> ClusterReport {
         let sched = scheduler_config_for(model, input + output);
-        serve_one_replica(model, sched, &vec![(0.0, input, output); batch], tracer)
+        let report = serve_one_replica(model, sched, &vec![(0.0, input, output); batch], tracer);
+        assert_accounted(&report);
+        report
     }
 
     #[test]
     fn static_batch_completes_everything() {
         let report = static_batch(&olmoe(), 8, 128, 64, &mut Tracer::disabled());
-        assert_accounted(&report);
         assert_eq!(report.completed, 8);
         assert_eq!(report.outputs.len(), 8);
         for o in &report.outputs {
@@ -115,6 +116,7 @@ mod tests {
         let sched = scheduler_config_for(&olmoe(), 512);
         let rows = [(2.0, 64, 4), (0.0, 128, 4), (2.0, 32, 4)];
         let report = serve_one_replica(&olmoe(), sched, &rows, &mut Tracer::disabled());
+        assert_accounted(&report);
         let got: Vec<(u64, f64, usize)> = report
             .outputs
             .iter()
@@ -137,6 +139,7 @@ mod tests {
         // The second request arrives long after the first finishes.
         let rows = [(0.0, 128, 32), (100.0, 128, 32)];
         let report = serve_one_replica(&olmoe(), sched, &rows, &mut Tracer::disabled());
+        assert_accounted(&report);
         assert_eq!(report.outputs.len(), 2);
         let late = &report.outputs[1];
         assert!(late.first_token_s >= 100.0, "must not start before arrival");

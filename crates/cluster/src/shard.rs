@@ -29,14 +29,15 @@
 
 use moe_gpusim::perfmodel::PerfModel;
 use moe_json::{FromJson, ToJson};
-use moe_runtime::metrics::LatencySummary;
 use moe_runtime::scheduler::SchedulerConfig;
 use moe_runtime::simserver::scheduler_config_for;
-use moe_trace::{Histogram, Tracer};
+use moe_trace::Tracer;
 
 use crate::fault::FaultPlan;
+use crate::fleet::FleetTotals;
 use crate::router::mix;
 use crate::sim::{ClusterConfig, ClusterReport, ClusterSim};
+use crate::tally::Tally;
 use crate::workload::{
     ArrivalSource, ClusterRequest, RequestTrace, TraceSource, WorkloadSpec, WorkloadStream,
 };
@@ -280,91 +281,31 @@ pub fn run_sharded_stream(
 /// histograms; `peak_live` sums shard high-water marks (an upper bound
 /// on global concurrency, since shard peaks need not coincide).
 pub fn merge_reports(reports: &[ClusterReport]) -> ClusterReport {
-    let mut ttft_hist = Histogram::new();
-    let mut e2e_hist = Histogram::new();
-    let mut itl_hist = Histogram::new();
-    let mut outputs = Vec::new();
-    let mut per_replica = Vec::new();
+    let mut tally = Tally::default();
+    let mut fleet = FleetTotals::default();
     let mut makespan: f64 = 0.0;
-    let mut submitted = 0;
-    let mut completed = 0;
-    let mut timed_out = 0;
-    let mut dropped = 0;
-    let mut rejected = 0;
-    let mut retries = 0;
-    let mut crashes = 0;
-    let mut events: u64 = 0;
-    let mut peak_live = 0;
-    let mut prefix_hits: u64 = 0;
-    let mut prefix_misses: u64 = 0;
-    let mut tokens: u64 = 0;
-    let mut devices = 0;
-    let mut reconfigs = 0;
-    let mut preemptions = 0;
     for r in reports {
-        ttft_hist.merge(&r.ttft_hist);
-        e2e_hist.merge(&r.e2e_hist);
-        itl_hist.merge(&r.itl_hist);
-        outputs.extend(r.outputs.iter().cloned());
-        per_replica.extend(r.per_replica_completed.iter().copied());
+        tally.absorb(r);
         makespan = makespan.max(r.makespan_s);
-        submitted += r.submitted;
-        completed += r.completed;
-        timed_out += r.timed_out;
-        dropped += r.dropped;
-        rejected += r.rejected;
-        retries += r.retries;
-        crashes += r.crashes;
-        events += r.events;
-        peak_live += r.peak_live;
-        prefix_hits += r.prefix_hits;
-        prefix_misses += r.prefix_misses;
-        tokens += r.completed_tokens;
-        devices += r.devices;
-        reconfigs += r.reconfigs;
-        preemptions += r.preemptions;
+        fleet.per_replica_completed.extend(&r.per_replica_completed);
+        fleet.prefix_hits += r.prefix_hits;
+        fleet.prefix_misses += r.prefix_misses;
+        fleet.devices += r.devices;
+        fleet.reconfigs += r.reconfigs;
+        fleet.preemptions += r.preemptions;
     }
-    outputs.sort_by_key(|o| o.id);
-    let device_seconds = devices as f64 * makespan;
-    ClusterReport {
-        policy: reports
-            .first()
-            .map_or_else(String::new, |r| r.policy.clone()),
-        outputs,
-        makespan_s: makespan,
-        submitted,
-        completed,
-        timed_out,
-        dropped,
-        rejected,
-        retries,
-        crashes,
-        events,
-        peak_live,
-        prefix_hits,
-        prefix_misses,
-        ttft: LatencySummary::from_histogram(&ttft_hist),
-        e2e: LatencySummary::from_histogram(&e2e_hist),
-        itl: LatencySummary::from_histogram(&itl_hist),
-        completed_tokens: tokens,
-        throughput_tok_s: tokens as f64 / makespan.max(1e-12),
-        per_replica_completed: per_replica,
-        devices,
-        cost_per_token_device_s: device_seconds / (tokens as f64).max(1.0),
-        device_s_per_request: device_seconds / (completed as f64).max(1.0),
-        device_seconds,
-        reconfigs,
-        preemptions,
-        ttft_hist,
-        e2e_hist,
-        itl_hist,
-    }
+    fleet.device_seconds = fleet.devices as f64 * makespan;
+    let policy = reports
+        .first()
+        .map_or_else(String::new, |r| r.policy.clone());
+    tally.into_report(policy, makespan, fleet)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::fault::FaultEvent;
+    use crate::sim::tests::assert_accounted;
     use crate::workload::{generate, TenantSpec};
     use moe_gpusim::device::Cluster;
     use moe_gpusim::perfmodel::EngineOptions;
@@ -477,10 +418,8 @@ mod tests {
         );
         assert_eq!(per_shard.len(), 4);
         assert_eq!(merged.submitted, 240);
-        assert_eq!(
-            merged.completed + merged.timed_out + merged.dropped + merged.rejected,
-            merged.submitted
-        );
+        assert_accounted(&merged);
+        per_shard.iter().for_each(assert_accounted);
         assert_eq!(merged.devices, 8);
         assert_eq!(merged.per_replica_completed.len(), 8);
         assert_eq!(
@@ -511,6 +450,7 @@ mod tests {
             &generate(&w, 9),
         );
         let from_stream = run_sharded_stream(&model, 2048, &cfg, &plan, &FaultPlan::none(), &w, 9);
+        assert_accounted(&from_trace);
         assert_eq!(
             moe_json::to_string(&from_trace),
             moe_json::to_string(&from_stream)
@@ -540,6 +480,8 @@ mod tests {
             &trace,
         );
         let (remote, _) = run_sharded(&model, sched, &base_cfg(), &far, &FaultPlan::none(), &trace);
+        assert_accounted(&near);
+        assert_accounted(&remote);
         assert!((remote.ttft.max_s - near.ttft.max_s - 0.25).abs() < 1e-9);
         assert_eq!(remote.itl, near.itl, "rtt does not touch inter-token gaps");
         assert_eq!(far.tier_of(1).map(|t| t.name.as_str()), Some("ap-south"));

@@ -3,33 +3,20 @@
 //!
 //! ## The heap-driven loop
 //!
-//! All five event sources — faults, step completions, retry releases,
-//! arrivals and TTFT timeouts — feed one indexed binary event heap
-//! (`events::EventHeap`) keyed `(time, source, id, gen)`, so finding
-//! the next event is
-//! O(log n) instead of a linear scan over every replica and pending
-//! queue. Events that coincide (within `EPS`) are drained into a round
-//! buffer and processed in **fixed priority order** — faults (plan
-//! order), step completions (time, then replica index), retry releases,
-//! arrivals, then timeouts — after which the router dispatches and idle
-//! replicas restart. Invalidated heap entries (a crashed step's
-//! completion, a dropped request's retry) are skipped lazily via
-//! generation/liveness checks rather than removed. TTFT deadlines wait
-//! in a FIFO behind one timeout cursor instead of one heap entry each
-//! (see `events`). `docs/SCALE.md` documents the full ordering contract.
+//! Every event source feeds one `std` binary heap of `events::Event`s
+//! keyed `(time, source, id, gen)`. Events that coincide (within `EPS`)
+//! form one round, processed in **fixed priority order** — faults, step
+//! completions, retry releases, arrivals, then timeouts — after which
+//! the router dispatches and idle replicas restart. Invalidated entries
+//! are skipped lazily via generation/liveness checks rather than
+//! removed. `docs/SCALE.md` documents the full ordering contract.
 //!
-//! ## Streaming aggregation
-//!
-//! Latency distributions accumulate into fixed-footprint log-linear
-//! [`Histogram`]s as requests finish, and per-request state lives in a
-//! table keyed by request id that only holds requests currently *in*
-//! the system, so the simulator's own per-request state is bounded by
-//! peak concurrency — the report's `peak_live` field records it. The
-//! replica schedulers free each request's record when it finishes or is
-//! canceled, so their state follows concurrency too (`docs/CLUSTER.md`).
-//! Per-request [`ClusterOutput`] rows are only collected when
-//! [`ClusterConfig::retain_outputs`] is set (tests and small debugging
-//! runs).
+//! This file keeps the loop itself, dispatch and step starts. The rest
+//! of the state has one owner per decision: `events::Deadlines` (the
+//! TTFT deadline FIFO and its heap cursor), `fleet::Fleet` (replica
+//! lifecycle, canary routing, device-seconds) and `tally::Tally` (the
+//! histograms and counters that stream into the [`ClusterReport`];
+//! per-request state follows concurrency, not trace length).
 //!
 //! ## Determinism
 //!
@@ -40,7 +27,7 @@
 //! byte-identically — `tests/determinism.rs` pins this end to end
 //! through the report *and* trace JSON.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BinaryHeap, HashMap, VecDeque};
 
 use moe_gpusim::perfmodel::PerfModel;
 use moe_json::{FromJson, ToJson};
@@ -49,72 +36,17 @@ use moe_runtime::metrics::LatencySummary;
 use moe_runtime::request::RequestId;
 use moe_runtime::scheduler::SchedulerConfig;
 use moe_runtime::simserver::scheduler_config_for;
-use moe_runtime::step::{Finished, PriceCache};
+use moe_runtime::step::PriceCache;
 use moe_trace::{ArgValue, Category, Histogram, Tracer};
 
-use crate::ctrl::{ControlAction, ControlHook, ControlObs, ReplicaObs};
-use crate::events::{sort_round, Event, EventHeap, Source};
+use crate::ctrl::{ControlAction, ControlHook, ControlObs};
+use crate::events::{sort_round, Deadlines, Event, Source, EPS};
 use crate::fault::{FaultEvent, FaultPlan};
-use crate::replica::Replica;
-use crate::router::{mix, ReplicaLoad, RoutePolicy, Router, RouterConfig};
+use crate::fleet::Fleet;
+use crate::router::{RoutePolicy, Router, RouterConfig};
+use crate::tally::Tally;
 use crate::workload::{ArrivalSource, RequestTrace, TraceSource};
 use crate::{CONTROL_TRACK, REPLICA_TRACK_BASE, ROUTER_TRACK};
-
-/// Events closer than this collapse into one processing round.
-const EPS: f64 = 1e-9;
-
-/// Salt decorrelating canary membership hashes from the router's
-/// affinity hashes and the shard partition, which share the mixer.
-const CANARY_SALT: u64 = 0xca4a_57e1_0000_00d5;
-
-/// Is request `id` in the canary slice of size `frac`? A pure seeded
-/// hash, so membership is stable across retries and replays.
-fn canary_pick(seed: u64, id: u64, frac: f64) -> bool {
-    let h = mix(seed ^ CANARY_SALT, id);
-    ((h >> 11) as f64 / (1u64 << 53) as f64) < frac
-}
-
-/// Fleet-lifecycle bookkeeping for one replica slot, parallel to
-/// `ClusterSim::replicas`. Static runs never touch it beyond defaults;
-/// a controlled run uses it to integrate per-replica device-seconds
-/// over provision→retire lifetimes and to scope canary routing.
-#[derive(Debug, Clone)]
-struct ReplicaMeta {
-    /// Devices the replica holds (its engine's parallel degree).
-    devices: usize,
-    /// Plan generation (0 for the initial fleet).
-    generation: u32,
-    /// When the replica started accruing device-seconds.
-    born_s: f64,
-    /// When it starts serving (> `born_s` while provisioning).
-    ready_s: f64,
-    /// Closed to new dispatches, finishing resident work.
-    draining: bool,
-    /// Permanently gone since this time (drain completed or preempted).
-    retired_s: Option<f64>,
-    /// Spot-market capacity.
-    spot: bool,
-    /// Price multiplier on accrued device-seconds.
-    price_factor: f64,
-    /// Extra device-time charged at retirement (drain migration tail).
-    extra_s: f64,
-}
-
-impl ReplicaMeta {
-    fn initial(devices: usize) -> Self {
-        Self {
-            devices,
-            generation: 0,
-            born_s: 0.0,
-            ready_s: 0.0,
-            draining: false,
-            retired_s: None,
-            spot: false,
-            price_factor: 1.0,
-            extra_s: 0.0,
-        }
-    }
-}
 
 /// Cluster-level knobs.
 #[derive(Debug, Clone, Copy, PartialEq, ToJson, FromJson)]
@@ -324,26 +256,10 @@ impl ClusterReport {
 #[derive(Debug)]
 pub struct ClusterSim {
     cfg: ClusterConfig,
-    /// Devices per replica (the engine plan's parallel degree), for the
-    /// report's device-seconds cost accounting.
-    devices_per_replica: usize,
-    replicas: Vec<Replica>,
-    /// Fleet-lifecycle state, parallel to `replicas`.
-    meta: Vec<ReplicaMeta>,
+    fleet: Fleet,
     /// Online controller ticked every `ctrl_interval_s`, if configured.
     controller: Option<Box<dyn ControlHook>>,
     ctrl_interval_s: f64,
-    /// Lifetime-integrated cost accounting is in effect (controller
-    /// configured, replica added/drained, or a preemption applied).
-    /// Static runs keep the exact legacy `devices x makespan` math.
-    dynamic_fleet: bool,
-    /// Active canary split: `(generation, fraction)`.
-    canary: Option<(u32, f64)>,
-    reconfigs: usize,
-    preemptions: usize,
-    /// Devices held by non-retired replicas right now, and the peak.
-    cur_devices: usize,
-    peak_devices: usize,
     router: Router,
     /// Lazy request source; only the next undelivered request is held.
     source: Box<dyn ArrivalSource>,
@@ -352,14 +268,10 @@ pub struct ClusterSim {
     live: HashMap<u64, LiveReq, IntHash>,
     faults: FaultPlan,
     fault_idx: usize,
-    /// The indexed event heap: step ends, retry releases, reconfigs and
-    /// the fault, arrival, timeout and control cursors.
-    heap: EventHeap,
-    /// TTFT deadlines `(deadline, request id)` in delivery order, hence
-    /// non-decreasing (the arrival source yields non-decreasing arrival
-    /// times). While it is non-empty, one [`Source::Timeout`] cursor sits
-    /// in the heap at its front's deadline.
-    deadlines: VecDeque<(f64, u64)>,
+    /// The event heap: step ends, retry releases, reconfigs and the
+    /// fault, arrival, timeout and control cursors.
+    heap: BinaryHeap<Event>,
+    deadlines: Deadlines,
     /// Reusable buffer of one coalesced round's events.
     round: Vec<Event>,
     /// Router admission queue: trace ids, FIFO. May contain entries for
@@ -367,27 +279,10 @@ pub struct ClusterSim {
     /// counts them so admission control sees the live length.
     queue: VecDeque<u64>,
     queue_dead: usize,
-    /// Per-replica load snapshots, updated incrementally at every
-    /// mutation instead of rebuilt per routing decision.
-    loads: Vec<ReplicaLoad>,
     /// Replicas touched this round (deduplicated before step starts).
     dirty: Vec<usize>,
     clock_s: f64,
-    // Streaming aggregation state.
-    ttft_hist: Histogram,
-    e2e_hist: Histogram,
-    itl_hist: Histogram,
-    tokens: u64,
-    submitted: usize,
-    completed: usize,
-    peak_live: usize,
-    outputs: Vec<ClusterOutput>,
-    timed_out: usize,
-    dropped: usize,
-    rejected: usize,
-    retry_count: usize,
-    crashes: usize,
-    events: u64,
+    tally: Tally,
     prices: PriceCache,
     tracer: Tracer,
 }
@@ -417,52 +312,25 @@ impl ClusterSim {
         source: Box<dyn ArrivalSource>,
     ) -> Self {
         assert!(cfg.replicas > 0, "cluster needs at least one replica");
-        let replicas: Vec<Replica> = (0..cfg.replicas)
-            .map(|i| Replica::new(i, model.clone(), sched, cfg.prefix_capacity))
-            .collect();
-        let loads = replicas.iter().map(Replica::load).collect();
-        let devices_per_replica = model.options().plan.degree;
         Self {
+            fleet: Fleet::new(model, sched, &cfg),
             router: Router::new(cfg.policy, cfg.seed),
-            devices_per_replica,
-            meta: vec![ReplicaMeta::initial(devices_per_replica); cfg.replicas],
             controller: None,
             ctrl_interval_s: 0.0,
-            dynamic_fleet: false,
-            canary: None,
-            reconfigs: 0,
-            preemptions: 0,
-            cur_devices: cfg.replicas * devices_per_replica,
-            peak_devices: cfg.replicas * devices_per_replica,
-            replicas,
             cfg,
             source,
             pending_arrival: None,
             live: HashMap::default(),
             faults,
             fault_idx: 0,
-            heap: EventHeap::new(),
-            deadlines: VecDeque::new(),
+            heap: BinaryHeap::new(),
+            deadlines: Deadlines::default(),
             round: Vec::new(),
             queue: VecDeque::new(),
             queue_dead: 0,
-            loads,
             dirty: Vec::new(),
             clock_s: 0.0,
-            ttft_hist: Histogram::new(),
-            e2e_hist: Histogram::new(),
-            itl_hist: Histogram::new(),
-            tokens: 0,
-            submitted: 0,
-            completed: 0,
-            peak_live: 0,
-            outputs: Vec::new(),
-            timed_out: 0,
-            dropped: 0,
-            rejected: 0,
-            retry_count: 0,
-            crashes: 0,
-            events: 0,
+            tally: Tally::default(),
             prices: PriceCache::new(),
             tracer: Tracer::disabled(),
         }
@@ -479,7 +347,7 @@ impl ClusterSim {
         assert!(interval_s > 0.0, "control interval must be positive");
         self.controller = Some(hook);
         self.ctrl_interval_s = interval_s;
-        self.dynamic_fleet = true;
+        self.fleet.dynamic = true;
         self
     }
 
@@ -506,9 +374,10 @@ impl ClusterSim {
         match ev.source {
             Source::Fault | Source::Arrival | Source::Reconfig | Source::Control => false,
             Source::StepEnd => {
-                self.replicas
+                self.fleet
+                    .replicas
                     .get(ev.id as usize)
-                    .and_then(Replica::current_gen)
+                    .and_then(|r| r.current_gen())
                     != Some(ev.gen)
             }
             Source::Retry => !self
@@ -517,8 +386,7 @@ impl ClusterSim {
                 .is_some_and(|l| l.state == ReqState::Backoff),
             Source::Timeout => self
                 .deadlines
-                .front()
-                .is_none_or(|(_, id)| !self.live.contains_key(id)),
+                .cursor_stale(|id| self.live.contains_key(&id)),
         }
     }
 
@@ -527,52 +395,16 @@ impl ClusterSim {
     /// deadlines, so the clock never jumps to a dead deadline.
     fn next_event_s(&mut self) -> Option<f64> {
         loop {
-            let (t, source, stale) = match self.heap.peek() {
-                Some(ev) => (ev.t_s, ev.source, self.is_stale(ev)),
-                None => return None,
-            };
-            if stale {
-                self.heap.pop();
-                if source == Source::Timeout {
-                    self.arm_timeout();
-                }
-                continue;
+            let ev = *self.heap.peek()?;
+            if !self.is_stale(&ev) {
+                return Some(ev.t_s);
             }
-            return Some(t);
-        }
-    }
-
-    /// Drop the dead deadlines at the front of the queue and put the
-    /// timeout cursor on the first live one, if any is left.
-    fn arm_timeout(&mut self) {
-        while let Some(&(t_s, id)) = self.deadlines.front() {
-            if self.live.contains_key(&id) {
-                self.heap.push_at(t_s, Source::Timeout, 0);
-                return;
-            }
-            self.deadlines.pop_front();
-        }
-    }
-
-    /// The timeout cursor came due: move every deadline due at `now`
-    /// whose request is still live into the round, then re-arm. The
-    /// round's sort fires them in `(deadline, id)` order.
-    fn take_due_deadlines(&mut self, now: f64, round: &mut Vec<Event>) {
-        while let Some(&(t_s, id)) = self.deadlines.front() {
-            if t_s > now + EPS {
-                break;
-            }
-            self.deadlines.pop_front();
-            if self.live.contains_key(&id) {
-                round.push(Event {
-                    t_s,
-                    source: Source::Timeout,
-                    id,
-                    gen: 0,
-                });
+            self.heap.pop();
+            if ev.source == Source::Timeout {
+                self.deadlines
+                    .arm(&mut self.heap, |id| self.live.contains_key(&id));
             }
         }
-        self.arm_timeout();
     }
 
     /// Run to completion and build the report, recording router
@@ -588,18 +420,10 @@ impl ClusterSim {
             if self.controller.is_some() {
                 self.tracer.name_track(CONTROL_TRACK, "control");
             }
-            for (i, replica) in self.replicas.iter_mut().enumerate() {
-                let track = REPLICA_TRACK_BASE.saturating_add(i as u32);
-                self.tracer.name_track(track, &format!("replica {i}"));
-                replica.record_decisions();
+            for idx in 0..self.fleet.replicas.len() {
+                self.fleet.trace_replica(idx, &mut self.tracer);
             }
         }
-        let (report, finished) = self.run_consume();
-        *tracer = finished;
-        report
-    }
-
-    fn run_consume(mut self) -> (ClusterReport, Tracer) {
         self.schedule_initial();
         let mut guard = 0u64;
         while let Some(next) = self.next_event_s() {
@@ -609,7 +433,10 @@ impl ClusterSim {
             self.process_round();
         }
         self.drain_unservable();
-        self.build_report()
+        std::mem::swap(&mut self.tracer, tracer);
+        let policy = self.cfg.policy.label().to_string();
+        let fleet = self.fleet.totals(self.clock_s);
+        self.tally.into_report(policy, self.clock_s, fleet)
     }
 
     /// Seed the heap: the fault cursor and the first arrival. Exactly
@@ -617,14 +444,15 @@ impl ClusterSim {
     /// drains everything due and reschedules the cursor.
     fn schedule_initial(&mut self) {
         if let Some(ev) = self.faults.events.get(self.fault_idx) {
-            self.heap.push_at(ev.t_s(), Source::Fault, 0);
+            self.heap.push(Event::at(ev.t_s(), Source::Fault, 0));
         }
         self.pending_arrival = self.source.next_request();
         if let Some(req) = &self.pending_arrival {
-            self.heap.push_at(req.arrival_s, Source::Arrival, 0);
+            self.heap.push(Event::at(req.arrival_s, Source::Arrival, 0));
         }
         if self.controller.is_some() {
-            self.heap.push_at(self.ctrl_interval_s, Source::Control, 0);
+            self.heap
+                .push(Event::at(self.ctrl_interval_s, Source::Control, 0));
         }
     }
 
@@ -634,21 +462,22 @@ impl ClusterSim {
     fn process_round(&mut self) {
         let now = self.clock_s;
         let mut round = std::mem::take(&mut self.round);
-        loop {
-            let due = self.heap.peek().is_some_and(|ev| ev.t_s <= now + EPS);
-            if !due {
-                break;
-            }
-            if let Some(ev) = self.heap.pop() {
-                if ev.source == Source::Timeout {
-                    self.take_due_deadlines(now, &mut round);
-                } else if !self.is_stale(&ev) {
-                    round.push(ev);
-                }
+        while let Some(&ev) = self.heap.peek().filter(|ev| ev.t_s <= now + EPS) {
+            self.heap.pop();
+            if ev.source == Source::Timeout {
+                let live = &self.live;
+                self.deadlines.take_due(
+                    now,
+                    &mut self.heap,
+                    |id| live.contains_key(&id),
+                    &mut round,
+                );
+            } else if !self.is_stale(&ev) {
+                round.push(ev);
             }
         }
         sort_round(&mut round);
-        for &ev in &round {
+        for ev in round.drain(..) {
             match ev.source {
                 Source::Fault => self.apply_faults(now),
                 Source::StepEnd => self.complete_step_on(ev.id as usize, ev.gen, now),
@@ -659,7 +488,6 @@ impl ClusterSim {
                 Source::Control => self.control_tick(now),
             }
         }
-        round.clear();
         self.round = round;
         self.dispatch(now);
         self.start_steps(now);
@@ -674,49 +502,41 @@ impl ClusterSim {
             let ev = ev.clone();
             self.fault_idx += 1;
             let idx = ev.replica();
-            if idx >= self.replicas.len() {
-                continue;
-            }
-            if self.meta[idx].retired_s.is_some() {
+            if idx >= self.fleet.replicas.len() || self.fleet.is_retired(idx) {
                 continue; // retired slots are beyond fault reach
             }
-            self.events += 1;
+            self.tally.events += 1;
+            let replica = &mut self.fleet.replicas[idx];
             let mut failed = Vec::new();
             let (name, arg) = match ev {
                 FaultEvent::Crash { .. } => {
-                    if !self.replicas[idx].alive {
+                    if !replica.alive {
                         continue;
                     }
-                    self.crashes += 1;
-                    failed = self.replicas[idx].crash();
+                    self.tally.crashes += 1;
+                    failed = replica.crash();
                     ("crash", Some(("lost", failed.len().into())))
                 }
                 FaultEvent::Recover { .. } => {
-                    self.replicas[idx].recover();
+                    replica.recover();
                     ("recover", None)
                 }
                 FaultEvent::SlowdownStart { factor, .. } => {
-                    self.replicas[idx].slowdown = factor.max(1.0);
+                    replica.slowdown = factor.max(1.0);
                     ("slowdown", Some(("factor", factor.into())))
                 }
                 FaultEvent::SlowdownEnd { .. } => {
-                    self.replicas[idx].slowdown = 1.0;
+                    replica.slowdown = 1.0;
                     ("full-speed", None)
                 }
                 FaultEvent::Preempt { .. } => {
-                    // Spot reclaim: a crash that also retires the slot —
-                    // requests fail back to the router, but the replica
-                    // stops accruing device-seconds for good.
-                    self.preemptions += 1;
-                    self.dynamic_fleet = true;
-                    failed = self.replicas[idx].crash();
-                    self.meta[idx].retired_s = Some(now);
-                    self.meta[idx].extra_s = 0.0; // no migration tail on reclaim
-                    self.cur_devices = self.cur_devices.saturating_sub(self.meta[idx].devices);
+                    // Spot reclaim: requests fail back to the router, and
+                    // the slot stops accruing device-seconds for good.
+                    failed = self.fleet.reclaim(idx, now);
                     ("preempt", Some(("lost", failed.len().into())))
                 }
             };
-            self.refresh_load(idx);
+            self.fleet.refresh_load(idx);
             let track = REPLICA_TRACK_BASE.saturating_add(idx as u32);
             self.trace_instant(track, name, now, || arg.into_iter().collect());
             for id in failed {
@@ -725,7 +545,7 @@ impl ClusterSim {
         }
         // Reschedule the cursor for the next pending fault.
         if let Some(ev) = self.faults.events.get(self.fault_idx) {
-            self.heap.push_at(ev.t_s(), Source::Fault, 0);
+            self.heap.push(Event::at(ev.t_s(), Source::Fault, 0));
         }
     }
 
@@ -736,7 +556,7 @@ impl ClusterSim {
         };
         if lv.attempts > self.cfg.router.max_retries {
             self.live.remove(&cluster_id);
-            self.dropped += 1;
+            self.tally.dropped += 1;
             self.trace_instant(ROUTER_TRACK, "drop", now, || {
                 vec![("req", cluster_id.into())]
             });
@@ -746,57 +566,48 @@ impl ClusterSim {
         let exp = lv.attempts.saturating_sub(1).min(16);
         let ready = now + self.cfg.router.backoff_s * f64::from(1u32 << exp);
         lv.state = ReqState::Backoff;
-        self.retry_count += 1;
-        self.heap.push_at(ready, Source::Retry, cluster_id);
+        self.tally.retries += 1;
+        self.heap.push(Event::at(ready, Source::Retry, cluster_id));
         self.trace_instant(ROUTER_TRACK, "retry", now, || {
             vec![("req", cluster_id.into()), ("ready", ready.into())]
         });
     }
 
-    /// Commit a replica's in-flight step. `gen` guards against a crash
-    /// earlier in this same round having wiped the step.
+    /// Commit a replica's in-flight step and stream its completions into
+    /// the tally. `gen` guards against a crash earlier in this same round
+    /// having wiped the step.
     fn complete_step_on(&mut self, idx: usize, gen: u64, now: f64) {
-        if self.replicas[idx].current_gen() != Some(gen) {
+        let replica = &mut self.fleet.replicas[idx];
+        if replica.current_gen() != Some(gen) {
             return;
         }
-        self.events += 1;
-        if let Some(finished) = self.replicas[idx].complete_step(&mut self.tracer) {
-            for f in finished {
-                self.finish_request(idx, f);
+        self.tally.events += 1;
+        for f in replica.complete_step(&mut self.tracer).unwrap_or_default() {
+            // `f.id` is the cluster request id.
+            if let Some(lv) = self.live.remove(&f.id) {
+                let row = ClusterOutput {
+                    id: f.id,
+                    replica: idx,
+                    attempts: lv.attempts,
+                    prompt_len: lv.req.prompt_len,
+                    generated: f.generated,
+                    arrival_s: lv.req.arrival_s,
+                    first_token_s: f.first_token_s,
+                    finish_s: f.finish_s,
+                };
+                self.tally.finish(row, &self.cfg);
             }
         }
-        self.refresh_load(idx);
+        self.fleet.refresh_load(idx);
         self.dirty.push(idx);
         self.maybe_retire(idx, now);
     }
 
-    /// Stream one completion (`f.id` is the cluster request id) into the
-    /// aggregates and retire its live entry.
-    fn finish_request(&mut self, replica: usize, f: Finished) {
-        let Some(lv) = self.live.remove(&f.id) else {
-            return;
-        };
-        let offset = self.cfg.latency_offset_s;
-        let ttft = f.first_token_s - lv.req.arrival_s + offset;
-        let e2e = f.finish_s - lv.req.arrival_s + offset;
-        self.ttft_hist.record(ttft);
-        self.e2e_hist.record(e2e);
-        if f.generated > 1 {
-            self.itl_hist
-                .record((f.finish_s - f.first_token_s) / (f.generated - 1) as f64);
-        }
-        self.tokens += (lv.req.prompt_len + f.generated) as u64;
-        self.completed += 1;
-        if self.cfg.retain_outputs {
-            self.outputs.push(ClusterOutput {
-                id: f.id,
-                replica,
-                attempts: lv.attempts,
-                prompt_len: lv.req.prompt_len,
-                generated: f.generated,
-                arrival_s: lv.req.arrival_s,
-                first_token_s: f.first_token_s,
-                finish_s: f.finish_s,
+    /// Retire replica `idx` if it is draining and holds no more work.
+    fn maybe_retire(&mut self, idx: usize, now: f64) {
+        if self.fleet.try_retire(idx, now) {
+            self.trace_instant(CONTROL_TRACK, "retire", now, || {
+                vec![("replica", idx.into())]
             });
         }
     }
@@ -809,7 +620,7 @@ impl ClusterSim {
         if lv.state != ReqState::Backoff {
             return;
         }
-        self.events += 1;
+        self.tally.events += 1;
         lv.state = ReqState::AtRouter;
         self.queue.push_back(id);
     }
@@ -821,19 +632,12 @@ impl ClusterSim {
                 self.pending_arrival = Some(req);
                 break;
             }
-            self.events += 1;
-            self.submitted += 1;
+            self.tally.events += 1;
+            self.tally.submitted += 1;
             let id = req.id;
             if self.cfg.router.ttft_timeout_s > 0.0 {
                 let deadline = req.arrival_s + self.cfg.router.ttft_timeout_s;
-                debug_assert!(
-                    self.deadlines.back().is_none_or(|&(t, _)| t <= deadline),
-                    "arrival source yielded a decreasing arrival time"
-                );
-                if self.deadlines.is_empty() {
-                    self.heap.push_at(deadline, Source::Timeout, 0);
-                }
-                self.deadlines.push_back((deadline, id));
+                self.deadlines.push(deadline, id, &mut self.heap);
             }
             self.queue.push_back(id);
             self.live.insert(
@@ -846,13 +650,11 @@ impl ClusterSim {
                     attempts: 0,
                 },
             );
-            if self.live.len() > self.peak_live {
-                self.peak_live = self.live.len();
-            }
+            self.tally.peak_live = self.tally.peak_live.max(self.live.len());
             self.pending_arrival = self.source.next_request();
         }
         if let Some(req) = &self.pending_arrival {
-            self.heap.push_at(req.arrival_s, Source::Arrival, 0);
+            self.heap.push(Event::at(req.arrival_s, Source::Arrival, 0));
         }
     }
 
@@ -867,10 +669,10 @@ impl ClusterSim {
         match lv.state {
             ReqState::Dispatched => {
                 let (replica, sched_id) = (lv.replica, lv.sched_id);
-                if !self.replicas[replica].cancel(sched_id) {
+                if !self.fleet.replicas[replica].cancel(sched_id) {
                     return; // finished in this very round
                 }
-                self.refresh_load(replica);
+                self.fleet.refresh_load(replica);
             }
             // The queue entry goes stale; dispatch skips it lazily.
             ReqState::AtRouter => self.queue_dead += 1,
@@ -878,9 +680,14 @@ impl ClusterSim {
             ReqState::Backoff => {}
         }
         self.live.remove(&id);
-        self.events += 1;
-        self.timed_out += 1;
+        self.tally.events += 1;
+        self.tally.timed_out += 1;
         self.trace_instant(ROUTER_TRACK, "timeout", now, || vec![("req", id.into())]);
+    }
+
+    /// Requests waiting at the router, lazily deleted entries excluded.
+    fn queue_depth(&self) -> usize {
+        self.queue.len().saturating_sub(self.queue_dead)
     }
 
     /// Drain the router queue onto alive replicas, then enforce the
@@ -888,7 +695,7 @@ impl ClusterSim {
     fn dispatch(&mut self, now: f64) {
         while let Some(&id) = self.queue.front() {
             // One lookup per dispatch: `lv` borrows only `self.live`, so
-            // the router and replicas stay reachable as disjoint fields.
+            // the router and fleet stay reachable as disjoint fields.
             let Some(lv) = self
                 .live
                 .get_mut(&id)
@@ -901,37 +708,16 @@ impl ClusterSim {
                 continue;
             };
             let key = (lv.req.prefix_len > 0).then_some(lv.req.prefix_group);
-            let target = match self.canary {
-                Some((generation, frac)) => {
-                    // Restrict each side of the split to its generations,
-                    // falling back to the whole fleet if a side is empty
-                    // (e.g. the old generation fully drained).
-                    let is_canary = canary_pick(self.cfg.seed, id, frac);
-                    let mut masked: Vec<ReplicaLoad> = Vec::with_capacity(self.loads.len());
-                    for (l, m) in self.loads.iter().zip(&self.meta) {
-                        let keep = (m.generation == generation) == is_canary;
-                        let mut load = *l;
-                        load.alive = load.alive && keep;
-                        masked.push(load);
-                    }
-                    if masked.iter().any(|l| l.alive) {
-                        self.router.choose(&masked, key)
-                    } else {
-                        self.router.choose(&self.loads, key)
-                    }
-                }
-                None => self.router.choose(&self.loads, key),
-            };
-            let Some(target) = target else {
+            let Some(target) = self.fleet.route(&mut self.router, id, key) else {
                 break; // nobody alive; leave the queue parked
             };
             self.queue.pop_front();
-            let Some(sched_id) = self.replicas[target].enqueue(&lv.req) else {
+            let Some(sched_id) = self.fleet.replicas[target].enqueue(&lv.req) else {
                 // Even an empty KV pool could not admit it, so it could
                 // never run: drop it now rather than park it where only
                 // the end of the run would drop it.
                 self.live.remove(&id);
-                self.dropped += 1;
+                self.tally.dropped += 1;
                 self.trace_instant(ROUTER_TRACK, "drop", now, || vec![("req", id.into())]);
                 continue;
             };
@@ -940,7 +726,7 @@ impl ClusterSim {
             lv.sched_id = sched_id;
             lv.attempts += 1;
             let attempts = lv.attempts;
-            self.refresh_load(target);
+            self.fleet.refresh_load(target);
             self.dirty.push(target);
             self.trace_instant(ROUTER_TRACK, "dispatch", now, || {
                 vec![
@@ -951,7 +737,7 @@ impl ClusterSim {
             });
         }
         // Admission control: bounce the newest arrivals over capacity.
-        while self.queue.len().saturating_sub(self.queue_dead) > self.cfg.router.queue_capacity {
+        while self.queue_depth() > self.cfg.router.queue_capacity {
             let Some(id) = self.queue.pop_back() else {
                 break;
             };
@@ -961,7 +747,7 @@ impl ClusterSim {
                 .is_some_and(|l| l.state == ReqState::AtRouter)
             {
                 self.live.remove(&id);
-                self.rejected += 1;
+                self.tally.rejected += 1;
                 self.trace_instant(ROUTER_TRACK, "reject", now, || vec![("req", id.into())]);
             } else {
                 self.queue_dead = self.queue_dead.saturating_sub(1);
@@ -973,122 +759,54 @@ impl ClusterSim {
     /// a dispatch target, a step completion, or a recovery — instead of
     /// probing all of them.
     fn start_steps(&mut self, now: f64) {
-        if self.dirty.is_empty() {
-            return;
-        }
-        self.dirty.sort_unstable();
-        self.dirty.dedup();
-        let dirty = std::mem::take(&mut self.dirty);
-        for &idx in &dirty {
-            if let Some((end, gen)) = self.replicas[idx].try_start_step(now, &mut self.prices) {
+        let mut dirty = std::mem::take(&mut self.dirty);
+        dirty.sort_unstable();
+        dirty.dedup();
+        for idx in dirty.drain(..) {
+            let started = self.fleet.replicas[idx].try_start_step(now, &mut self.prices);
+            if let Some((end, gen)) = started {
                 self.heap.push(Event {
                     t_s: end,
                     source: Source::StepEnd,
                     id: idx as u64,
                     gen,
                 });
-                self.refresh_load(idx);
+                self.fleet.refresh_load(idx);
             }
         }
         self.dirty = dirty;
-        self.dirty.clear();
-    }
-
-    fn refresh_load(&mut self, idx: usize) {
-        let mut load = self.replicas[idx].load();
-        // Draining and retired replicas are closed to new dispatches;
-        // routing liveness is the replica's own liveness otherwise.
-        if self.meta[idx].draining || self.meta[idx].retired_s.is_some() {
-            load.alive = false;
-        }
-        self.loads[idx] = load;
     }
 
     /// A provisioning replica's ready delay elapsed: bring it online
     /// (unless a preemption already reclaimed the slot).
     fn activate_replica(&mut self, idx: usize, now: f64) {
-        if idx >= self.replicas.len()
-            || self.meta[idx].retired_s.is_some()
-            || self.replicas[idx].alive
-        {
+        if !self.fleet.activate(idx) {
             return;
         }
-        self.events += 1;
-        self.replicas[idx].recover();
-        self.refresh_load(idx);
+        self.tally.events += 1;
         self.dirty.push(idx);
         self.trace_instant(CONTROL_TRACK, "ready", now, || {
             vec![("replica", idx.into())]
         });
     }
 
-    /// A draining replica with no resident work retires: it stops
-    /// accruing device-seconds after charging its migration tail.
-    fn maybe_retire(&mut self, idx: usize, now: f64) {
-        if !self.meta[idx].draining || self.meta[idx].retired_s.is_some() {
-            return;
-        }
-        if self.replicas[idx].outstanding() > 0 || self.replicas[idx].current_gen().is_some() {
-            return;
-        }
-        self.replicas[idx].alive = false;
-        self.meta[idx].retired_s = Some(now);
-        self.cur_devices = self.cur_devices.saturating_sub(self.meta[idx].devices);
-        self.refresh_load(idx);
-        self.trace_instant(CONTROL_TRACK, "retire", now, || {
-            vec![("replica", idx.into())]
-        });
-    }
-
-    /// Device-seconds accrued by the whole fleet up to `now`: each
-    /// replica pays `devices x price_factor` per second from birth to
-    /// retirement (plus its migration tail) or to `now` if still held.
-    /// Summed in fleet index order, so the fold is deterministic.
-    fn accrued_device_s(&self, now: f64) -> f64 {
-        let mut total = 0.0;
-        for m in &self.meta {
-            let (end, extra) = match m.retired_s {
-                Some(t) => (t, m.extra_s),
-                None => (now, 0.0),
-            };
-            total += m.devices as f64 * ((end - m.born_s).max(0.0) + extra) * m.price_factor;
-        }
-        total
-    }
-
     /// Snapshot the cluster for the controller.
     fn build_obs(&self, now: f64) -> ControlObs {
-        let replicas = self
-            .replicas
-            .iter()
-            .zip(&self.meta)
-            .map(|(r, m)| ReplicaObs {
-                alive: r.alive,
-                draining: m.draining,
-                retired: m.retired_s.is_some(),
-                provisioning: m.retired_s.is_none() && now + EPS < m.ready_s,
-                spot: m.spot,
-                generation: m.generation,
-                devices: m.devices,
-                queued: r.queued(),
-                outstanding: r.outstanding(),
-                completed: r.completed,
-            })
-            .collect();
+        let t = &self.tally;
         ControlObs {
             now_s: now,
-            submitted: self.submitted,
-            completed: self.completed,
-            timed_out: self.timed_out,
-            dropped: self.dropped,
-            rejected: self.rejected,
-            queue_depth: self.queue.len().saturating_sub(self.queue_dead),
-            completed_tokens: self.tokens,
-            device_seconds: self.accrued_device_s(now),
-            ttft_hist: self.ttft_hist.clone(),
-            itl_hist: self.itl_hist.clone(),
-            canary: self.canary,
-            replicas,
+            submitted: t.submitted,
+            completed: t.completed,
+            timed_out: t.timed_out,
+            dropped: t.dropped,
+            rejected: t.rejected,
+            queue_depth: self.queue_depth(),
+            completed_tokens: t.tokens,
+            device_seconds: self.fleet.accrued_device_s(now),
+            ttft_hist: t.ttft_hist.clone(),
+            itl_hist: t.itl_hist.clone(),
+            canary: self.fleet.canary,
+            replicas: self.fleet.obs(now),
         }
     }
 
@@ -1098,7 +816,7 @@ impl ClusterSim {
         let Some(mut hook) = self.controller.take() else {
             return;
         };
-        self.events += 1;
+        self.tally.events += 1;
         let obs = self.build_obs(now);
         for action in hook.tick(&obs) {
             self.apply_action(action, now);
@@ -1106,7 +824,7 @@ impl ClusterSim {
         self.controller = Some(hook);
         if self.pending_arrival.is_some() || !self.live.is_empty() {
             self.heap
-                .push_at(now + self.ctrl_interval_s, Source::Control, 0);
+                .push(Event::at(now + self.ctrl_interval_s, Source::Control, 0));
         }
     }
 
@@ -1114,44 +832,14 @@ impl ClusterSim {
     fn apply_action(&mut self, action: ControlAction, now: f64) {
         match action {
             ControlAction::AddReplica(spec) => {
-                let spec = *spec;
-                let idx = self.replicas.len();
-                let devices = spec.model.options().plan.degree;
-                let ready_s = now + spec.ready_delay_s.max(0.0);
-                let mut replica =
-                    Replica::new(idx, spec.model, spec.sched, self.cfg.prefix_capacity);
-                replica.alive = false; // provisioning until the ready event
-                if self.tracer.is_enabled() {
-                    let track = REPLICA_TRACK_BASE.saturating_add(idx as u32);
-                    self.tracer.name_track(track, &format!("replica {idx}"));
-                    replica.record_decisions();
-                }
-                self.replicas.push(replica);
-                self.loads.push(ReplicaLoad {
-                    alive: false,
-                    queued: 0,
-                    outstanding: 0,
-                });
-                self.meta.push(ReplicaMeta {
-                    devices,
-                    generation: spec.generation,
-                    born_s: now,
-                    ready_s,
-                    draining: false,
-                    retired_s: None,
-                    spot: spec.spot,
-                    price_factor: spec.price_factor,
-                    extra_s: 0.0,
-                });
-                self.cur_devices += devices;
-                self.peak_devices = self.peak_devices.max(self.cur_devices);
-                self.reconfigs += 1;
-                self.dynamic_fleet = true;
-                self.heap.push_at(ready_s, Source::Reconfig, idx as u64);
+                let generation = spec.generation;
+                let (idx, ready_s) = self.fleet.provision(*spec, now, &mut self.tracer);
+                self.heap
+                    .push(Event::at(ready_s, Source::Reconfig, idx as u64));
                 self.trace_instant(CONTROL_TRACK, "provision", now, || {
                     vec![
                         ("replica", idx.into()),
-                        ("generation", u64::from(spec.generation).into()),
+                        ("generation", u64::from(generation).into()),
                     ]
                 });
             }
@@ -1159,17 +847,9 @@ impl ClusterSim {
                 replica,
                 migration_s,
             } => {
-                if replica >= self.replicas.len()
-                    || self.meta[replica].draining
-                    || self.meta[replica].retired_s.is_some()
-                {
+                if !self.fleet.drain(replica, migration_s) {
                     return;
                 }
-                self.meta[replica].draining = true;
-                self.meta[replica].extra_s = migration_s.max(0.0);
-                self.reconfigs += 1;
-                self.dynamic_fleet = true;
-                self.refresh_load(replica);
                 self.trace_instant(CONTROL_TRACK, "drain", now, || {
                     vec![("replica", replica.into())]
                 });
@@ -1179,8 +859,8 @@ impl ClusterSim {
                 generation,
                 fraction,
             } => {
-                self.canary = Some((generation, fraction.clamp(0.0, 1.0)));
-                self.dynamic_fleet = true;
+                self.fleet.canary = Some((generation, fraction.clamp(0.0, 1.0)));
+                self.fleet.dynamic = true;
                 self.trace_instant(CONTROL_TRACK, "canary", now, || {
                     vec![
                         ("generation", u64::from(generation).into()),
@@ -1189,7 +869,7 @@ impl ClusterSim {
                 });
             }
             ControlAction::ClearCanary => {
-                if self.canary.take().is_some() {
+                if self.fleet.canary.take().is_some() {
                     self.trace_instant(CONTROL_TRACK, "canary-clear", now, Vec::new);
                 }
             }
@@ -1200,9 +880,9 @@ impl ClusterSim {
         if !self.tracer.is_enabled() {
             return;
         }
-        let depth = self.queue.len().saturating_sub(self.queue_dead);
+        let depth = self.queue_depth();
         self.tracer.counter("router-queue-depth", now, depth as f64);
-        for r in &self.replicas {
+        for r in &self.fleet.replicas {
             self.tracer.counter(
                 &format!("outstanding-r{}", r.id),
                 now,
@@ -1230,81 +910,49 @@ impl ClusterSim {
     /// served: parked at the router with every replica down for good, or
     /// a preempted sequence that outgrew its replica's KV pool. Drop it.
     fn drain_unservable(&mut self) {
-        self.dropped += self.live.len();
+        self.tally.dropped += self.live.len();
         self.live.clear();
         self.queue.clear();
         self.queue_dead = 0;
     }
-
-    fn build_report(mut self) -> (ClusterReport, Tracer) {
-        self.outputs.sort_by_key(|o| o.id);
-        let per_replica: Vec<usize> = self.replicas.iter().map(|r| r.completed).collect();
-        let hits: u64 = self.replicas.iter().map(|r| r.prefix_hits).sum();
-        let misses: u64 = self.replicas.iter().map(|r| r.prefix_misses).sum();
-        // Static fleets keep the exact legacy cost math (bit-identical
-        // to prior releases); dynamic fleets integrate per-replica
-        // lifetimes and report peak concurrently-held devices.
-        let (devices, device_seconds) = if self.dynamic_fleet {
-            (self.peak_devices, self.accrued_device_s(self.clock_s))
-        } else {
-            let devices = self.cfg.replicas * self.devices_per_replica;
-            (devices, devices as f64 * self.clock_s)
-        };
-        let ttft = LatencySummary::from_histogram(&self.ttft_hist);
-        let e2e = LatencySummary::from_histogram(&self.e2e_hist);
-        let itl = LatencySummary::from_histogram(&self.itl_hist);
-        let report = ClusterReport {
-            policy: self.cfg.policy.label().to_string(),
-            makespan_s: self.clock_s,
-            submitted: self.submitted,
-            completed: self.completed,
-            timed_out: self.timed_out,
-            dropped: self.dropped,
-            rejected: self.rejected,
-            retries: self.retry_count,
-            crashes: self.crashes,
-            events: self.events,
-            peak_live: self.peak_live,
-            prefix_hits: hits,
-            prefix_misses: misses,
-            ttft,
-            e2e,
-            itl,
-            completed_tokens: self.tokens,
-            throughput_tok_s: self.tokens as f64 / self.clock_s.max(1e-12),
-            per_replica_completed: per_replica,
-            devices,
-            cost_per_token_device_s: device_seconds / (self.tokens as f64).max(1.0),
-            device_s_per_request: device_seconds / (self.completed as f64).max(1.0),
-            device_seconds,
-            reconfigs: self.reconfigs,
-            preemptions: self.preemptions,
-            ttft_hist: self.ttft_hist,
-            e2e_hist: self.e2e_hist,
-            itl_hist: self.itl_hist,
-            outputs: self.outputs,
-        };
-        (report, std::mem::take(&mut self.tracer))
-    }
-}
-
-/// Convenience: accounting consistency checks shared by tests.
-#[cfg(test)]
-pub(crate) fn assert_accounted(report: &ClusterReport) {
-    assert_eq!(
-        report.completed + report.timed_out + report.dropped + report.rejected,
-        report.submitted,
-        "every request must reach exactly one terminal state: {report:?}"
-    );
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::workload::{generate, TenantSpec, WorkloadSpec, WorkloadStream};
     use moe_gpusim::device::Cluster;
     use moe_gpusim::perfmodel::EngineOptions;
     use moe_model::registry::olmoe_1b_7b;
+
+    /// Convenience: accounting consistency checks shared by tests.
+    pub(crate) fn assert_accounted(report: &ClusterReport) {
+        assert_eq!(
+            report.completed + report.timed_out + report.dropped + report.rejected,
+            report.submitted,
+            "every request must reach exactly one terminal state: {report:?}"
+        );
+        for (name, s) in [
+            ("ttft", &report.ttft),
+            ("e2e", &report.e2e),
+            ("itl", &report.itl),
+        ] {
+            assert!(
+                s.p50_s <= s.p95_s && s.p95_s <= s.p99_s && s.p99_s <= s.max_s,
+                "{name} percentiles out of order: {s:?}"
+            );
+        }
+        assert_eq!(
+            report.per_replica_completed.iter().sum::<usize>(),
+            report.completed,
+            "per-replica completions must add up"
+        );
+        assert!(
+            report.device_seconds.is_finite() && report.device_seconds >= 0.0,
+            "device-seconds must be finite and non-negative: {}",
+            report.device_seconds
+        );
+    }
 
     fn olmoe() -> PerfModel {
         PerfModel::new(
@@ -1373,6 +1021,7 @@ mod tests {
             small_trace(80, 16.0, 5),
         );
         let report = sim.run(&mut Tracer::disabled());
+        assert_accounted(&report);
         assert_eq!(report.outputs.len(), report.completed);
         // Rows arrive sorted by id.
         assert!(report.outputs.windows(2).all(|w| w[0].id < w[1].id));
@@ -1405,6 +1054,7 @@ mod tests {
                 small_trace(50, 20.0, 11),
             )
             .run(&mut Tracer::disabled());
+            assert_accounted(&report);
             report.outputs.clear();
             report
         };
@@ -1431,6 +1081,7 @@ mod tests {
             Box::new(WorkloadStream::new(spec, 9)),
         )
         .run(&mut Tracer::disabled());
+        assert_accounted(&from_trace);
         assert_eq!(
             moe_json::to_string(&from_trace),
             moe_json::to_string(&from_stream),
@@ -1443,14 +1094,16 @@ mod tests {
         let run = |offset: f64| {
             let mut cfg = base_cfg(RoutePolicy::LeastOutstanding);
             cfg.latency_offset_s = offset;
-            ClusterSim::sized_for(
+            let report = ClusterSim::sized_for(
                 &olmoe(),
                 2048,
                 cfg,
                 FaultPlan::none(),
                 small_trace(40, 10.0, 7),
             )
-            .run(&mut Tracer::disabled())
+            .run(&mut Tracer::disabled());
+            assert_accounted(&report);
+            report
         };
         let base = run(0.0);
         let shifted = run(0.25);
@@ -1470,6 +1123,7 @@ mod tests {
             small_trace(60, 12.0, 3),
         );
         let report = sim.run(&mut Tracer::disabled());
+        assert_accounted(&report);
         // Single-device replicas: devices == replicas.
         assert_eq!(report.devices, 3);
         let device_seconds = report.devices as f64 * report.makespan_s;
@@ -1499,7 +1153,9 @@ mod tests {
                 FaultPlan::none(),
                 small_trace(50, 10.0, seed),
             );
-            moe_json::to_string(&sim.run(&mut Tracer::disabled()))
+            let report = sim.run(&mut Tracer::disabled());
+            assert_accounted(&report);
+            moe_json::to_string(&report)
         };
         assert_eq!(run(7), run(7));
         assert_ne!(run(7), run(8));
@@ -1728,6 +1384,7 @@ mod tests {
         let trace = small_trace(60, 15.0, 21);
         let healthy = ClusterSim::sized_for(&olmoe(), 2048, cfg, FaultPlan::none(), trace.clone())
             .run(&mut Tracer::disabled());
+        assert_accounted(&healthy);
         let slowed = ClusterSim::sized_for(
             &olmoe(),
             2048,
@@ -1756,8 +1413,10 @@ mod tests {
             retain_outputs: false,
             latency_offset_s: 0.0,
         };
-        ClusterSim::sized_for(&olmoe(), 8192, cfg, FaultPlan::none(), trace)
-            .run(&mut Tracer::disabled())
+        let report = ClusterSim::sized_for(&olmoe(), 8192, cfg, FaultPlan::none(), trace)
+            .run(&mut Tracer::disabled());
+        assert_accounted(&report);
+        report
     }
 
     #[test]
@@ -1942,7 +1601,9 @@ mod tests {
                 small_trace(150, 50.0, 13),
             )
             .with_controller(Box::new(hook), 0.5);
-            moe_json::to_string(&sim.run(&mut Tracer::disabled()))
+            let report = sim.run(&mut Tracer::disabled());
+            assert_accounted(&report);
+            moe_json::to_string(&report)
         };
         assert_eq!(run(), run(), "controlled runs replay byte-identically");
     }
@@ -1957,6 +1618,7 @@ mod tests {
             small_trace(60, 12.0, 3),
         );
         let report = sim.run(&mut Tracer::disabled());
+        assert_accounted(&report);
         let legacy = report.devices as f64 * report.makespan_s;
         assert_eq!(
             report.device_seconds, legacy,
@@ -1981,6 +1643,7 @@ mod tests {
         let plain = build().run(&mut Tracer::disabled());
         let mut tracer = Tracer::new(Box::new(MemorySink::new()));
         let traced = build().run(&mut tracer);
+        assert_accounted(&traced);
         assert_eq!(plain, traced, "tracing must not perturb the cluster");
 
         let evs = tracer.snapshot();

@@ -95,17 +95,6 @@ impl ActivationStats {
         h / (row.len() as f64).ln()
     }
 
-    /// Merge another stats object (e.g. from a second evaluation shard).
-    pub fn merge(&mut self, other: &ActivationStats) {
-        assert_eq!(self.num_layers, other.num_layers);
-        assert_eq!(self.num_experts, other.num_experts);
-        for (mine, theirs) in self.counts.iter_mut().zip(&other.counts) {
-            for (m, t) in mine.iter_mut().zip(theirs) {
-                *m += t;
-            }
-        }
-    }
-
     /// Row-normalized activation frequencies (each layer sums to 1), the
     /// heatmap the figure plots.
     pub fn heatmap(&self) -> Vec<Vec<f64>> {
@@ -181,17 +170,5 @@ mod tests {
                 assert!((sum - 1.0).abs() < 1e-12);
             }
         }
-    }
-
-    #[test]
-    fn merge_adds_counts() {
-        let mut a = ActivationStats::new(1, 2);
-        a.record(0, &[0]);
-        let mut b = ActivationStats::new(1, 2);
-        b.record(0, &[0]);
-        b.record(0, &[1]);
-        a.merge(&b);
-        assert_eq!(a.count(0, 0), 2);
-        assert_eq!(a.count(0, 1), 1);
     }
 }

@@ -11,8 +11,8 @@ use moe_engine::model::MoeTransformer;
 use moe_tensor::ops::argmax;
 
 use crate::prefixcache::PrefixCache;
-use crate::request::{Request, RequestId, SeqState};
-use crate::scheduler::{Scheduler, SchedulerConfig, StepPlan};
+use crate::request::{Request, RequestId};
+use crate::scheduler::{SchedEvent, Scheduler, SchedulerConfig, StepPlan};
 
 /// One live sequence's token state.
 #[derive(Debug)]
@@ -32,9 +32,12 @@ pub struct LiveServer {
 
 impl LiveServer {
     pub fn new(model: MoeTransformer, cfg: SchedulerConfig) -> Self {
+        // The decision log names the sequences each plan preempts.
+        let mut scheduler = Scheduler::new(cfg);
+        scheduler.set_record_events(true);
         Self {
             model,
-            scheduler: Scheduler::new(cfg),
+            scheduler,
             seqs: BTreeMap::new(),
             prefix_cache: None,
         }
@@ -79,27 +82,24 @@ impl LiveServer {
         self.scheduler.blocks().used_blocks()
     }
 
-    /// Drop KV of sequences the scheduler preempted since the last step.
-    fn reap_preempted(&mut self) {
-        for (id, live) in self.seqs.iter_mut() {
-            if live.kv.is_some() {
-                let state = self.scheduler.seq(*id).expect("known seq").state; // lint:allow(no-panic-in-lib) -- seqs map invariant: every scheduled id was inserted at submit
-                if state == SeqState::Waiting {
-                    live.kv = None; // recompute-style preemption
-                }
-            }
-        }
-    }
-
     /// Execute one engine step; returns false when drained.
     pub fn step(&mut self) -> bool {
         if !self.scheduler.has_work() {
             return false;
         }
-        match self.scheduler.plan_step() {
+        let plan = self.scheduler.plan_step();
+        // Recompute-style preemption: a sequence sent back to waiting
+        // drops its KV and re-prefills later.
+        for ev in self.scheduler.drain_events() {
+            if let SchedEvent::Preempted { id, .. } = ev {
+                if let Some(live) = self.seqs.get_mut(&id) {
+                    live.kv = None;
+                }
+            }
+        }
+        match &plan {
             StepPlan::Prefill { ids, .. } => {
-                self.reap_preempted();
-                for &id in &ids {
+                for &id in ids {
                     let live = self.seqs.get_mut(&id).expect("submitted seq"); // lint:allow(no-panic-in-lib) -- seqs map invariant: every scheduled id was inserted at submit
                                                                                // (Re-)prefill over prompt + already-generated prefix.
                     let mut prefix = live.prompt.clone();
@@ -132,35 +132,15 @@ impl LiveServer {
                     live.generated.push(next);
                     live.kv = Some(kv);
                 }
-                // Sequences done at their first token free their KV now.
-                for id in self.scheduler.commit_prefill(&ids) {
-                    if let Some(live) = self.seqs.get_mut(&id) {
-                        live.kv = None;
-                    }
-                }
             }
             StepPlan::Decode { ids } => {
-                self.reap_preempted();
-                // A preemption triggered while planning this very step may
-                // have dropped some KV; those sequences re-prefill later.
-                let active: Vec<RequestId> = ids
-                    .into_iter()
-                    .filter(|id| {
-                        // lint:allow(no-panic-in-lib) -- scheduler invariant: ids in the step plan are known
-                        self.scheduler.seq(*id).expect("known seq").state == SeqState::Running
-                    })
-                    .collect();
-                if active.is_empty() {
-                    return true;
-                }
-
                 // One batched forward across all running sequences — the
                 // continuous-batching decode step. Caches are taken out of
                 // the sequence records for the duration of the call.
-                let mut tokens = Vec::with_capacity(active.len());
-                let mut positions = Vec::with_capacity(active.len());
-                let mut kvs: Vec<PagedKv> = Vec::with_capacity(active.len());
-                for id in &active {
+                let mut tokens = Vec::with_capacity(ids.len());
+                let mut positions = Vec::with_capacity(ids.len());
+                let mut kvs: Vec<PagedKv> = Vec::with_capacity(ids.len());
+                for id in ids {
                     let live = self.seqs.get_mut(id).expect("running seq"); // lint:allow(no-panic-in-lib) -- seqs map invariant: running ids were inserted at submit
                     let kv = live.kv.take().expect("running seq has KV"); // lint:allow(no-panic-in-lib) -- running seqs hold their KV store between steps by construction
                     tokens.push(*live.generated.last().expect("prefill emitted a token")); // lint:allow(no-panic-in-lib) -- prefill always emits one token before a seq can be running
@@ -171,17 +151,20 @@ impl LiveServer {
                     kvs.iter_mut().map(|kv| kv as &mut dyn KvStore).collect();
                 let logits = self.model.forward_multi(&tokens, &positions, &mut refs);
 
-                for (row, (id, kv)) in active.iter().zip(kvs).enumerate() {
+                for (row, (id, kv)) in ids.iter().zip(kvs).enumerate() {
                     let next = argmax(logits.row(row));
                     let live = self.seqs.get_mut(id).expect("running seq"); // lint:allow(no-panic-in-lib) -- seqs map invariant: running ids were inserted at submit
                     live.generated.push(next);
                     live.kv = Some(kv);
-                    if self.scheduler.commit_decode(*id) {
-                        live.kv = None;
-                    }
                 }
             }
             StepPlan::Idle => return false,
+        }
+        // Sequences that finished this step free their KV now.
+        for (id, _) in self.scheduler.commit_step(plan) {
+            if let Some(live) = self.seqs.get_mut(&id) {
+                live.kv = None;
+            }
         }
         true
     }
@@ -209,6 +192,7 @@ impl LiveServer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::request::SeqState;
     use moe_model::registry::tiny_test_model;
 
     fn tiny() -> MoeTransformer {
@@ -242,15 +226,19 @@ mod tests {
         }
     }
 
-    #[test]
-    fn preemption_does_not_change_outputs() {
-        // A pool so small that concurrent sequences must preempt.
-        let cfg = SchedulerConfig {
+    /// A pool so small that concurrent sequences must preempt.
+    fn tight_cfg() -> SchedulerConfig {
+        SchedulerConfig {
             max_running: 4,
             max_batched_tokens: 512,
             block_tokens: 4,
             total_blocks: 10,
-        };
+        }
+    }
+
+    #[test]
+    fn preemption_does_not_change_outputs() {
+        let cfg = tight_cfg();
         let prompts: Vec<Vec<usize>> = vec![vec![5, 6, 7, 8], vec![9, 10, 11, 12]];
         let max_new = 14;
 
@@ -266,6 +254,28 @@ mod tests {
             let expect = LiveServer::reference(&mut tiny(), prompt, max_new);
             assert_eq!(outputs[id], expect, "prompt {prompt:?}");
         }
+    }
+
+    #[test]
+    fn no_waiting_sequence_keeps_its_kv() {
+        // Three sequences outgrow the pool together, so some preempt.
+        let mut server = LiveServer::new(tiny(), tight_cfg());
+        for first in [5, 9, 13] {
+            server.submit((first..first + 4).collect(), 14);
+        }
+        let mut preempted = false;
+        while server.step() {
+            for (&id, live) in &server.seqs {
+                let Some(seq) = server.scheduler.seq(id) else {
+                    continue;
+                };
+                if seq.state == SeqState::Waiting {
+                    assert!(live.kv.is_none(), "waiting sequence {id} still has KV");
+                    preempted |= seq.preemptions > 0;
+                }
+            }
+        }
+        assert!(preempted, "the tight pool must preempt");
     }
 
     #[test]
