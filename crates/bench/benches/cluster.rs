@@ -20,8 +20,8 @@ use std::time::Instant;
 
 use moe_bench::timing::committed_history;
 use moe_cluster::{
-    generate, run_sharded, ArrivalProcess, ClusterConfig, ClusterReport, ClusterSim, FaultPlan,
-    RoutePolicy, ShardPlan, TenantSpec, WorkloadSpec, WorkloadStream,
+    generate, run_sharded, ArrivalProcess, ClusterConfig, ClusterReport, ClusterRequest,
+    ClusterSim, FaultPlan, RoutePolicy, ShardPlan, TenantSpec, WorkloadSpec, WorkloadStream,
 };
 use moe_gpusim::perfmodel::PerfModel;
 use moe_json::Json;
@@ -49,7 +49,7 @@ const EVENTS: u64 = 820_234;
 
 /// The core this build measures, named in its trajectory entry.
 const CORE_LABEL: &str = "event heap + TTFT deadline cursor + hashed decode prices + \
-                          one-pass least-outstanding scan";
+                          one-pass least-outstanding scan + recycled step-plan buffers";
 
 /// The benchmark scenario: ~0.6M simulated users (peak 2000 QPS at a
 /// 300 s think time) on a diurnal cycle, against 1000 single-H100
@@ -334,6 +334,10 @@ fn main() {
                 ("peak_live_large".into(), Json::Int(peak_large as i128)),
                 ("requests_large".into(), Json::Int(n_large as i128)),
                 ("peak_ratio".into(), Json::Float(peak_ratio)),
+                (
+                    "request_bytes".into(),
+                    Json::Int(std::mem::size_of::<ClusterRequest>() as i128),
+                ),
             ]),
         ),
         ("sharded_identical_across_workers".into(), Json::Bool(true)),

@@ -333,7 +333,7 @@ mod tests {
             arrival_s: 0.0,
             prompt_len: prompt,
             max_new_tokens: out,
-            tenant: "t".to_string(),
+            tenant: 0,
             prefix_group: 0,
             prefix_len: 0,
         }

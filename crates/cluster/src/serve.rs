@@ -43,7 +43,7 @@ pub fn serve_one_replica(
                 arrival_s,
                 prompt_len,
                 max_new_tokens,
-                tenant: String::new(),
+                tenant: 0,
                 prefix_group: 0,
                 prefix_len: 0,
             },

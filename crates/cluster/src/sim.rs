@@ -1224,7 +1224,7 @@ pub(crate) mod tests {
             arrival_s: 0.01 * id as f64,
             prompt_len,
             max_new_tokens: 8,
-            tenant: "t".to_string(),
+            tenant: 0,
             prefix_group: 0,
             prefix_len: 0,
         };
@@ -1305,7 +1305,7 @@ pub(crate) mod tests {
             arrival_s,
             prompt_len: 64,
             max_new_tokens: 4,
-            tenant: "t".to_string(),
+            tenant: 0,
             prefix_group: 0,
             prefix_len: 0,
         };

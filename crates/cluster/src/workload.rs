@@ -123,7 +123,8 @@ struct BurstPhase {
 /// One tenant's traffic shape within the mix.
 #[derive(Debug, Clone, PartialEq, ToJson, FromJson)]
 pub struct TenantSpec {
-    /// Tenant label, carried through to the trace.
+    /// Tenant label; a trace names the tenant by its index in
+    /// [`WorkloadSpec::tenants`] instead.
     pub name: String,
     /// Relative share of arrivals (weights need not sum to 1).
     pub weight: f64,
@@ -248,8 +249,9 @@ pub struct ClusterRequest {
     pub prompt_len: usize,
     /// Tokens to generate.
     pub max_new_tokens: usize,
-    /// Tenant label.
-    pub tenant: String,
+    /// The tenant's index in the generating [`WorkloadSpec::tenants`]
+    /// (its label is that entry's [`TenantSpec::name`]).
+    pub tenant: u32,
     /// Shared-prefix group id (meaningful only when `prefix_len > 0`);
     /// stable across replays, unique across tenants.
     pub prefix_group: u64,
@@ -296,17 +298,24 @@ impl RequestTrace {
     /// This is how the control-plane experiments compose a diurnal
     /// baseline with a flash-crowd episode into one day.
     pub fn merge(parts: Vec<RequestTrace>) -> Self {
-        let mut requests: Vec<ClusterRequest> = Vec::new();
+        let total = parts.iter().map(|p| p.requests.len()).sum();
+        let mut requests: Vec<ClusterRequest> = Vec::with_capacity(total);
         for (i, part) in parts.into_iter().enumerate() {
             let salt = (i as u64) << 56;
-            for mut r in part.requests {
+            requests.extend(part.requests.into_iter().map(|mut r| {
                 if r.prefix_len > 0 {
                     r.prefix_group ^= salt;
                 }
-                requests.push(r);
-            }
+                r
+            }));
         }
-        requests.sort_by(|a, b| a.arrival_s.total_cmp(&b.arrival_s));
+        // The concatenation position, parked in `id`, breaks arrival ties:
+        // an in-place unstable sort on `(arrival_s, position)` yields the
+        // stable order without a scratch copy.
+        for (pos, r) in requests.iter_mut().enumerate() {
+            r.id = pos as u64;
+        }
+        requests.sort_unstable_by(|a, b| a.arrival_s.total_cmp(&b.arrival_s).then(a.id.cmp(&b.id)));
         for (id, r) in requests.iter_mut().enumerate() {
             r.id = id as u64;
         }
@@ -317,33 +326,43 @@ impl RequestTrace {
 /// A pull source of requests in arrival order, consumed lazily by the
 /// cluster simulator. Implementations must yield non-decreasing
 /// `arrival_s` and unique ids; both a materialized [`RequestTrace`] and
-/// the streaming [`WorkloadStream`] qualify, which is what keeps the
-/// simulator's memory footprint independent of trace length — only the
-/// *live* requests are ever resident.
+/// the streaming [`WorkloadStream`] qualify. The simulator holds only
+/// the *live* requests; of the rest, a [`WorkloadStream`] holds none and
+/// a [`TraceSource`] the undelivered remainder.
 pub trait ArrivalSource: std::fmt::Debug {
     /// The next request, or `None` when the source is exhausted.
     fn next_request(&mut self) -> Option<ClusterRequest>;
 }
 
-/// A materialized trace consumed front to back, each request moved out
-/// as it is pulled.
+/// A materialized trace consumed front to back. Only its undelivered
+/// remainder stays resident: the requests are kept last-to-arrive first,
+/// each pull pops one off the end, and the buffer gives its spare
+/// capacity back as it drains.
 #[derive(Debug)]
 pub struct TraceSource {
-    requests: std::vec::IntoIter<ClusterRequest>,
+    /// Undelivered requests in reverse arrival order.
+    rest: Vec<ClusterRequest>,
 }
 
 impl TraceSource {
     /// Wrap a trace for consumption.
     pub fn new(trace: RequestTrace) -> Self {
-        Self {
-            requests: trace.requests.into_iter(),
-        }
+        let mut rest = trace.requests;
+        rest.reverse();
+        Self { rest }
     }
 }
 
 impl ArrivalSource for TraceSource {
     fn next_request(&mut self) -> Option<ClusterRequest> {
-        self.requests.next()
+        let req = self.rest.pop()?;
+        // The allocator can usually trim the tail in place; the slack
+        // keeps the number of shrinks logarithmic in the trace length.
+        let len = self.rest.len();
+        if self.rest.capacity() > len + len / 8 + 1024 {
+            self.rest.shrink_to_fit();
+        }
+        Some(req)
     }
 }
 
@@ -429,7 +448,7 @@ impl ArrivalSource for WorkloadStream {
             arrival_s: self.t,
             prompt_len,
             max_new_tokens,
-            tenant: ten.name.clone(),
+            tenant: tenant_idx as u32,
             prefix_group,
             prefix_len,
         })
@@ -557,18 +576,17 @@ mod tests {
             ],
         };
         let trace = generate(&spec, 17);
-        let heavy = trace
-            .requests
-            .iter()
-            .filter(|r| r.tenant == "heavy")
-            .count();
+        let heavy = trace.requests.iter().filter(|r| r.tenant == 0).count();
         let frac = heavy as f64 / trace.requests.len() as f64;
         assert!((frac - 0.75).abs() < 0.05, "heavy fraction {frac}");
         // Shapes respect per-tenant ranges.
         for r in &trace.requests {
-            match r.tenant.as_str() {
-                "heavy" => assert!((512..=1024).contains(&r.prompt_len)),
-                _ => assert!((64..=128).contains(&r.prompt_len)),
+            match r.tenant {
+                0 => assert!((512..=1024).contains(&r.prompt_len)),
+                t => {
+                    assert_eq!(t, 1, "tenant indices name the spec's tenants");
+                    assert!((64..=128).contains(&r.prompt_len));
+                }
             }
         }
     }
@@ -634,6 +652,85 @@ mod tests {
         assert_eq!(a, b);
         let c = generate(&spec, 43);
         assert_ne!(a, c);
+    }
+
+    /// A request is six words and a tenant index, with nothing on the
+    /// heap, so a trace costs the same per request whatever its labels.
+    #[test]
+    fn a_request_is_at_most_56_bytes() {
+        assert!(std::mem::size_of::<ClusterRequest>() <= 56);
+    }
+
+    #[test]
+    fn merge_matches_a_stable_sort_of_the_salted_concatenation() {
+        // Three parts that interleave, share arrival times within and
+        // across parts, and share prefix groups (one part has none).
+        let part = |arrivals: &[f64], group: u64, prefix_len: usize| RequestTrace {
+            requests: arrivals
+                .iter()
+                .enumerate()
+                .map(|(i, &arrival_s)| ClusterRequest {
+                    id: i as u64,
+                    arrival_s,
+                    prompt_len: 100 + i,
+                    max_new_tokens: 4,
+                    tenant: 0,
+                    prefix_group: group,
+                    prefix_len,
+                })
+                .collect(),
+        };
+        let parts = vec![
+            part(&[0.0, 1.0, 1.0, 2.0, 3.0], 7, 32),
+            part(&[1.0, 1.0, 2.5, 3.0], 7, 32),
+            part(&[0.0, 1.0, 3.0, 3.0], 7, 0),
+        ];
+
+        // Reference: salt, concatenate, stable-sort by arrival, re-id.
+        let mut expect: Vec<ClusterRequest> = Vec::new();
+        for (i, p) in parts.iter().enumerate() {
+            for r in &p.requests {
+                let mut r = r.clone();
+                if r.prefix_len > 0 {
+                    r.prefix_group ^= (i as u64) << 56;
+                }
+                expect.push(r);
+            }
+        }
+        expect.sort_by(|a, b| a.arrival_s.total_cmp(&b.arrival_s));
+        for (id, r) in expect.iter_mut().enumerate() {
+            r.id = id as u64;
+        }
+
+        let merged = RequestTrace::merge(parts);
+        assert_eq!(merged.requests, expect);
+        // Ties keep part order, then position within the part.
+        let at_one: Vec<(usize, u64)> = merged
+            .requests
+            .iter()
+            .filter(|r| r.arrival_s == 1.0)
+            .map(|r| (r.prompt_len, r.prefix_group >> 56))
+            .collect();
+        assert_eq!(at_one, [(101, 0), (102, 0), (100, 1), (101, 1), (101, 0)]);
+    }
+
+    #[test]
+    fn trace_source_yields_in_order_and_holds_only_the_remainder() {
+        let spec = WorkloadSpec::poisson(50.0, 20_000, plain_tenant());
+        let trace = generate(&spec, 29);
+        let mut source = TraceSource::new(trace.clone());
+        for (i, expect) in trace.requests.iter().enumerate() {
+            assert_eq!(source.next_request().as_ref(), Some(expect));
+            let left = trace.requests.len() - i - 1;
+            assert_eq!(source.rest.len(), left);
+            assert!(
+                source.rest.capacity() <= left + left / 8 + 1024,
+                "{} slots held for {left} undelivered requests",
+                source.rest.capacity()
+            );
+        }
+        assert!(source.next_request().is_none());
+        assert!(source.next_request().is_none(), "stays exhausted");
     }
 
     #[test]

@@ -238,16 +238,24 @@ mod tests {
 
     #[test]
     fn preemption_does_not_change_outputs() {
-        let cfg = tight_cfg();
-        let prompts: Vec<Vec<usize>> = vec![vec![5, 6, 7, 8], vec![9, 10, 11, 12]];
+        // Two 22-token sequences need 6 four-token blocks each, so the
+        // 10-block pool cannot hold both to the end: one is preempted
+        // and recomputed.
+        let prompts: Vec<Vec<usize>> = vec![(5..13).collect(), (20..28).collect()];
         let max_new = 14;
 
-        let mut server = LiveServer::new(tiny(), cfg);
+        let mut server = LiveServer::new(tiny(), tight_cfg());
         let ids: Vec<_> = prompts
             .iter()
             .map(|p| server.submit(p.clone(), max_new))
             .collect();
-        // Verify that pressure actually occurs.
+        let mut preempted = false;
+        while server.step() {
+            preempted |= ids
+                .iter()
+                .any(|&id| server.scheduler.seq(id).is_some_and(|s| s.preemptions > 0));
+        }
+        assert!(preempted, "the tight pool must preempt");
         let outputs = server.run();
 
         for (prompt, id) in prompts.iter().zip(&ids) {

@@ -41,7 +41,15 @@
 //! * **Admission-ordered `running`.** Admission appends to `running` in
 //!   admission-stamp order and removals keep the order, so `running` is
 //!   always sorted by `admitted_at` (stamps are unique) and the newest
-//!   sequence — the next to preempt — is its last element.
+//!   sequence — the next to preempt — is its last element. Admission
+//!   moves the head of `waiting` to the tail of `running`, preemption
+//!   moves it back, and fresh ids join the tail of `waiting`, so
+//!   `running` followed by `waiting` is ascending in id, and
+//!   [`Scheduler::cancel`] finds an id in either by binary search.
+//! * **A recycled plan buffer.** [`Scheduler::commit_step`] keeps the
+//!   id `Vec` of the plan it consumed, and the next
+//!   [`Scheduler::plan_step`] fills it, so a serving loop that commits
+//!   every plan allocates no id list per step.
 //! * **Running context sum.** Σ `context_len` over `running` is kept up
 //!   to date on admit, commit, finish, preemption and cancel, so pricing
 //!   a decode step reads its mean context without a pass over the batch.
@@ -242,6 +250,8 @@ pub struct Scheduler {
     waiting: VecDeque<RequestId>,
     /// Running sequences in admission-stamp order (oldest first).
     running: Vec<RequestId>,
+    /// The emptied id list of the last committed plan, for the next.
+    spare_ids: Vec<RequestId>,
     /// Σ `context_len` over `running`.
     running_ctx: usize,
     admission_stamp: u64,
@@ -259,6 +269,7 @@ impl Scheduler {
             seqs: Records::default(),
             waiting: VecDeque::new(),
             running: Vec::new(),
+            spare_ids: Vec::new(),
             running_ctx: 0,
             admission_stamp: 0,
             record_events: false,
@@ -351,13 +362,14 @@ impl Scheduler {
 
     /// Decide the next step. Prefill admission takes priority (as in
     /// vLLM's default scheduler); otherwise a decode step for all running
-    /// sequences; otherwise idle.
+    /// sequences; otherwise idle. The plan's ids fill the buffer the
+    /// last [`Self::commit_step`] gave back, if any.
     pub fn plan_step(&mut self) -> StepPlan {
+        let mut ids = std::mem::take(&mut self.spare_ids);
         // --- Try to admit waiting sequences into a prefill batch. ---
-        let mut admit: Vec<RequestId> = Vec::new();
         let mut tokens = 0usize;
         while let Some(&id) = self.waiting.front() {
-            if self.running.len() + admit.len() >= self.cfg.max_running {
+            if self.running.len() + ids.len() >= self.cfg.max_running {
                 break;
             }
             let Some(seq) = self.seqs.get_mut(id) else {
@@ -369,7 +381,7 @@ impl Scheduler {
             // A single over-budget prompt still goes alone (chunking is
             // modeled as one long step).
             let over_budget = tokens + need > self.cfg.max_batched_tokens;
-            if over_budget && !admit.is_empty() {
+            if over_budget && !ids.is_empty() {
                 break;
             }
             if !self.blocks.can_admit(need) || !self.blocks.allocate(&mut seq.blocks, need) {
@@ -379,7 +391,7 @@ impl Scheduler {
             seq.admitted_at = self.admission_stamp;
             self.admission_stamp += 1;
             self.waiting.pop_front();
-            admit.push(id);
+            ids.push(id);
             tokens += need;
             self.record(SchedEvent::Admitted {
                 id,
@@ -389,18 +401,15 @@ impl Scheduler {
                 break;
             }
         }
-        if !admit.is_empty() {
+        if !ids.is_empty() {
             // `tokens` is Σ context_len over the admitted sequences.
             self.running_ctx += tokens;
-            self.running.extend(&admit);
-            return StepPlan::Prefill { ids: admit, tokens };
+            self.running.extend(&ids);
+            return StepPlan::Prefill { ids, tokens };
         }
 
         // --- Decode step: grow every running sequence by one token,
         // preempting the newest sequences until everything fits. ---
-        if self.running.is_empty() {
-            return StepPlan::Idle;
-        }
         loop {
             if self.try_grow_all() {
                 break;
@@ -410,11 +419,11 @@ impl Scheduler {
             }
         }
         if self.running.is_empty() {
+            self.spare_ids = ids;
             return StepPlan::Idle;
         }
-        StepPlan::Decode {
-            ids: self.running.clone(),
-        }
+        ids.extend_from_slice(&self.running);
+        StepPlan::Decode { ids }
     }
 
     /// Reserve one more token of KV for every running sequence. Already
@@ -483,11 +492,15 @@ impl Scheduler {
     /// keeps no record of them. Ids canceled while the step was in
     /// flight are skipped.
     pub fn commit_step(&mut self, plan: StepPlan) -> Vec<(RequestId, SeqRecord)> {
-        match plan {
-            StepPlan::Prefill { ids, .. } => self.commit_tokens(&ids, true),
-            StepPlan::Decode { ids } => self.commit_tokens(&ids, false),
-            StepPlan::Idle => Vec::new(),
-        }
+        let (mut ids, prefill) = match plan {
+            StepPlan::Prefill { ids, .. } => (ids, true),
+            StepPlan::Decode { ids } => (ids, false),
+            StepPlan::Idle => return Vec::new(),
+        };
+        let finished = self.commit_tokens(&ids, prefill);
+        ids.clear();
+        self.spare_ids = ids;
+        finished
     }
 
     /// Commit one token for each of `ids` and return the sequences that
@@ -560,12 +573,22 @@ impl Scheduler {
         let Some(mut seq) = self.seqs.take(id) else {
             return false;
         };
-        if seq.state == SeqState::Running {
-            self.running.retain(|&r| r != id);
+        // `running` then `waiting` ascend in id (see the module docs).
+        debug_assert!(self.running.windows(2).all(|w| w[0] < w[1]));
+        debug_assert!(self
+            .waiting
+            .iter()
+            .zip(self.waiting.iter().skip(1))
+            .all(|(a, b)| a < b));
+        let removed = if seq.state == SeqState::Running {
             self.running_ctx -= seq.context_len();
+            let at = self.running.binary_search(&id).ok();
+            at.map(|i| self.running.remove(i))
         } else {
-            self.waiting.retain(|&w| w != id);
-        }
+            let at = self.waiting.binary_search(&id).ok();
+            at.and_then(|i| self.waiting.remove(i))
+        };
+        debug_assert_eq!(removed, Some(id), "an unfinished id is queued");
         self.blocks.release(&mut seq.blocks);
         true
     }

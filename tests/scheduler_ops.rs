@@ -4,9 +4,10 @@
 //! preemptions.
 //!
 //! After every operation the harness checks the scheduler's invariants:
-//! `running` is in admission-stamp order, the running context sum equals
-//! Σ `context_len` over running, the block pool balances, and the blocks
-//! in use are exactly those owned by running sequences. At drain every
+//! `running` is in admission-stamp order and in id order, the running
+//! context sum equals Σ `context_len` over running, the block pool
+//! balances, and the blocks in use are exactly those owned by running
+//! sequences. At drain every
 //! request finished exactly once or was canceled, and the pool is empty.
 //! Finished data is read from the records `commit_step` hands out; the
 //! scheduler keeps none of it.
@@ -70,6 +71,10 @@ fn check_invariants(s: &Scheduler, what: &str) {
     assert!(
         stamps.windows(2).all(|w| w[0] < w[1]),
         "{what}: running not in admission order: {stamps:?}"
+    );
+    assert!(
+        running.windows(2).all(|w| w[0] < w[1]),
+        "{what}: running not in id order: {running:?}"
     );
     for &id in running {
         assert_eq!(s.seq(id).unwrap().state, SeqState::Running, "{what}");
