@@ -5,6 +5,10 @@
 //! `BENCH_cluster.json` at the repo root. CI runs this as the
 //! cluster-core timing smoke; `docs/SCALE.md` explains each field.
 //!
+//! Both timed cells run 5 repetitions (1 with `--quick`) and record
+//! every repetition's events/s, the median and the best: one run of
+//! 0.1 s is too noisy to resolve a change of a few tens of percent.
+//!
 //! The `trajectory` array is an append-only history, like
 //! `BENCH_par.json`'s: entries marked `"committed": true` are carried
 //! forward verbatim, each run appends its own fresh entry, and a file
@@ -26,6 +30,7 @@ use moe_cluster::{
 use moe_gpusim::perfmodel::PerfModel;
 use moe_json::Json;
 use moe_model::registry::olmoe_1b_7b;
+use moe_runtime::metrics::percentile;
 use moe_runtime::simserver::scheduler_config_for;
 use moe_runtime::SchedulerConfig;
 use moe_trace::Tracer;
@@ -132,6 +137,51 @@ fn timeout_cell() -> ClusterSim {
     )
 }
 
+/// Events/s of every timed repetition, plus the best (from the fastest
+/// wall time) and the median.
+struct Rates {
+    best_wall_s: f64,
+    best: f64,
+    median: f64,
+    reps: Vec<f64>,
+}
+
+impl Rates {
+    /// Run `run` `reps` times; returns the last report with the rates.
+    /// Every repetition processes the same events.
+    fn time(reps: usize, mut run: impl FnMut() -> (ClusterReport, f64)) -> (ClusterReport, Self) {
+        let mut walls = Vec::with_capacity(reps);
+        let mut last = None;
+        for _ in 0..reps {
+            let (report, wall) = run();
+            walls.push(wall);
+            last = Some(report);
+        }
+        let report = last.expect("at least one rep ran");
+        let events = report.events as f64;
+        let rates: Vec<f64> = walls.iter().map(|w| events / w).collect();
+        let best_wall_s = walls.iter().copied().fold(f64::INFINITY, f64::min);
+        let rates = Self {
+            best_wall_s,
+            best: events / best_wall_s,
+            median: percentile(&rates, 50.0),
+            reps: rates,
+        };
+        (report, rates)
+    }
+
+    /// The per-repetition and median fields of a JSON record.
+    fn spread_fields(&self) -> [(String, Json); 2] {
+        [
+            (
+                "rep_events_per_s".into(),
+                Json::Arr(self.reps.iter().map(|&r| Json::Float(r)).collect()),
+            ),
+            ("median_events_per_s".into(), Json::Float(self.median)),
+        ]
+    }
+}
+
 /// Constant-rate variant of the scenario for the memory probe. The
 /// diurnal cycle would confound an N-vs-4N comparison (a longer trace
 /// reaches deeper into the traffic peak, so concurrency legitimately
@@ -169,33 +219,27 @@ fn sharded_json() -> String {
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
-    let reps = if quick { 1 } else { 3 };
+    let reps = if quick { 1 } else { 5 };
 
     // Warm up allocator and model tables once, untimed.
     eprintln!("warming up (one untimed pass) ...");
     black_box(run_once(REQUESTS / 4));
 
-    eprintln!("timing the 1000-replica diurnal scenario ({reps} reps, best-of) ...");
-    let mut best_wall = f64::INFINITY;
-    let mut report = None;
-    for _ in 0..reps {
-        let (r, wall) = run_once(REQUESTS);
-        best_wall = best_wall.min(wall);
-        report = Some(r);
-    }
-    let report = report.expect("at least one rep ran");
+    eprintln!("timing the 1000-replica diurnal scenario ({reps} reps) ...");
+    let (report, rates) = Rates::time(reps, || run_once(REQUESTS));
     assert_eq!(
         report.events, EVENTS,
         "the scenario's event count moved, so events/s is no longer comparable"
     );
-    let events_per_s = report.events as f64 / best_wall;
-    let speedup = events_per_s / BASELINE_EVENTS_PER_S;
+    let speedup = rates.best / BASELINE_EVENTS_PER_S;
     println!(
-        "{CORE_LABEL}: {} events in {:.3} s = {:.0} events/s ({speedup:.1}x over {BASELINE_LABEL}), \
-         completed {}/{}, timed_out {}, dropped {}, makespan {:.2} s, peak_live {}",
+        "{CORE_LABEL}: {} events in {:.3} s = {:.0} events/s best, {:.0} median of {reps} \
+         ({speedup:.1}x over {BASELINE_LABEL}), completed {}/{}, timed_out {}, dropped {}, \
+         makespan {:.2} s, peak_live {}",
         report.events,
-        best_wall,
-        events_per_s,
+        rates.best_wall_s,
+        rates.best,
+        rates.median,
         report.completed,
         report.submitted,
         report.timed_out,
@@ -204,27 +248,24 @@ fn main() {
         report.peak_live,
     );
 
-    eprintln!("timing the KV-pressure timeout cell ({reps} reps, best-of) ...");
-    let mut timeout_wall = f64::INFINITY;
-    let mut timeout_report = None;
-    for _ in 0..reps {
+    eprintln!("timing the KV-pressure timeout cell ({reps} reps) ...");
+    let (timeout_report, timeout_rates) = Rates::time(reps, || {
         let sim = timeout_cell();
         let t0 = Instant::now();
         let r = sim.run(&mut Tracer::disabled());
-        timeout_wall = timeout_wall.min(t0.elapsed().as_secs_f64());
-        timeout_report = Some(r);
-    }
-    let timeout_report = timeout_report.expect("at least one rep ran");
+        (r, t0.elapsed().as_secs_f64())
+    });
     assert!(
         timeout_report.timed_out > 0,
         "the timeout cell must fire TTFT deadlines"
     );
-    let timeout_events_per_s = timeout_report.events as f64 / timeout_wall;
     println!(
-        "KV-pressure timeout cell: {} events in {:.3} s = {timeout_events_per_s:.0} events/s, \
-         completed {}/{}, timed_out {}, retries {}, dropped {}",
+        "KV-pressure timeout cell: {} events in {:.3} s = {:.0} events/s best, {:.0} median \
+         of {reps}, completed {}/{}, timed_out {}, retries {}, dropped {}",
         timeout_report.events,
-        timeout_wall,
+        timeout_rates.best_wall_s,
+        timeout_rates.best,
+        timeout_rates.median,
         timeout_report.completed,
         timeout_report.submitted,
         timeout_report.timed_out,
@@ -288,7 +329,7 @@ fn main() {
     } else {
         "single-core"
     };
-    trajectory.push(Json::Obj(vec![
+    let mut entry = vec![
         ("core".into(), Json::Str(CORE_LABEL.into())),
         (
             "note".into(),
@@ -298,12 +339,24 @@ fn main() {
             )),
         ),
         ("host_cores".into(), Json::Int(host_cores as i128)),
-        ("events_per_s".into(), Json::Float(events_per_s)),
+        ("events_per_s".into(), Json::Float(rates.best)),
         ("events".into(), Json::Int(report.events as i128)),
-        ("wall_s".into(), Json::Float(best_wall)),
+        ("wall_s".into(), Json::Float(rates.best_wall_s)),
         ("speedup_vs_baseline".into(), Json::Float(speedup)),
-        ("committed".into(), Json::Bool(false)),
-    ]));
+    ];
+    entry.extend(rates.spread_fields());
+    entry.push(("committed".into(), Json::Bool(false)));
+    trajectory.push(Json::Obj(entry));
+    let mut timeout_fields = vec![
+        ("events".into(), Json::Int(timeout_report.events as i128)),
+        ("wall_s".into(), Json::Float(timeout_rates.best_wall_s)),
+        ("events_per_s".into(), Json::Float(timeout_rates.best)),
+    ];
+    timeout_fields.extend(timeout_rates.spread_fields());
+    timeout_fields.push((
+        "timed_out".into(),
+        Json::Int(timeout_report.timed_out as i128),
+    ));
     let json = Json::Obj(vec![
         (
             "bench".into(),
@@ -314,18 +367,7 @@ fn main() {
         ("host_cores".into(), Json::Int(host_cores as i128)),
         ("reps".into(), Json::Int(reps as i128)),
         ("trajectory".into(), Json::Arr(trajectory)),
-        (
-            "timeout_cell".into(),
-            Json::Obj(vec![
-                ("events".into(), Json::Int(timeout_report.events as i128)),
-                ("wall_s".into(), Json::Float(timeout_wall)),
-                ("events_per_s".into(), Json::Float(timeout_events_per_s)),
-                (
-                    "timed_out".into(),
-                    Json::Int(timeout_report.timed_out as i128),
-                ),
-            ]),
-        ),
+        ("timeout_cell".into(), Json::Obj(timeout_fields)),
         (
             "memory".into(),
             Json::Obj(vec![

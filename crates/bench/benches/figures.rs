@@ -10,7 +10,7 @@ use std::hint::black_box;
 fn main() {
     let r = Runner::from_args();
 
-    for id in moe_bench::REGISTRY.iter().map(|e| e.id()) {
+    for id in moe_bench::REGISTRY.iter().map(|e| e.id) {
         // fig15 routes real tokens through the executor for tens of
         // seconds; it is exercised (once) but not iterated.
         if id == "fig15" {

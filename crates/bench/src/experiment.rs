@@ -1,9 +1,10 @@
-//! The [`Experiment`] trait and the static registry driving the CLI.
+//! The experiment registry driving the CLI.
 //!
-//! Every paper table/figure (and extension study) is one unit struct
-//! implementing [`Experiment`]; [`REGISTRY`] lists them in paper order
-//! and is the single source of truth for ids, titles and ordering.
-//! [`run_one`] wraps any experiment run in a root span on
+//! [`REGISTRY`] is a table of [`Experiment`] rows, one per paper
+//! table/figure or extension study, in paper order. It is the only place
+//! ids, titles and order are written: each experiment module exposes a
+//! `build` function that fills a report [`run_one`] created from its row.
+//! [`run_one`] also wraps the run in a root span on
 //! [`moe_trace::BENCH_TRACK`]; [`run_all`] executes the whole registry
 //! concurrently on the `moe-par` work-stealing pool while keeping
 //! reports *and* the composed trace byte-identical for any worker count
@@ -18,86 +19,180 @@ use crate::experiments::{
 };
 use crate::report::ExperimentReport;
 
-/// Context handed to every [`Experiment::run`].
-pub struct ExpCtx<'t> {
-    /// Shrink grids for tests and smoke runs without changing the
-    /// mechanisms exercised.
-    pub fast: bool,
-    /// Records the experiment's simulated work (often disabled).
-    pub tracer: &'t mut Tracer,
-    /// Seed derived from the experiment id via [`moe_par::derive_seed`].
-    /// Experiments whose grids are fully enumerated ignore it; stochastic
-    /// studies may fold it into their workload seeds. Deterministic per
-    /// id, independent of registry position or worker count.
-    pub seed: u64,
-}
-
 /// One registered experiment (a paper table/figure or extension study).
-pub trait Experiment: Sync {
+pub struct Experiment {
     /// Stable CLI id (`fig5`, `ext-plan`, ...).
-    fn id(&self) -> &'static str;
+    pub id: &'static str,
     /// Human-readable report title.
-    fn title(&self) -> &'static str;
-    /// Build the report, recording simulated work into `ctx.tracer`.
-    fn run(&self, ctx: &mut ExpCtx<'_>) -> ExperimentReport;
+    pub title: &'static str,
+    /// Fill the report with tables and notes. `fast` shrinks grids for
+    /// tests and smoke runs without changing the mechanisms exercised;
+    /// simulated work is recorded into the tracer (often disabled).
+    pub build: fn(&mut ExperimentReport, bool, &mut Tracer),
 }
 
 /// Every experiment, in paper order (the `moe-bench list`/`all` order).
-pub static REGISTRY: &[&dyn Experiment] = &[
-    &table1::Table1,
-    &fig01::Fig01,
-    &fig03::Fig03,
-    &fig04::Fig04,
-    &fig05::Fig05,
-    &fig06::Fig06,
-    &fig07::Fig07,
-    &fig08::Fig08,
-    &fig09::Fig09,
-    &fig10::Fig10,
-    &fig11::Fig11,
-    &fig12::Fig12,
-    &fig13::Fig13,
-    &fig14::Fig14,
-    &fig15::Fig15,
-    &fig16::Fig16,
-    &fig17::Fig17,
-    &fig18::Fig18,
-    &ablations::Ablations,
-    &extensions::ExtPlacement,
-    &extensions::ExtMultinode,
-    &extensions::ExtQps,
-    &cluster::ExtCluster,
-    &plan::ExtPlan,
-    &scale::ExtScale,
-    &ctrl::ExtCtrl,
-    &mem::ExtMem,
-    &cap::ExtCap,
+pub static REGISTRY: &[Experiment] = &[
+    Experiment {
+        id: "table1",
+        title: "Table 1: Comparison of MoE Model Architectures",
+        build: table1::build,
+    },
+    Experiment {
+        id: "fig1",
+        title: "Figure 1: Layer-wise Total and Active Parameter Breakdown",
+        build: fig01::build,
+    },
+    Experiment {
+        id: "fig3",
+        title: "Figure 3: TTFT, ITL and E2E Latency of LLMs (batch 64, in/out 2048)",
+        build: fig03::build,
+    },
+    Experiment {
+        id: "fig4",
+        title: "Figure 4: TTFT, ITL and E2E Latency of VLMs",
+        build: fig04::build,
+    },
+    Experiment {
+        id: "fig5",
+        title: "Figure 5: Batch Size vs Active Experts (TopK), context 2048",
+        build: fig05::build,
+    },
+    Experiment {
+        id: "fig6",
+        title: "Figure 6: Batch Size vs Input & Output Length",
+        build: fig06::build,
+    },
+    Experiment {
+        id: "fig7",
+        title: "Figure 7: Throughput vs FFN Dimension (batch 16, in/out 2048, 4xH100)",
+        build: fig07::build,
+    },
+    Experiment {
+        id: "fig8",
+        title: "Figure 8: Throughput vs #Experts (batch 16, in/out 2048, 4xH100)",
+        build: fig08::build,
+    },
+    Experiment {
+        id: "fig9",
+        title: "Figure 9: Throughput vs #Active Experts (batch 16, in/out 2048, 4xH100)",
+        build: fig09::build,
+    },
+    Experiment {
+        id: "fig10",
+        title: "Figure 10: Mixtral-8x7B FP16 vs FP8 on H100 (TP2)",
+        build: fig10::build,
+    },
+    Experiment {
+        id: "fig11",
+        title: "Figure 11: Intra vs Inter Expert Pruning (batch 16, in/out 2048, 4xH100)",
+        build: fig11::build,
+    },
+    Experiment {
+        id: "fig12",
+        title: "Figure 12: Speculative Decoding on Qwen3-30B-A3B with Qwen3 Drafts",
+        build: fig12::build,
+    },
+    Experiment {
+        id: "fig13",
+        title: "Figure 13: TP / PP / EP Scaling on 1-4 H100s (batch 16, in/out 2048)",
+        build: fig13::build,
+    },
+    Experiment {
+        id: "fig14",
+        title: "Figure 14: Fused vs Non-Fused MoE, Mixtral-8x7B on 4 H100s",
+        build: fig14::build,
+    },
+    Experiment {
+        id: "fig15",
+        title: "Figure 15: Expert Activation Frequency on MME (DeepSeek-VL2 family vs MolmoE-1B)",
+        build: fig15::build,
+    },
+    Experiment {
+        id: "fig16",
+        title: "Figure 16: H100 vs CS-3 — Llama-4-Scout-17B-16E Latency and Throughput",
+        build: fig16::build,
+    },
+    Experiment {
+        id: "fig17",
+        title: "Figure 17: Throughput / Latency vs Accuracy for LLMs",
+        build: fig17::build,
+    },
+    Experiment {
+        id: "fig18",
+        title: "Figure 18: Throughput / Latency vs Accuracy for VLMs",
+        build: fig18::build,
+    },
+    Experiment {
+        id: "ablations",
+        title:
+            "Ablations: host overhead, MLA KV, KV precision, speculation surface, prefix caching",
+        build: ablations::build,
+    },
+    Experiment {
+        id: "ext-placement",
+        title: "Extension: Load-Aware Expert Placement for EP (4 devices, Fig.15 loads)",
+        build: extensions::build_placement,
+    },
+    Experiment {
+        id: "ext-multinode",
+        title: "Extension: the OOM-Wall Variant (FFN 14336, 64 experts) on Multi-Node H100s",
+        build: extensions::build_multinode,
+    },
+    Experiment {
+        id: "ext-qps",
+        title: "Extension: Serving Capacity under Poisson Load (OLMoE-1B-7B, 1xH100)",
+        build: extensions::build_qps,
+    },
+    Experiment {
+        id: "ext-cluster",
+        title: "Extension: Multi-Replica Serving (4x OLMoE-1B-7B/H100, prefix-heavy mix)",
+        build: cluster::build,
+    },
+    Experiment {
+        id: "ext-plan",
+        title:
+            "Extension: Deployment Planning (Mixtral-8x7B / OLMoE-1B-7B on simulated H100 fleets)",
+        build: plan::build,
+    },
+    Experiment {
+        id: "ext-scale",
+        title: "Extension: Planet-Scale Sharded Serving (diurnal users, OLMoE-1B-7B/H100)",
+        build: scale::build,
+    },
+    Experiment {
+        id: "ext-ctrl",
+        title: "Extension: Online Control Plane (diurnal + flash-crowd day, OLMoE-1B-7B/H100)",
+        build: ctrl::build,
+    },
+    Experiment {
+        id: "ext-mem",
+        title:
+            "Extension: Expert Residency & Offload (HBM budget x predictor quality x replication)",
+        build: mem::build,
+    },
+    Experiment {
+        id: "ext-cap",
+        title:
+            "Extension: Device Zoo & CAP (sparsity-aware cost, mixed fleets, the bandwidth knee)",
+        build: cap::build,
+    },
 ];
 
 /// Look up a registered experiment by id.
-pub fn find(id: &str) -> Option<&'static dyn Experiment> {
-    REGISTRY.iter().find(|e| e.id() == id).copied()
-}
-
-/// Master seed the per-experiment [`ExpCtx::seed`] values derive from.
-const BENCH_SEED: u64 = 0xB33C;
-
-fn id_seed(id: &str) -> u64 {
-    let label = id
-        .bytes()
-        .fold(0u64, |a, b| a.wrapping_mul(131).wrapping_add(b as u64));
-    moe_par::derive_seed(BENCH_SEED, label)
+pub fn find(id: &str) -> Option<&'static Experiment> {
+    REGISTRY.iter().find(|e| e.id == id)
 }
 
 /// Run one experiment, wrapping everything it recorded in a root span on
 /// [`BENCH_TRACK`] so a multi-experiment trace reads as a tiled timeline
 /// of experiment blocks. Experiments that record nothing (untraced
 /// tables) add no span. With a disabled tracer this is a plain
-/// [`Experiment::run`] call.
-pub fn run_one(exp: &dyn Experiment, fast: bool, tracer: &mut Tracer) -> ExperimentReport {
+/// [`Experiment::build`] call.
+pub fn run_one(exp: &Experiment, fast: bool, tracer: &mut Tracer) -> ExperimentReport {
     let start_global_s = tracer.base_s();
-    let seed = id_seed(exp.id());
-    let report = exp.run(&mut ExpCtx { fast, tracer, seed });
+    let mut report = ExperimentReport::new(exp.id, exp.title);
+    (exp.build)(&mut report, fast, tracer);
     if tracer.is_enabled() {
         let dur_s = tracer.base_s() - start_global_s;
         if dur_s > 0.0 {
@@ -107,7 +202,7 @@ pub fn run_one(exp: &dyn Experiment, fast: bool, tracer: &mut Tracer) -> Experim
             tracer.span_with(
                 BENCH_TRACK,
                 Category::Bench,
-                exp.id(),
+                exp.id,
                 start_global_s - tracer.base_s(),
                 dur_s,
                 vec![("fast", i64::from(fast).into())],
@@ -129,7 +224,7 @@ pub fn run_all(fast: bool, tracer: &mut Tracer) -> Vec<ExperimentReport> {
         } else {
             Tracer::disabled()
         };
-        let report = run_one(REGISTRY[i], fast, &mut child);
+        let report = run_one(&REGISTRY[i], fast, &mut child);
         (report, child)
     });
     let mut reports = Vec::with_capacity(results.len());
@@ -148,8 +243,8 @@ mod tests {
     fn registry_ids_are_unique_and_match_titles() {
         let mut seen = std::collections::BTreeSet::new();
         for e in REGISTRY {
-            assert!(seen.insert(e.id()), "duplicate id {}", e.id());
-            assert!(!e.title().is_empty(), "{} lacks a title", e.id());
+            assert!(seen.insert(e.id), "duplicate id {}", e.id);
+            assert!(!e.title.is_empty(), "{} lacks a title", e.id);
         }
         assert_eq!(REGISTRY.len(), 28);
     }
@@ -157,29 +252,20 @@ mod tests {
     #[test]
     fn find_resolves_every_registered_id() {
         for e in REGISTRY {
-            let found = find(e.id()).expect("registered");
-            assert_eq!(found.id(), e.id());
+            let found = find(e.id).expect("registered");
+            assert_eq!(found.id, e.id);
         }
         assert!(find("no-such-experiment").is_none());
     }
 
     #[test]
-    fn id_seeds_are_distinct_per_experiment() {
-        let mut seeds = std::collections::BTreeSet::new();
-        for e in REGISTRY {
-            assert!(seeds.insert(id_seed(e.id())), "seed collision {}", e.id());
-        }
-    }
-
-    #[test]
     fn report_id_matches_registry_id() {
-        // The cheap structural experiments prove the wiring without
-        // running the heavy sweeps.
-        for id in ["table1", "fig1"] {
-            let exp = find(id).expect("registered");
+        // The first two rows (Table 1, Fig. 1) are cheap structural
+        // experiments: they prove the wiring without the heavy sweeps.
+        for exp in &REGISTRY[..2] {
             let report = run_one(exp, true, &mut Tracer::disabled());
-            assert_eq!(report.id, exp.id());
-            assert_eq!(report.title, exp.title());
+            assert_eq!(report.id, exp.id);
+            assert_eq!(report.title, exp.title);
         }
     }
 }

@@ -22,8 +22,8 @@ use moe_runtime::liveserver::LiveServer;
 use moe_runtime::prefixcache::PrefixCache;
 use moe_runtime::scheduler::SchedulerConfig;
 use moe_tensor::Precision;
+use moe_trace::Tracer;
 
-use crate::experiment::{ExpCtx, Experiment};
 use crate::report::{num, ExperimentReport, Table};
 
 /// Host-overhead ablation: the TopK 1->32 relative throughput drop of
@@ -163,24 +163,7 @@ fn prefix_caching(requests: usize) -> (u64, u64, u64) {
 }
 
 /// Build the combined ablation report.
-/// Registry handle.
-pub struct Ablations;
-
-impl Experiment for Ablations {
-    fn id(&self) -> &'static str {
-        "ablations"
-    }
-    fn title(&self) -> &'static str {
-        "Ablations: host overhead, MLA KV, KV precision, speculation surface, prefix caching"
-    }
-    fn run(&self, ctx: &mut ExpCtx<'_>) -> ExperimentReport {
-        build(ctx.fast)
-    }
-}
-
-fn build(fast: bool) -> ExperimentReport {
-    let mut report = ExperimentReport::new(Ablations.id(), Ablations.title());
-
+pub(crate) fn build(report: &mut ExperimentReport, fast: bool, _tracer: &mut Tracer) {
     let mut t = Table::new(
         "host-overhead sensitivity of the Fig.5 TopK drop (DeepSeek-V2-Lite)",
         &["Overhead ms/step", "Drop @ batch 1", "Drop @ batch 64"],
@@ -241,8 +224,6 @@ fn build(fast: bool) -> ExperimentReport {
         "Prefix caching is measured on real forward passes; outputs are bit-identical \
          with and without the cache (pinned by unit tests).",
     );
-
-    report
 }
 
 #[cfg(test)]

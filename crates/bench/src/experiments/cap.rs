@@ -35,24 +35,9 @@ use moe_model::ModelConfig;
 use moe_plan::{plan_fleet, DevicePool, FleetPlanReport, FleetSpec, PlannerSpec};
 use moe_plan::{SearchMode, SearchSpace, SloSpec};
 use moe_tensor::Precision;
+use moe_trace::Tracer;
 
-use crate::experiment::{ExpCtx, Experiment};
 use crate::report::{num, secs, ExperimentReport, Table};
-
-/// Registry handle.
-pub struct ExtCap;
-
-impl Experiment for ExtCap {
-    fn id(&self) -> &'static str {
-        "ext-cap"
-    }
-    fn title(&self) -> &'static str {
-        "Extension: Device Zoo & CAP (sparsity-aware cost, mixed fleets, the bandwidth knee)"
-    }
-    fn run(&self, ctx: &mut ExpCtx<'_>) -> ExperimentReport {
-        build(ctx.fast)
-    }
-}
 
 /// Seed for the mixed-fleet planning workload.
 pub const CAP_SEED: u64 = 31;
@@ -391,8 +376,7 @@ fn zoo_sweep_table(fast: bool) -> Table {
     t
 }
 
-fn build(fast: bool) -> ExperimentReport {
-    let mut report = ExperimentReport::new(ExtCap.id(), ExtCap.title());
+pub(crate) fn build(report: &mut ExperimentReport, fast: bool, _tracer: &mut Tracer) {
     report.table(zoo_table());
     report.table(feasibility_table());
 
@@ -433,7 +417,6 @@ fn build(fast: bool) -> ExperimentReport {
             / cap::effective_usd_per_active_pflop_s(&cs3, &mixtral, p),
         knees.join(", "),
     ));
-    report
 }
 
 #[cfg(test)]
@@ -442,13 +425,31 @@ mod tests {
 
     #[test]
     fn report_renders_with_all_tables() {
-        let rendered = build(true).render();
+        let rendered = crate::run_experiment("ext-cap", true, &mut Tracer::disabled())
+            .expect("registered")
+            .render();
         assert!(rendered.contains("device zoo"));
         assert!(rendered.contains("per-class feasibility"));
         assert!(rendered.contains("mixed-fleet Pareto frontier"));
         assert!(rendered.contains("bandwidth knee"));
         assert!(rendered.contains("zoo sweep"));
         assert!(rendered.contains("dense equivalent becomes cheaper below the knee"));
+    }
+
+    #[test]
+    fn every_knee_profile_validates() {
+        // A profile that fails validation has no engine, and its knee row
+        // would vanish from the report without an error. The stock zoo is
+        // checked in `moe_gpusim::device`.
+        for device in KNEE_DEVICES {
+            let base = profile(device).unwrap();
+            for fast in [true, false] {
+                for scale in knee_scales(fast) {
+                    let d = base.with_scaled_bandwidth(scale);
+                    assert_eq!(d.validate(), Ok(()), "{device} x{scale}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -23,23 +23,7 @@ use moe_gpusim::perfmodel::PerfModel;
 use moe_model::registry::olmoe_1b_7b;
 use moe_trace::{Category, Tracer, BENCH_TRACK};
 
-use crate::experiment::{ExpCtx, Experiment};
 use crate::report::{num, secs, ExperimentReport, Table};
-
-/// Registry handle.
-pub struct ExtCluster;
-
-impl Experiment for ExtCluster {
-    fn id(&self) -> &'static str {
-        "ext-cluster"
-    }
-    fn title(&self) -> &'static str {
-        "Extension: Multi-Replica Serving (4x OLMoE-1B-7B/H100, prefix-heavy mix)"
-    }
-    fn run(&self, ctx: &mut ExpCtx<'_>) -> ExperimentReport {
-        build(ctx.fast, ctx.tracer)
-    }
-}
 
 /// TTFT service-level objective used for attainment curves.
 pub const TTFT_SLO_S: f64 = 0.05;
@@ -155,9 +139,7 @@ fn fault_rows(fast: bool, tracer: &mut Tracer) -> Vec<(&'static str, ClusterRepo
 }
 
 /// Build the cluster report while recording every point into `tracer`.
-fn build(fast: bool, tracer: &mut Tracer) -> ExperimentReport {
-    let mut report = ExperimentReport::new(ExtCluster.id(), ExtCluster.title());
-
+pub(crate) fn build(report: &mut ExperimentReport, fast: bool, tracer: &mut Tracer) {
     let mut sweep = Table::new(
         format!(
             "routing policy vs offered load (TTFT SLO = {} ms)",
@@ -217,7 +199,6 @@ fn build(fast: bool, tracer: &mut Tracer) -> ExperimentReport {
          with backoff recovers every lost request (completed stays full) at a bounded \
          tail cost, where disabling retries silently drops them.",
     );
-    report
 }
 
 #[cfg(test)]
@@ -270,7 +251,9 @@ mod tests {
 
     #[test]
     fn report_renders_with_both_tables() {
-        let rendered = build(true, &mut Tracer::disabled()).render();
+        let rendered = crate::run_experiment("ext-cluster", true, &mut Tracer::disabled())
+            .expect("registered")
+            .render();
         assert!(rendered.contains("routing policy vs offered load"));
         assert!(rendered.contains("fault sweep"));
         assert!(rendered.contains("prefix-affinity"));

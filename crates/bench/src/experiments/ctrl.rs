@@ -41,23 +41,7 @@ use moe_runtime::simserver::scheduler_config_for;
 use moe_tensor::Precision;
 use moe_trace::{Category, Tracer, BENCH_TRACK};
 
-use crate::experiment::{ExpCtx, Experiment};
 use crate::report::{num, secs, ExperimentReport, Table};
-
-/// Registry handle.
-pub struct ExtCtrl;
-
-impl Experiment for ExtCtrl {
-    fn id(&self) -> &'static str {
-        "ext-ctrl"
-    }
-    fn title(&self) -> &'static str {
-        "Extension: Online Control Plane (diurnal + flash-crowd day, OLMoE-1B-7B/H100)"
-    }
-    fn run(&self, ctx: &mut ExpCtx<'_>) -> ExperimentReport {
-        build(ctx.fast, ctx.tracer)
-    }
-}
 
 /// TTFT bound for the day's service-level objective.
 pub const CTRL_TTFT_SLO_S: f64 = 0.1;
@@ -453,7 +437,7 @@ fn decision_cells(d: &Decision) -> Vec<String> {
     }
 }
 
-fn build(fast: bool, tracer: &mut Tracer) -> ExperimentReport {
+pub(crate) fn build(report: &mut ExperimentReport, fast: bool, tracer: &mut Tracer) {
     let outcome = run_study(fast, tracer);
     if tracer.is_enabled() {
         tracer.span_with(
@@ -472,11 +456,6 @@ fn build(fast: bool, tracer: &mut Tracer) -> ExperimentReport {
         );
         tracer.advance(outcome.controlled.makespan_s);
     }
-
-    let mut report = ExperimentReport::new(
-        "ext-ctrl",
-        "Extension: Online Control Plane (diurnal + flash-crowd day, OLMoE-1B-7B/H100)",
-    );
 
     let mut t = Table::new(
         "One serving day, three ways (diurnal ramp + 3200-qps flash crowd)",
@@ -541,7 +520,6 @@ fn build(fast: bool, tracer: &mut Tracer) -> ExperimentReport {
          integrates per-replica lifetimes with price factors; devices(peak) is the \
          concurrent high-water mark.",
     );
-    report
 }
 
 #[cfg(test)]
@@ -577,8 +555,8 @@ mod tests {
 
     #[test]
     fn fast_report_is_populated() {
-        let report = build(true, &mut Tracer::disabled());
-        assert_eq!(report.id, "ext-ctrl");
+        let report =
+            crate::run_experiment("ext-ctrl", true, &mut Tracer::disabled()).expect("registered");
         assert_eq!(report.tables.len(), 2);
         assert!(report.tables[0].rows.len() >= 5);
         let rendered = report.render();

@@ -1,14 +1,14 @@
 //! Extension experiments beyond the paper's figures, following its stated
 //! future directions:
 //!
-//! * [`ExtPlacement`] — load-aware expert placement for EP (the paper's
+//! * `ext-placement` — load-aware expert placement for EP (the paper's
 //!   Fig. 11/13 insight that EP suffers from load imbalance): contiguous
 //!   vs LPT placement under the *measured* activation loads of Fig. 15.
-//! * [`ExtMultinode`] — the Section-5 conclusion that extreme MoE
+//! * `ext-multinode` — the Section-5 conclusion that extreme MoE
 //!   configurations "require distributed placement across multi-node
 //!   architectures": the (FFN 14336, 64-expert) variant that OOMs on
 //!   4 H100s, placed on 16 GPUs across 2-4 nodes.
-//! * [`ExtQps`] — a serving-capacity curve: latency vs offered load under
+//! * `ext-qps` — a serving-capacity curve: latency vs offered load under
 //!   Poisson arrivals through the continuous-batching scheduler.
 
 use moe_cluster::serve_one_replica;
@@ -22,53 +22,7 @@ use moe_runtime::simserver::scheduler_config_for;
 use moe_tensor::rng::rng_from_seed;
 use moe_trace::{Category, Tracer, BENCH_TRACK};
 
-use crate::experiment::{ExpCtx, Experiment};
 use crate::report::{num, secs, tput_cell, ExperimentReport, Table};
-
-/// Registry handle for the expert-placement study.
-pub struct ExtPlacement;
-
-impl Experiment for ExtPlacement {
-    fn id(&self) -> &'static str {
-        "ext-placement"
-    }
-    fn title(&self) -> &'static str {
-        "Extension: Load-Aware Expert Placement for EP (4 devices, Fig.15 loads)"
-    }
-    fn run(&self, ctx: &mut ExpCtx<'_>) -> ExperimentReport {
-        build_placement(ctx.fast)
-    }
-}
-
-/// Registry handle for the multi-node study.
-pub struct ExtMultinode;
-
-impl Experiment for ExtMultinode {
-    fn id(&self) -> &'static str {
-        "ext-multinode"
-    }
-    fn title(&self) -> &'static str {
-        "Extension: the OOM-Wall Variant (FFN 14336, 64 experts) on Multi-Node H100s"
-    }
-    fn run(&self, _ctx: &mut ExpCtx<'_>) -> ExperimentReport {
-        build_multinode()
-    }
-}
-
-/// Registry handle for the serving-capacity study.
-pub struct ExtQps;
-
-impl Experiment for ExtQps {
-    fn id(&self) -> &'static str {
-        "ext-qps"
-    }
-    fn title(&self) -> &'static str {
-        "Extension: Serving Capacity under Poisson Load (OLMoE-1B-7B, 1xH100)"
-    }
-    fn run(&self, ctx: &mut ExpCtx<'_>) -> ExperimentReport {
-        build_qps(ctx.fast, ctx.tracer)
-    }
-}
 
 /// Placement study: per-layer contiguous-vs-LPT comparison using the real
 /// routed loads from the Fig. 15 activation study. Returns
@@ -94,8 +48,7 @@ fn placement_rows(fast: bool) -> Vec<(String, usize, PlacementComparison)> {
 }
 
 /// Build the placement report.
-fn build_placement(fast: bool) -> ExperimentReport {
-    let mut report = ExperimentReport::new(ExtPlacement.id(), ExtPlacement.title());
+pub(crate) fn build_placement(report: &mut ExperimentReport, fast: bool, _tracer: &mut Tracer) {
     let rows = placement_rows(fast);
     let mut t = Table::new(
         "contiguous vs LPT placement (per-model means over layers)",
@@ -125,7 +78,6 @@ fn build_placement(fast: bool) -> ExperimentReport {
          device; LPT re-placement recovers most of the imbalance. Balanced models gain \
          little — placement optimization matters exactly when Fig. 15 shows skew.",
     );
-    report
 }
 
 /// Multi-node study rows: `(placement label, devices, Option<tok/s>)` for
@@ -173,8 +125,7 @@ fn multinode_rows() -> Vec<(String, usize, Option<f64>)> {
 }
 
 /// Build the multi-node report.
-fn build_multinode() -> ExperimentReport {
-    let mut report = ExperimentReport::new(ExtMultinode.id(), ExtMultinode.title());
+pub(crate) fn build_multinode(report: &mut ExperimentReport, _fast: bool, _tracer: &mut Tracer) {
     let mut t = Table::new(
         "throughput of Mixtral-skel-ffn14336-e64-k2 (batch 16, in/out 2048)",
         &["Placement", "GPUs", "tok/s"],
@@ -189,7 +140,6 @@ fn build_multinode() -> ExperimentReport {
          the paper's closing remark that extreme configurations need distributed \
          placement, and what fabric quality is worth there.",
     );
-    report
 }
 
 /// QPS study: Poisson arrivals at several offered loads; returns
@@ -249,8 +199,7 @@ fn qps_rows(fast: bool, tracer: &mut Tracer) -> Vec<(f64, f64, f64, f64, f64)> {
 
 /// Build the QPS report while recording every offered-load point into
 /// `tracer` (see [`qps_rows`]).
-fn build_qps(fast: bool, tracer: &mut Tracer) -> ExperimentReport {
-    let mut report = ExperimentReport::new(ExtQps.id(), ExtQps.title());
+pub(crate) fn build_qps(report: &mut ExperimentReport, fast: bool, tracer: &mut Tracer) {
     let mut t = Table::new(
         "latency vs offered load (512 in / 128 out per request)",
         &[
@@ -276,7 +225,6 @@ fn build_qps(fast: bool, tracer: &mut Tracer) -> ExperimentReport {
          saturation shows up as inter-token latency growth (deeper decode batches) and \
          as the makespan exceeding the arrival span once offered load passes capacity.",
     );
-    report
 }
 
 #[cfg(test)]

@@ -4,24 +4,9 @@
 use moe_model::params::{human_params, ParamBreakdown};
 use moe_model::registry::{mixtral_8x7b, olmoe_1b_7b, qwen15_moe_a27b};
 use moe_model::ModelConfig;
+use moe_trace::Tracer;
 
-use crate::experiment::{ExpCtx, Experiment};
 use crate::report::{num, ExperimentReport, Table};
-
-/// Registry handle.
-pub struct Fig01;
-
-impl Experiment for Fig01 {
-    fn id(&self) -> &'static str {
-        "fig1"
-    }
-    fn title(&self) -> &'static str {
-        "Figure 1: Layer-wise Total and Active Parameter Breakdown"
-    }
-    fn run(&self, _ctx: &mut ExpCtx<'_>) -> ExperimentReport {
-        build()
-    }
-}
 
 /// The three models Figure 1 plots.
 fn fig1_models() -> Vec<ModelConfig> {
@@ -29,8 +14,7 @@ fn fig1_models() -> Vec<ModelConfig> {
 }
 
 /// Build the report.
-fn build() -> ExperimentReport {
-    let mut report = ExperimentReport::new(Fig01.id(), Fig01.title());
+pub(crate) fn build(report: &mut ExperimentReport, _fast: bool, _tracer: &mut Tracer) {
     for m in fig1_models() {
         let b = ParamBreakdown::of(&m);
         let mut t = Table::new(
@@ -70,7 +54,6 @@ fn build() -> ExperimentReport {
         "Reproduces the figure's claim: MoE (expert) parameters dominate both total and \
          active parameter counts in every layer of all three models.",
     );
-    report
 }
 
 #[cfg(test)]
@@ -79,7 +62,7 @@ mod tests {
 
     #[test]
     fn three_models_two_tables_each() {
-        let r = build();
+        let r = crate::run_experiment("fig1", true, &mut Tracer::disabled()).expect("registered");
         assert_eq!(r.tables.len(), 6);
     }
 

@@ -7,25 +7,10 @@ use moe_model::registry;
 use moe_runtime::metrics::LatencySummary;
 use moe_runtime::simserver::scheduler_config_for;
 use moe_tensor::Precision;
+use moe_trace::Tracer;
 
 use crate::common::auto_place;
-use crate::experiment::{ExpCtx, Experiment};
 use crate::report::{secs, ExperimentReport, Table};
-
-/// Registry handle.
-pub struct Fig03;
-
-impl Experiment for Fig03 {
-    fn id(&self) -> &'static str {
-        "fig3"
-    }
-    fn title(&self) -> &'static str {
-        "Figure 3: TTFT, ITL and E2E Latency of LLMs (batch 64, in/out 2048)"
-    }
-    fn run(&self, ctx: &mut ExpCtx<'_>) -> ExperimentReport {
-        build(ctx.fast)
-    }
-}
 
 /// Workload from the figure caption.
 pub const BATCH: usize = 64;
@@ -73,8 +58,7 @@ pub fn served_tails(fast: bool) -> Vec<(String, LatencySummary, LatencySummary)>
 }
 
 /// Build the report.
-fn build(fast: bool) -> ExperimentReport {
-    let mut report = ExperimentReport::new(Fig03.id(), Fig03.title());
+pub(crate) fn build(report: &mut ExperimentReport, fast: bool, _tracer: &mut Tracer) {
     let mut t = Table::new(
         "latency",
         &["Model", "GPUs", "TTFT", "ITL", "E2E", "Throughput tok/s"],
@@ -124,7 +108,6 @@ fn build(fast: bool) -> ExperimentReport {
         "Each model is auto-placed on the smallest H100 TP group that fits (the paper \
          deploys through vLLM on an H100 node).",
     );
-    report
 }
 
 #[cfg(test)]

@@ -6,25 +6,10 @@ use moe_model::registry;
 use moe_runtime::metrics::LatencySummary;
 use moe_runtime::simserver::scheduler_config_for;
 use moe_tensor::Precision;
+use moe_trace::Tracer;
 
 use crate::common::auto_place;
-use crate::experiment::{ExpCtx, Experiment};
 use crate::report::{num, secs, ExperimentReport, Table};
-
-/// Registry handle.
-pub struct Fig04;
-
-impl Experiment for Fig04 {
-    fn id(&self) -> &'static str {
-        "fig4"
-    }
-    fn title(&self) -> &'static str {
-        "Figure 4: TTFT, ITL and E2E Latency of VLMs"
-    }
-    fn run(&self, ctx: &mut ExpCtx<'_>) -> ExperimentReport {
-        build(ctx.fast)
-    }
-}
 
 /// Workload: one image per sample plus a text prompt (the caption does not
 /// pin lengths; we use batch 16, 1024/1024, one image — recorded in
@@ -73,8 +58,7 @@ pub fn served_tails(fast: bool) -> Vec<(String, LatencySummary, LatencySummary)>
 }
 
 /// Build the report.
-fn build(fast: bool) -> ExperimentReport {
-    let mut report = ExperimentReport::new(Fig04.id(), Fig04.title());
+pub(crate) fn build(report: &mut ExperimentReport, fast: bool, _tracer: &mut Tracer) {
     let mut t = Table::new("latency", &["Model", "TTFT", "ITL", "E2E", "Samples/s"]);
     let results = measure(fast);
     for (name, r) in &results {
@@ -116,7 +100,6 @@ fn build(fast: bool) -> ExperimentReport {
         100.0 * (base.itl_s / tiny.itl_s - 1.0),
         100.0 * (base.e2e_s / tiny.e2e_s - 1.0),
     ));
-    report
 }
 
 #[cfg(test)]

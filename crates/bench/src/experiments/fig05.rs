@@ -7,23 +7,7 @@ use moe_tensor::Precision;
 use moe_trace::{Category, Tracer, BENCH_TRACK, ENGINE_TRACK};
 
 use crate::common::{auto_place, SWEEP_BATCHES};
-use crate::experiment::{ExpCtx, Experiment};
 use crate::report::{batch_grid_table, ExperimentReport};
-
-/// Registry handle.
-pub struct Fig05;
-
-impl Experiment for Fig05 {
-    fn id(&self) -> &'static str {
-        "fig5"
-    }
-    fn title(&self) -> &'static str {
-        "Figure 5: Batch Size vs Active Experts (TopK), context 2048"
-    }
-    fn run(&self, ctx: &mut ExpCtx<'_>) -> ExperimentReport {
-        build(ctx.fast, ctx.tracer)
-    }
-}
 
 /// TopK values swept (the paper scales active experts from 1 to 32).
 pub const TOPKS: [usize; 6] = [1, 2, 4, 8, 16, 32];
@@ -110,8 +94,7 @@ pub fn sweep(
 
 /// Build the report while recording the full sweep into `tracer` (engine
 /// step spans on track 0, per-point grouping spans on the bench track).
-fn build(fast: bool, tracer: &mut Tracer) -> ExperimentReport {
-    let mut report = ExperimentReport::new(Fig05.id(), Fig05.title());
+pub(crate) fn build(report: &mut ExperimentReport, fast: bool, tracer: &mut Tracer) {
     tracer.name_track(ENGINE_TRACK, "engine");
     tracer.name_track(BENCH_TRACK, "bench");
     for base in [deepseek_v2_lite(), qwen15_moe_a27b()] {
@@ -127,7 +110,6 @@ fn build(fast: bool, tracer: &mut Tracer) -> ExperimentReport {
          larger at large batches (paper: 15-20% at batch 64/128 vs 5-8% at batch 1/16 for \
          DeepSeek-V2-Lite when scaling TopK 1 -> 32).",
     );
-    report
 }
 
 #[cfg(test)]

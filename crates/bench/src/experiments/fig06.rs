@@ -4,9 +4,9 @@
 use moe_model::registry::{deepseek_v2_lite, qwen15_moe_a27b};
 use moe_model::ModelConfig;
 use moe_tensor::Precision;
+use moe_trace::Tracer;
 
 use crate::common::{auto_place, PAPER_LENGTHS, SWEEP_BATCHES};
-use crate::experiment::{ExpCtx, Experiment};
 use crate::report::{batch_grid_table, ExperimentReport};
 
 /// Throughput grid `(batch, len) -> Option<tok/s>`; input = output = len.
@@ -38,24 +38,7 @@ pub fn sweep(base: &ModelConfig, fast: bool) -> Vec<(usize, usize, Option<f64>)>
     out
 }
 
-/// Build the report.
-/// Registry handle.
-pub struct Fig06;
-
-impl Experiment for Fig06 {
-    fn id(&self) -> &'static str {
-        "fig6"
-    }
-    fn title(&self) -> &'static str {
-        "Figure 6: Batch Size vs Input & Output Length"
-    }
-    fn run(&self, ctx: &mut ExpCtx<'_>) -> ExperimentReport {
-        build(ctx.fast)
-    }
-}
-
-fn build(fast: bool) -> ExperimentReport {
-    let mut report = ExperimentReport::new(Fig06.id(), Fig06.title());
+pub(crate) fn build(report: &mut ExperimentReport, fast: bool, _tracer: &mut Tracer) {
     for base in [deepseek_v2_lite(), qwen15_moe_a27b()] {
         report.table(batch_grid_table(
             format!("{} — throughput (tok/s)", base.name),
@@ -67,7 +50,6 @@ fn build(fast: bool) -> ExperimentReport {
         "Shorter sequences deliver higher throughput at every batch size, and the \
          short-vs-long gap widens with batch size (paper: up to ~30% at large batch).",
     );
-    report
 }
 
 #[cfg(test)]

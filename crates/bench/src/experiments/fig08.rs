@@ -1,29 +1,14 @@
 //! Figure 8: throughput vs number of experts (one panel per FFN
 //! dimension), Mixtral-8x7B skeleton, batch 16, in/out 2048, 4 H100s.
 
+use moe_trace::Tracer;
+
 use super::sweep59::{pivot_panels, run_grid, Axis};
-use crate::experiment::{ExpCtx, Experiment};
 use crate::report::ExperimentReport;
 
 /// Build the report (panels: FFN dim; rows: expert count; columns: TopK).
-/// Registry handle.
-pub struct Fig08;
-
-impl Experiment for Fig08 {
-    fn id(&self) -> &'static str {
-        "fig8"
-    }
-    fn title(&self) -> &'static str {
-        "Figure 8: Throughput vs #Experts (batch 16, in/out 2048, 4xH100)"
-    }
-    fn run(&self, ctx: &mut ExpCtx<'_>) -> ExperimentReport {
-        build(ctx.fast)
-    }
-}
-
-fn build(fast: bool) -> ExperimentReport {
+pub(crate) fn build(report: &mut ExperimentReport, fast: bool, _tracer: &mut Tracer) {
     let grid = run_grid(fast);
-    let mut report = ExperimentReport::new(Fig08.id(), Fig08.title());
     for t in pivot_panels(&grid, Axis::FfnDim, Axis::Experts, Axis::TopK) {
         report.table(t);
     }
@@ -33,7 +18,6 @@ fn build(fast: bool) -> ExperimentReport {
          dimensions the additional weight traffic and memory pressure dominate, ending in \
          OOM.",
     );
-    report
 }
 
 #[cfg(test)]
@@ -43,7 +27,7 @@ mod tests {
 
     #[test]
     fn panels_by_ffn_dim() {
-        let r = build(true);
+        let r = crate::run_experiment("fig8", true, &mut Tracer::disabled()).expect("registered");
         assert_eq!(r.tables.len(), 2);
         assert!(r.tables[0].name.contains("FFN 1792"));
     }

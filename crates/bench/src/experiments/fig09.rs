@@ -1,29 +1,14 @@
 //! Figure 9: throughput vs number of active experts (one panel per FFN
 //! dimension), Mixtral-8x7B skeleton, batch 16, in/out 2048, 4 H100s.
 
+use moe_trace::Tracer;
+
 use super::sweep59::{pivot_panels, run_grid, Axis};
-use crate::experiment::{ExpCtx, Experiment};
 use crate::report::ExperimentReport;
 
 /// Build the report (panels: FFN dim; rows: TopK; columns: expert count).
-/// Registry handle.
-pub struct Fig09;
-
-impl Experiment for Fig09 {
-    fn id(&self) -> &'static str {
-        "fig9"
-    }
-    fn title(&self) -> &'static str {
-        "Figure 9: Throughput vs #Active Experts (batch 16, in/out 2048, 4xH100)"
-    }
-    fn run(&self, ctx: &mut ExpCtx<'_>) -> ExperimentReport {
-        build(ctx.fast)
-    }
-}
-
-fn build(fast: bool) -> ExperimentReport {
+pub(crate) fn build(report: &mut ExperimentReport, fast: bool, _tracer: &mut Tracer) {
     let grid = run_grid(fast);
-    let mut report = ExperimentReport::new(Fig09.id(), Fig09.title());
     for t in pivot_panels(&grid, Axis::FfnDim, Axis::TopK, Axis::Experts) {
         report.table(t);
     }
@@ -32,7 +17,6 @@ fn build(fast: bool) -> ExperimentReport {
          the 1-vs-8 active gap is modest at small FFN dimensions and expands dramatically \
          at large ones (paper: 20-30% small vs 60-80% large).",
     );
-    report
 }
 
 #[cfg(test)]
@@ -71,7 +55,7 @@ mod tests {
 
     #[test]
     fn panels_and_rows_render() {
-        let r = build(true);
+        let r = crate::run_experiment("fig9", true, &mut Tracer::disabled()).expect("registered");
         assert_eq!(r.tables.len(), 2);
         for t in &r.tables {
             assert!(!t.rows.is_empty());

@@ -4,9 +4,9 @@
 use moe_gpusim::parallel::ParallelPlan;
 use moe_model::registry::mixtral_8x7b;
 use moe_tensor::Precision;
+use moe_trace::Tracer;
 
 use crate::common::{ab_series, gain_table, place_with_plan, PAPER_BATCHES, PAPER_LENGTHS};
-use crate::experiment::{ExpCtx, Experiment};
 use crate::report::{ExperimentReport, Table};
 
 /// Fixed placement: both precisions on TP2 so the comparison is apples to
@@ -39,24 +39,7 @@ fn table(name: &str, x_label: &str, s: &[(usize, f64, f64)]) -> Table {
     gain_table(name, columns, s, |fp16, fp8| fp8 / fp16 - 1.0)
 }
 
-/// Build the report.
-/// Registry handle.
-pub struct Fig10;
-
-impl Experiment for Fig10 {
-    fn id(&self) -> &'static str {
-        "fig10"
-    }
-    fn title(&self) -> &'static str {
-        "Figure 10: Mixtral-8x7B FP16 vs FP8 on H100 (TP2)"
-    }
-    fn run(&self, ctx: &mut ExpCtx<'_>) -> ExperimentReport {
-        build(ctx.fast)
-    }
-}
-
-fn build(fast: bool) -> ExperimentReport {
-    let mut report = ExperimentReport::new(Fig10.id(), Fig10.title());
+pub(crate) fn build(report: &mut ExperimentReport, fast: bool, _tracer: &mut Tracer) {
     report.table(table(
         "batch sweep (in/out 1024)",
         "Batch",
@@ -72,7 +55,6 @@ fn build(fast: bool) -> ExperimentReport {
          sizes and staying stable across sequence lengths (paper: up to 25-30% at the \
          largest batch; 20-25% across lengths).",
     );
-    report
 }
 
 #[cfg(test)]

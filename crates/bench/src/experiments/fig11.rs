@@ -7,9 +7,9 @@ use moe_model::prune::{PruneKind, PruneSpec, PAPER_PRUNE_RATIOS};
 use moe_model::registry::{olmoe_1b_7b, qwen15_moe_a27b};
 use moe_model::ModelConfig;
 use moe_tensor::Precision;
+use moe_trace::Tracer;
 
 use crate::common::place_with_plan;
-use crate::experiment::{ExpCtx, Experiment};
 use crate::report::{tput_cell, ExperimentReport, Table};
 
 pub const BATCH: usize = 16;
@@ -104,24 +104,7 @@ pub fn at(results: &[PruneResult], spec: &Option<PruneSpec>, k: usize) -> Option
         .and_then(|r| r.throughput)
 }
 
-/// Build the report.
-/// Registry handle.
-pub struct Fig11;
-
-impl Experiment for Fig11 {
-    fn id(&self) -> &'static str {
-        "fig11"
-    }
-    fn title(&self) -> &'static str {
-        "Figure 11: Intra vs Inter Expert Pruning (batch 16, in/out 2048, 4xH100)"
-    }
-    fn run(&self, ctx: &mut ExpCtx<'_>) -> ExperimentReport {
-        build(ctx.fast)
-    }
-}
-
-fn build(fast: bool) -> ExperimentReport {
-    let mut report = ExperimentReport::new(Fig11.id(), Fig11.title());
+pub(crate) fn build(report: &mut ExperimentReport, fast: bool, _tracer: &mut Tracer) {
     for base in [olmoe_1b_7b(), qwen15_moe_a27b()] {
         let results = sweep(&base, fast);
         let mut topks: Vec<usize> = results.iter().map(|r| r.top_k).collect();
@@ -148,7 +131,6 @@ fn build(fast: bool) -> ExperimentReport {
          pruned FFN dimension falls off the kernel tile quantum — the paper's inverse \
          effect.",
     );
-    report
 }
 
 #[cfg(test)]

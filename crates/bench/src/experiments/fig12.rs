@@ -7,9 +7,9 @@ use moe_gpusim::perfmodel::PerfModel;
 use moe_gpusim::spec::{acceptance_rate, spec_run, SpecParams};
 use moe_model::registry::{qwen3_0_6b, qwen3_1_7b, qwen3_30b_a3b, qwen3_4b, qwen3_8b};
 use moe_tensor::Precision;
+use moe_trace::Tracer;
 
 use crate::common::place_with_plan;
-use crate::experiment::{ExpCtx, Experiment};
 use crate::report::{num, ExperimentReport, Table};
 
 pub const BATCH: usize = 16;
@@ -120,24 +120,7 @@ fn panel(name: &str, x_label: &str, rows: &[(usize, Vec<(String, f64)>)]) -> Tab
     t
 }
 
-/// Build the report.
-/// Registry handle.
-pub struct Fig12;
-
-impl Experiment for Fig12 {
-    fn id(&self) -> &'static str {
-        "fig12"
-    }
-    fn title(&self) -> &'static str {
-        "Figure 12: Speculative Decoding on Qwen3-30B-A3B with Qwen3 Drafts"
-    }
-    fn run(&self, ctx: &mut ExpCtx<'_>) -> ExperimentReport {
-        build(ctx.fast)
-    }
-}
-
-fn build(fast: bool) -> ExperimentReport {
-    let mut report = ExperimentReport::new(Fig12.id(), Fig12.title());
+pub(crate) fn build(report: &mut ExperimentReport, fast: bool, _tracer: &mut Tracer) {
     report.table(panel(
         "throughput vs input length (gamma=3, tok/s)",
         "Input len",
@@ -161,7 +144,6 @@ fn build(fast: bool) -> ExperimentReport {
          short inputs, ~15% over 4B at long); Qwen3-0.6B trails the leader (paper: \
          25-35%); throughput declines as draft-token counts grow past the sweet spot.",
     );
-    report
 }
 
 #[cfg(test)]

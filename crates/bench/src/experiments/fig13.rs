@@ -5,9 +5,9 @@ use moe_gpusim::parallel::ParallelPlan;
 use moe_model::registry::{mixtral_8x7b, olmoe_1b_7b};
 use moe_model::ModelConfig;
 use moe_tensor::Precision;
+use moe_trace::Tracer;
 
 use crate::common::place_with_plan;
-use crate::experiment::{ExpCtx, Experiment};
 use crate::report::{num, tput_cell, ExperimentReport, Table};
 
 pub const BATCH: usize = 16;
@@ -67,24 +67,7 @@ pub fn at(
         .and_then(|s| s.2)
 }
 
-/// Build the report.
-/// Registry handle.
-pub struct Fig13;
-
-impl Experiment for Fig13 {
-    fn id(&self) -> &'static str {
-        "fig13"
-    }
-    fn title(&self) -> &'static str {
-        "Figure 13: TP / PP / EP Scaling on 1-4 H100s (batch 16, in/out 2048)"
-    }
-    fn run(&self, ctx: &mut ExpCtx<'_>) -> ExperimentReport {
-        build(ctx.fast)
-    }
-}
-
-fn build(_fast: bool) -> ExperimentReport {
-    let mut report = ExperimentReport::new(Fig13.id(), Fig13.title());
+pub(crate) fn build(report: &mut ExperimentReport, _fast: bool, _tracer: &mut Tracer) {
     // Mixtral at fp16 cannot exist on one GPU; the 1-GPU baseline (and all
     // its points, for a fair curve) uses fp8 weights. OLMoE runs fp16.
     for (base, precision) in [
@@ -119,7 +102,6 @@ fn build(_fast: bool) -> ExperimentReport {
         "A single-GPU Mixtral-8x7B baseline requires 8-bit weights (94 GB at fp16); the \
          whole Mixtral curve therefore runs fp8 for internal consistency.",
     );
-    report
 }
 
 #[cfg(test)]

@@ -4,9 +4,9 @@
 use moe_gpusim::parallel::ParallelPlan;
 use moe_model::registry::mixtral_8x7b;
 use moe_tensor::Precision;
+use moe_trace::Tracer;
 
 use crate::common::{ab_series, gain_table, place_with_plan, PAPER_BATCHES, PAPER_LENGTHS};
-use crate::experiment::{ExpCtx, Experiment};
 use crate::report::{ExperimentReport, Table};
 
 /// `(x, fused tok/s, unfused tok/s)` series.
@@ -39,24 +39,7 @@ fn table(name: &str, x_label: &str, s: &[(usize, f64, f64)]) -> Table {
     gain_table(name, columns, s, |fused, unfused| fused / unfused - 1.0)
 }
 
-/// Build the report.
-/// Registry handle.
-pub struct Fig14;
-
-impl Experiment for Fig14 {
-    fn id(&self) -> &'static str {
-        "fig14"
-    }
-    fn title(&self) -> &'static str {
-        "Figure 14: Fused vs Non-Fused MoE, Mixtral-8x7B on 4 H100s"
-    }
-    fn run(&self, ctx: &mut ExpCtx<'_>) -> ExperimentReport {
-        build(ctx.fast)
-    }
-}
-
-fn build(fast: bool) -> ExperimentReport {
-    let mut report = ExperimentReport::new(Fig14.id(), Fig14.title());
+pub(crate) fn build(report: &mut ExperimentReport, fast: bool, _tracer: &mut Tracer) {
     report.table(table(
         "batch sweep (in/out 1024)",
         "Batch",
@@ -72,7 +55,6 @@ fn build(fast: bool) -> ExperimentReport {
          unfused path pays per-expert kernel launches plus gather/scatter round trips of \
          activations through HBM.",
     );
-    report
 }
 
 #[cfg(test)]

@@ -4,8 +4,8 @@
 
 use moe_eval::activation::{activation_study, ActivationReport};
 use moe_model::registry::{deepseek_vl2, deepseek_vl2_small, deepseek_vl2_tiny, molmoe_1b};
+use moe_trace::Tracer;
 
-use crate::experiment::{ExpCtx, Experiment};
 use crate::report::{num, ExperimentReport, Table};
 
 /// Tokens routed per model (scaled to full-MME counts afterwards).
@@ -32,24 +32,7 @@ pub fn measure(fast: bool) -> Vec<ActivationReport> {
         .clone()
 }
 
-/// Build the report.
-/// Registry handle.
-pub struct Fig15;
-
-impl Experiment for Fig15 {
-    fn id(&self) -> &'static str {
-        "fig15"
-    }
-    fn title(&self) -> &'static str {
-        "Figure 15: Expert Activation Frequency on MME (DeepSeek-VL2 family vs MolmoE-1B)"
-    }
-    fn run(&self, ctx: &mut ExpCtx<'_>) -> ExperimentReport {
-        build(ctx.fast)
-    }
-}
-
-fn build(fast: bool) -> ExperimentReport {
-    let mut report = ExperimentReport::new(Fig15.id(), Fig15.title());
+pub(crate) fn build(report: &mut ExperimentReport, fast: bool, _tracer: &mut Tracer) {
     let mut t = Table::new(
         "activation statistics",
         &[
@@ -94,7 +77,6 @@ fn build(fast: bool) -> ExperimentReport {
          MolmoE-1B routes far more skewed, with single-expert counts several times \
          higher (paper: MolmoE peaks near 1M vs ~290K for DeepSeek-VL2).",
     );
-    report
 }
 
 #[cfg(test)]

@@ -10,9 +10,9 @@ use moe_gpusim::parallel::ParallelPlan;
 use moe_gpusim::perfmodel::{EngineOptions, PerfModel};
 use moe_model::registry::llama4_scout_17b_16e;
 use moe_tensor::Precision;
+use moe_trace::Tracer;
 
 use crate::common::PAPER_LENGTHS;
-use crate::experiment::{ExpCtx, Experiment};
 use crate::report::{num, secs, ExperimentReport, Table};
 
 // The figure does not pin a batch size; batch 64 is used because the
@@ -61,24 +61,7 @@ pub fn measure(fast: bool) -> Vec<(usize, f64, f64, f64, f64)> {
         .collect()
 }
 
-/// Build the report.
-/// Registry handle.
-pub struct Fig16;
-
-impl Experiment for Fig16 {
-    fn id(&self) -> &'static str {
-        "fig16"
-    }
-    fn title(&self) -> &'static str {
-        "Figure 16: H100 vs CS-3 — Llama-4-Scout-17B-16E Latency and Throughput"
-    }
-    fn run(&self, ctx: &mut ExpCtx<'_>) -> ExperimentReport {
-        build(ctx.fast)
-    }
-}
-
-fn build(fast: bool) -> ExperimentReport {
-    let mut report = ExperimentReport::new(Fig16.id(), Fig16.title());
+pub(crate) fn build(report: &mut ExperimentReport, fast: bool, _tracer: &mut Tracer) {
     let mut t = Table::new(
         format!("latency / throughput vs in/out length (batch {BATCH})"),
         &[
@@ -105,7 +88,6 @@ fn build(fast: bool) -> ExperimentReport {
         last.1 / first.1,
         last.2 / first.2,
     ));
-    report
 }
 
 #[cfg(test)]

@@ -4,9 +4,9 @@
 use moe_eval::harness::evaluate;
 use moe_eval::profiles::capability;
 use moe_eval::tasks::lm_task_suite;
+use moe_trace::Tracer;
 
 use super::fig03;
-use crate::experiment::{ExpCtx, Experiment};
 use crate::report::{num, secs, ExperimentReport, Table};
 
 /// One frontier point.
@@ -37,24 +37,7 @@ pub fn measure(fast: bool) -> Vec<FrontierPoint> {
         .collect()
 }
 
-/// Build the report.
-/// Registry handle.
-pub struct Fig17;
-
-impl Experiment for Fig17 {
-    fn id(&self) -> &'static str {
-        "fig17"
-    }
-    fn title(&self) -> &'static str {
-        "Figure 17: Throughput / Latency vs Accuracy for LLMs"
-    }
-    fn run(&self, ctx: &mut ExpCtx<'_>) -> ExperimentReport {
-        build(ctx.fast)
-    }
-}
-
-fn build(fast: bool) -> ExperimentReport {
-    let mut report = ExperimentReport::new(Fig17.id(), Fig17.title());
+pub(crate) fn build(report: &mut ExperimentReport, fast: bool, _tracer: &mut Tracer) {
     let mut t = Table::new(
         "performance-accuracy frontier",
         &["Model", "Throughput tok/s", "E2E latency", "Avg accuracy"],
@@ -74,7 +57,6 @@ fn build(fast: bool) -> ExperimentReport {
          and Qwen1.5-MoE sit in the balanced middle; Phi-3.5-MoE pays the most runtime for \
          competitive accuracy.",
     );
-    report
 }
 
 #[cfg(test)]

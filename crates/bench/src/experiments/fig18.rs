@@ -4,9 +4,9 @@
 use moe_eval::harness::evaluate;
 use moe_eval::profiles::capability;
 use moe_eval::tasks::vlm_task_suite;
+use moe_trace::Tracer;
 
 use super::fig04;
-use crate::experiment::{ExpCtx, Experiment};
 use crate::report::{num, secs, ExperimentReport, Table};
 
 /// One frontier point (samples/s is the paper's VLM throughput metric).
@@ -36,24 +36,7 @@ pub fn measure(fast: bool) -> Vec<VlmFrontierPoint> {
         .collect()
 }
 
-/// Build the report.
-/// Registry handle.
-pub struct Fig18;
-
-impl Experiment for Fig18 {
-    fn id(&self) -> &'static str {
-        "fig18"
-    }
-    fn title(&self) -> &'static str {
-        "Figure 18: Throughput / Latency vs Accuracy for VLMs"
-    }
-    fn run(&self, ctx: &mut ExpCtx<'_>) -> ExperimentReport {
-        build(ctx.fast)
-    }
-}
-
-fn build(fast: bool) -> ExperimentReport {
-    let mut report = ExperimentReport::new(Fig18.id(), Fig18.title());
+pub(crate) fn build(report: &mut ExperimentReport, fast: bool, _tracer: &mut Tracer) {
     let mut t = Table::new(
         "performance-accuracy frontier",
         &["Model", "Samples/s", "E2E latency", "Avg accuracy"],
@@ -71,7 +54,6 @@ fn build(fast: bool) -> ExperimentReport {
         "As in the paper: Tiny is fastest and least accurate, the Base model most \
          accurate and slowest, Small the balanced middle ground.",
     );
-    report
 }
 
 #[cfg(test)]

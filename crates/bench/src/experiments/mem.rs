@@ -28,23 +28,7 @@ use moe_model::registry::{mixtral_8x7b, tiny_test_model};
 use moe_plan::{plan, FleetSpec, PlanReport, PlannerSpec, SearchMode, SearchSpace, SloSpec};
 use moe_trace::Tracer;
 
-use crate::experiment::{ExpCtx, Experiment};
 use crate::report::{num, secs, yes_no, ExperimentReport, Table};
-
-/// Registry handle.
-pub struct ExtMem;
-
-impl Experiment for ExtMem {
-    fn id(&self) -> &'static str {
-        "ext-mem"
-    }
-    fn title(&self) -> &'static str {
-        "Extension: Expert Residency & Offload (HBM budget x predictor quality x replication)"
-    }
-    fn run(&self, ctx: &mut ExpCtx<'_>) -> ExperimentReport {
-        build(ctx.fast)
-    }
-}
 
 /// Seed for the trace-capture generation run and every planner study.
 pub const MEM_SEED: u64 = 29;
@@ -334,8 +318,7 @@ fn itl_at(rows: &[DegradationRow], hbm_frac: f64, quality: PredictorQuality) -> 
     row_at(rows, hbm_frac, quality).itl_s
 }
 
-fn build(fast: bool) -> ExperimentReport {
-    let mut report = ExperimentReport::new(ExtMem.id(), ExtMem.title());
+pub(crate) fn build(report: &mut ExperimentReport, fast: bool, _tracer: &mut Tracer) {
     let artifact = trace_artifact();
     report.table(artifact_table(&artifact));
 
@@ -405,7 +388,6 @@ fn build(fast: bool) -> ExperimentReport {
             _ => f64::NAN,
         },
     ));
-    report
 }
 
 #[cfg(test)]
@@ -415,7 +397,9 @@ mod tests {
 
     #[test]
     fn report_renders_with_all_tables() {
-        let rendered = build(true).render();
+        let rendered = crate::run_experiment("ext-mem", true, &mut Tracer::disabled())
+            .expect("registered")
+            .render();
         assert!(rendered.contains("routing-trace artifact"));
         assert!(rendered.contains("TTFT/ITL under HBM budget"));
         assert!(rendered.contains("hot-expert replication"));

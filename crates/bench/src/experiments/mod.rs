@@ -1,9 +1,8 @@
-//! One module per paper table/figure. Each exposes a unit struct
-//! implementing [`crate::experiment::Experiment`] (registered in
-//! [`crate::experiment::REGISTRY`]) plus the public sweep/measure
-//! helpers the paper-claims tests consume. The `fast` flag in
-//! [`crate::experiment::ExpCtx`] shrinks grids for tests and smoke runs
-//! without changing the mechanisms exercised.
+//! One module per paper table/figure. Each exposes a `build` function
+//! (a row of [`crate::experiment::REGISTRY`]) that fills the report the
+//! registry created, plus the public sweep/measure helpers the
+//! paper-claims tests consume. The `fast` flag shrinks grids for tests
+//! and smoke runs without changing the mechanisms exercised.
 
 pub mod ablations;
 pub mod cap;

@@ -30,23 +30,7 @@ use moe_plan::{
 use moe_tensor::Precision;
 use moe_trace::Tracer;
 
-use crate::experiment::{ExpCtx, Experiment};
 use crate::report::{num, secs, yes_no, ExperimentReport, Table};
-
-/// Registry handle.
-pub struct ExtPlan;
-
-impl Experiment for ExtPlan {
-    fn id(&self) -> &'static str {
-        "ext-plan"
-    }
-    fn title(&self) -> &'static str {
-        "Extension: Deployment Planning (Mixtral-8x7B / OLMoE-1B-7B on simulated H100 fleets)"
-    }
-    fn run(&self, ctx: &mut ExpCtx<'_>) -> ExperimentReport {
-        build(ctx.fast, ctx.tracer)
-    }
-}
 
 /// Master seed every `ext-plan` planner run derives from.
 pub const PLAN_SEED: u64 = 17;
@@ -199,9 +183,7 @@ fn fig13_rows(model: &ModelConfig) -> Vec<(String, f64, f64)> {
 /// Build the planning report while recording the headline planner run —
 /// its search marker and every refinement cluster simulation — into
 /// `tracer` on the planner track.
-fn build(fast: bool, tracer: &mut Tracer) -> ExperimentReport {
-    let mut report = ExperimentReport::new(ExtPlan.id(), ExtPlan.title());
-
+pub(crate) fn build(report: &mut ExperimentReport, fast: bool, tracer: &mut Tracer) {
     // Headline: Mixtral on 4 devices, beam search wide enough to be
     // provably exhaustive (32 shapes on this fleet).
     let headline_spec = mixtral_4dev_spec(SearchMode::Beam { width: 64 });
@@ -300,7 +282,6 @@ fn build(fast: bool, tracer: &mut Tracer) -> ExperimentReport {
         secs(headline.recommended.p99_ttft_s),
         secs(headline.recommended.p99_itl_s),
     ));
-    report
 }
 
 #[cfg(test)]
@@ -361,7 +342,9 @@ mod tests {
 
     #[test]
     fn report_renders_with_all_tables() {
-        let rendered = build(true, &mut Tracer::disabled()).render();
+        let rendered = crate::run_experiment("ext-plan", true, &mut Tracer::disabled())
+            .expect("registered")
+            .render();
         assert!(rendered.contains("Pareto frontier"));
         assert!(rendered.contains("cluster-refined top candidates"));
         assert!(rendered.contains("Figure-13 rediscovery"));

@@ -32,24 +32,9 @@ use moe_cluster::{
 use moe_gpusim::perfmodel::PerfModel;
 use moe_model::registry::olmoe_1b_7b;
 use moe_runtime::simserver::scheduler_config_for;
+use moe_trace::Tracer;
 
-use crate::experiment::{ExpCtx, Experiment};
 use crate::report::{num, secs, ExperimentReport, Table};
-
-/// Registry handle.
-pub struct ExtScale;
-
-impl Experiment for ExtScale {
-    fn id(&self) -> &'static str {
-        "ext-scale"
-    }
-    fn title(&self) -> &'static str {
-        "Extension: Planet-Scale Sharded Serving (diurnal users, OLMoE-1B-7B/H100)"
-    }
-    fn run(&self, ctx: &mut ExpCtx<'_>) -> ExperimentReport {
-        build(ctx.fast)
-    }
-}
 
 /// TTFT service-level objective for attainment columns. Looser than the
 /// single-cluster SLO because the remote tiers carry up to 120 ms of
@@ -168,12 +153,8 @@ fn region_plan(per_tier: usize, replicas_per_shard: usize) -> ShardPlan {
     }
 }
 
-fn build(fast: bool) -> ExperimentReport {
+pub(crate) fn build(report: &mut ExperimentReport, fast: bool, _tracer: &mut Tracer) {
     let model = PerfModel::h100(olmoe_1b_7b());
-    let mut report = ExperimentReport::new(
-        "ext-scale",
-        "Extension: Planet-Scale Sharded Serving (diurnal users, OLMoE-1B-7B/H100)",
-    );
 
     // Study 1: the scale ladder, fully streaming.
     let mut t = Table::new(
@@ -282,7 +263,6 @@ fn build(fast: bool) -> ExperimentReport {
          the +120 ms ap-south tier. Cluster-side scheduling is identical across tiers — \
          only the recorded latency samples shift.",
     );
-    report
 }
 
 #[cfg(test)]
@@ -291,8 +271,8 @@ mod tests {
 
     #[test]
     fn fast_scale_report_is_populated_and_consistent() {
-        let report = build(true);
-        assert_eq!(report.id, "ext-scale");
+        let report =
+            crate::run_experiment("ext-scale", true, &mut Tracer::disabled()).expect("registered");
         assert_eq!(report.tables.len(), 2);
         // Ladder rows: one per rung.
         assert_eq!(report.tables[0].rows.len(), 2);

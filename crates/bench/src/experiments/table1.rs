@@ -3,24 +3,9 @@
 use moe_model::params::{human_params, ParamBreakdown};
 use moe_model::registry;
 use moe_model::Modality;
+use moe_trace::Tracer;
 
-use crate::experiment::{ExpCtx, Experiment};
 use crate::report::{ExperimentReport, Table};
-
-/// Registry handle.
-pub struct Table1;
-
-impl Experiment for Table1 {
-    fn id(&self) -> &'static str {
-        "table1"
-    }
-    fn title(&self) -> &'static str {
-        "Table 1: Comparison of MoE Model Architectures"
-    }
-    fn run(&self, _ctx: &mut ExpCtx<'_>) -> ExperimentReport {
-        build()
-    }
-}
 
 /// The nine Table-1 models, in paper order.
 fn table1_models() -> Vec<moe_model::ModelConfig> {
@@ -30,8 +15,7 @@ fn table1_models() -> Vec<moe_model::ModelConfig> {
 }
 
 /// Build the report.
-fn build() -> ExperimentReport {
-    let mut report = ExperimentReport::new(Table1.id(), Table1.title());
+pub(crate) fn build(report: &mut ExperimentReport, _fast: bool, _tracer: &mut Tracer) {
     let mut t = Table::new(
         "architectures",
         &[
@@ -78,7 +62,6 @@ fn build() -> ExperimentReport {
          printed FFN dimension differs (Qwen1.5-MoE, Qwen3-30B, OLMoE, DeepSeek-VL2), the \
          printed value is shown and the structural value drives all modeling.",
     );
-    report
 }
 
 #[cfg(test)]
@@ -87,7 +70,7 @@ mod tests {
 
     #[test]
     fn has_nine_rows() {
-        let r = build();
+        let r = crate::run_experiment("table1", true, &mut Tracer::disabled()).expect("registered");
         assert_eq!(r.tables[0].rows.len(), 9);
     }
 
@@ -102,7 +85,7 @@ mod tests {
 
     #[test]
     fn row_order_matches_paper() {
-        let r = build();
+        let r = crate::run_experiment("table1", true, &mut Tracer::disabled()).expect("registered");
         assert_eq!(r.tables[0].rows[0][0], "Mixtral-8x7B");
         assert_eq!(r.tables[0].rows[8][0], "DeepSeek-VL2");
     }

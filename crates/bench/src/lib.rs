@@ -18,7 +18,7 @@ pub mod experiments;
 pub mod report;
 pub mod timing;
 
-pub use experiment::{run_all, ExpCtx, Experiment, REGISTRY};
+pub use experiment::{run_all, Experiment, REGISTRY};
 pub use report::{ExperimentReport, Table};
 
 /// Run one experiment by id, recording its simulated work into `tracer`

@@ -96,7 +96,7 @@ fn main() -> ExitCode {
         "list" => {
             println!("available experiments:");
             for e in moe_bench::REGISTRY {
-                println!("  {}", e.id());
+                println!("  {}", e.id);
             }
             true
         }

@@ -168,23 +168,6 @@ impl ArrivalSource for ShardStream {
     }
 }
 
-/// Split a materialized trace into per-shard sub-traces (arrival order
-/// is preserved inside every shard; ids keep their global values).
-fn partition_trace(trace: &RequestTrace, seed: u64, shards: usize) -> Vec<RequestTrace> {
-    let mut parts = vec![
-        RequestTrace {
-            requests: Vec::new()
-        };
-        shards
-    ];
-    for req in &trace.requests {
-        parts[shard_of(req, seed, shards)]
-            .requests
-            .push(req.clone());
-    }
-    parts
-}
-
 /// Split a fault plan over shards: global replica `g` maps to local
 /// replica `g % replicas_per_shard` on shard `g / replicas_per_shard`.
 /// Each sub-plan stays time-sorted (a subsequence of a sorted list).
@@ -243,9 +226,16 @@ pub fn run_sharded(
     faults: &FaultPlan,
     trace: &RequestTrace,
 ) -> (ClusterReport, Vec<ClusterReport>) {
-    let traces = partition_trace(trace, base.seed, plan.shards().max(1));
+    let shards = plan.shards().max(1);
+    // Each shard copies only its own slice, in trace order.
     run_shards(model, sched, base, plan, faults, |s| {
-        Box::new(TraceSource::new(traces[s].clone()))
+        let requests = trace
+            .requests
+            .iter()
+            .filter(|r| shard_of(r, base.seed, shards) == s)
+            .cloned()
+            .collect();
+        Box::new(TraceSource::new(RequestTrace { requests }))
     })
 }
 
@@ -332,43 +322,22 @@ mod tests {
     }
 
     #[test]
-    fn partition_covers_every_request_exactly_once() {
+    fn shard_of_covers_every_shard_and_keeps_prefix_families_together() {
         let trace = generate(&spec(200), 3);
-        let parts = partition_trace(&trace, 11, 4);
-        let total: usize = parts.iter().map(|p| p.requests.len()).sum();
-        assert_eq!(total, 200);
-        for (s, p) in parts.iter().enumerate() {
-            assert!(p
-                .requests
-                .windows(2)
-                .all(|w| w[0].arrival_s <= w[1].arrival_s));
-            for r in &p.requests {
-                assert_eq!(shard_of(r, 11, 4), s);
-            }
+        let mut per_shard = [0usize; 4];
+        for r in &trace.requests {
+            per_shard[shard_of(r, 11, 4)] += 1;
         }
+        assert_eq!(per_shard.iter().sum::<usize>(), 200);
+        assert!(per_shard.iter().all(|&n| n > 0), "{per_shard:?}");
         // Shared-prefix families stay together.
         let heavy = generate(&WorkloadSpec::prefix_heavy(50.0, 300), 5);
-        for p in partition_trace(&heavy, 11, 4) {
-            let mut groups: Vec<u64> = p
-                .requests
-                .iter()
-                .filter(|r| r.prefix_len > 0)
-                .map(|r| r.prefix_group)
-                .collect();
-            groups.sort_unstable();
-            groups.dedup();
-            for g in groups {
-                let probe = ClusterRequest {
-                    prefix_group: g,
-                    prefix_len: 1,
-                    ..heavy.requests[0].clone()
-                };
-                let home = shard_of(&probe, 11, 4);
-                assert!(p.requests.iter().all(|r| r.prefix_len == 0
-                    || r.prefix_group != g
-                    || shard_of(r, 11, 4) == home));
-            }
+        let mut home = std::collections::BTreeMap::new();
+        for r in heavy.requests.iter().filter(|r| r.prefix_len > 0) {
+            let s = shard_of(r, 11, 4);
+            assert_eq!(*home.entry(r.prefix_group).or_insert(s), s);
         }
+        assert!(home.len() > 1, "prefix-heavy mix must have families");
     }
 
     #[test]

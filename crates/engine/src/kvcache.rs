@@ -223,64 +223,6 @@ impl KvStore for PagedKv {
     }
 }
 
-/// KV-cache quantization: wraps any store and rounds K/V vectors through a
-/// reduced-precision encoding on write (fp8 KV cache is a standard
-/// deployment option; the values stored are exactly those the format can
-/// represent, while attention math stays f32 — as on real hardware).
-#[derive(Debug, Clone)]
-pub struct QuantizedKv<S> {
-    inner: S,
-    precision: moe_tensor::Precision,
-}
-
-impl<S: KvStore> QuantizedKv<S> {
-    pub fn new(inner: S, precision: moe_tensor::Precision) -> Self {
-        Self { inner, precision }
-    }
-
-    pub fn precision(&self) -> moe_tensor::Precision {
-        self.precision
-    }
-
-    pub fn into_inner(self) -> S {
-        self.inner
-    }
-}
-
-impl<S: KvStore> KvStore for QuantizedKv<S> {
-    fn num_layers(&self) -> usize {
-        self.inner.num_layers()
-    }
-
-    fn kv_dim(&self) -> usize {
-        self.inner.kv_dim()
-    }
-
-    fn layer_len(&self, layer: usize) -> usize {
-        self.inner.layer_len(layer)
-    }
-
-    fn write(&mut self, layer: usize, t: usize, k: &[f32], v: &[f32]) {
-        let mut kq = k.to_vec();
-        let mut vq = v.to_vec();
-        moe_tensor::quant::fake_quant_slice(&mut kq, self.precision);
-        moe_tensor::quant::fake_quant_slice(&mut vq, self.precision);
-        self.inner.write(layer, t, &kq, &vq);
-    }
-
-    fn key(&self, layer: usize, t: usize) -> &[f32] {
-        self.inner.key(layer, t)
-    }
-
-    fn value(&self, layer: usize, t: usize) -> &[f32] {
-        self.inner.value(layer, t)
-    }
-
-    fn truncate(&mut self, new_len: usize) {
-        self.inner.truncate(new_len)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -378,43 +320,6 @@ mod tests {
         s.truncate(3);
         s.truncate(100); // beyond len: no-op
         assert_eq!(s.len(), 3);
-    }
-
-    #[test]
-    fn quantized_kv_rounds_values() {
-        let mut q = QuantizedKv::new(ContiguousKv::new(1, 4), moe_tensor::Precision::Fp8E4M3);
-        let k = [1.2345f32, -0.006789, 3.25, 100.7];
-        q.write(0, 0, &k, &k);
-        let stored = q.key(0, 0);
-        // Exactly representable values survive; the rest are rounded.
-        assert_eq!(stored[2], 3.25);
-        assert_ne!(stored[0], k[0]);
-        for (s, orig) in stored.iter().zip(&k) {
-            // Relative 1/8 for normals, absolute half-subnormal-step floor.
-            let tol = (orig.abs() / 8.0).max(2f32.powi(-10));
-            assert!((s - orig).abs() <= tol, "{s} vs {orig}");
-        }
-    }
-
-    #[test]
-    fn quantized_kv_f32_is_transparent() {
-        let mut q = QuantizedKv::new(ContiguousKv::new(2, 4), moe_tensor::Precision::F32);
-        fill(&mut q, 0, 5, 2, 4);
-        assert_eq!(q.key(1, 3)[0], 3100.0);
-        assert_eq!(q.len(), 5);
-    }
-
-    #[test]
-    fn quantized_kv_supports_truncate() {
-        let mut q = QuantizedKv::new(
-            PagedKv::with_block_size(1, 4, 4),
-            moe_tensor::Precision::F16,
-        );
-        fill(&mut q, 0, 10, 1, 4);
-        q.truncate(4);
-        assert_eq!(q.len(), 4);
-        fill(&mut q, 4, 8, 1, 4);
-        assert_eq!(q.len(), 8);
     }
 
     // Deterministic randomized sweeps (replacing the former proptest versions).

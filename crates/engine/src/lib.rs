@@ -42,7 +42,7 @@ pub mod trace;
 pub mod weights;
 
 pub use generate::Generated;
-pub use kvcache::{ContiguousKv, KvStore, PagedKv, QuantizedKv, KV_BLOCK_TOKENS};
+pub use kvcache::{ContiguousKv, KvStore, PagedKv, KV_BLOCK_TOKENS};
 pub use model::MoeTransformer;
 pub use stats::ActivationStats;
 pub use trace::{capture_trace, RoutingTrace, TraceArtifact};

@@ -5,8 +5,9 @@
 //! weights-resident flag), interconnect ports, and power/price — rather
 //! than a bag of booleans special-cased downstream. Profiles come from the
 //! [`zoo`] registry (five classes: datacenter GPU, wafer-scale, consumer
-//! GPU, unified-memory desktop, edge SoC) or from [`DeviceProfileBuilder`]
+//! GPU, unified-memory desktop, edge SoC) or are written as plain records
 //! for synthetic what-if devices, and round-trip through moe-json.
+//! [`DeviceProfile::validate`] checks a record before it is priced.
 //!
 //! Numbers for the H100 SXM5 come from the public datasheet (dense, i.e.
 //! no structured sparsity): 989 TFLOP/s BF16/FP16, 1979 TFLOP/s FP8/INT8,
@@ -135,7 +136,7 @@ impl DeviceProfile {
     fn weight_tier(&self) -> &MemoryTier {
         self.tiers
             .first()
-            .expect("device profile needs at least one memory tier") // lint:allow(no-panic-in-lib) -- builder and registry both guarantee a weight tier; a tierless profile is unusable
+            .expect("device profile needs at least one memory tier") // lint:allow(no-panic-in-lib) -- `validate`, run by `PerfModel::new`, rejects a tierless profile; it is unusable
     }
 
     /// Weight-tier capacity (B).
@@ -180,109 +181,62 @@ impl DeviceProfile {
         }
         out
     }
-}
 
-/// Fluent constructor for [`DeviceProfile`]; validates the record on
-/// [`build`](DeviceProfileBuilder::build).
-#[derive(Debug, Clone)]
-pub struct DeviceProfileBuilder {
-    profile: DeviceProfile,
-}
-
-impl DeviceProfileBuilder {
-    pub fn new(name: &str, class: DeviceClass) -> Self {
-        Self {
-            profile: DeviceProfile {
-                name: name.to_string(),
-                class,
-                peak_flops_16bit: 0.0,
-                peak_flops_8bit: 0.0,
-                peak_flops_fp32: 0.0,
-                tiers: Vec::new(),
-                llc_bytes: 0.0,
-                kernel_launch_s: 4e-6,
-                num_sms: 1,
-                gemm_peak_fraction: 0.7,
-                ports: Vec::new(),
-                power: PowerPrice {
-                    tdp_w: 0.0,
-                    price_per_hour_usd: 0.0,
-                },
-            },
-        }
-    }
-
-    /// Compute peaks (FLOP/s) for 16-bit, 8-bit and vector fp32 pipes.
-    pub fn compute(mut self, f16: f64, f8: f64, f32: f64) -> Self {
-        self.profile.peak_flops_16bit = f16;
-        self.profile.peak_flops_8bit = f8;
-        self.profile.peak_flops_fp32 = f32;
-        self
-    }
-
-    /// Append a memory tier (first call defines the weight tier).
-    pub fn tier(
-        mut self,
-        name: &str,
-        capacity: f64,
-        bandwidth: f64,
-        peak_fraction: f64,
-        weights_resident: bool,
-    ) -> Self {
-        self.profile.tiers.push(MemoryTier {
-            name: name.to_string(),
-            capacity,
-            bandwidth,
-            peak_fraction,
-            weights_resident,
-        });
-        self
-    }
-
-    pub fn power(mut self, tdp_w: f64, price_per_hour_usd: f64) -> Self {
-        self.profile.power = PowerPrice {
-            tdp_w,
-            price_per_hour_usd,
-        };
-        self
-    }
-
-    /// Validate and return the profile.
-    pub fn build(self) -> Result<DeviceProfile, String> {
-        let p = &self.profile;
-        if p.name.is_empty() {
+    /// Check the record is one the cost model can price: a name, positive
+    /// compute peaks, at least one memory tier with positive capacity and
+    /// bandwidth, fractions in (0, 1], at least one SM and a non-negative
+    /// launch cost. NaN fails every check. [`PerfModel::new`] runs this,
+    /// so zoo presets, derived and JSON-loaded profiles are all checked
+    /// before they are priced.
+    ///
+    /// [`PerfModel::new`]: crate::perfmodel::PerfModel::new
+    pub fn validate(&self) -> Result<(), String> {
+        let positive = |x: f64| x > 0.0;
+        let fraction = |x: f64| x > 0.0 && x <= 1.0;
+        if self.name.is_empty() {
             return Err("device profile needs a name".into());
         }
-        if p.peak_flops_16bit <= 0.0 || p.peak_flops_8bit <= 0.0 || p.peak_flops_fp32 <= 0.0 {
-            return Err(format!("{}: compute peaks must be positive", p.name));
+        let peaks = [
+            self.peak_flops_16bit,
+            self.peak_flops_8bit,
+            self.peak_flops_fp32,
+        ];
+        if !peaks.into_iter().all(positive) {
+            return Err(format!("{}: compute peaks must be positive", self.name));
         }
-        if p.tiers.is_empty() {
-            return Err(format!("{}: needs at least one memory tier", p.name));
+        if self.tiers.is_empty() {
+            return Err(format!("{}: needs at least one memory tier", self.name));
         }
-        for t in &p.tiers {
-            if t.capacity <= 0.0 || t.bandwidth <= 0.0 {
+        for t in &self.tiers {
+            if !(positive(t.capacity) && positive(t.bandwidth)) {
                 return Err(format!(
                     "{}: tier {} needs positive capacity and bandwidth",
-                    p.name, t.name
+                    self.name, t.name
                 ));
             }
-            if !(t.peak_fraction > 0.0 && t.peak_fraction <= 1.0) {
+            if !fraction(t.peak_fraction) {
                 return Err(format!(
                     "{}: tier {} peak_fraction must be in (0, 1]",
-                    p.name, t.name
+                    self.name, t.name
                 ));
             }
         }
-        if !(p.gemm_peak_fraction > 0.0 && p.gemm_peak_fraction <= 1.0) {
-            return Err(format!("{}: gemm_peak_fraction must be in (0, 1]", p.name));
+        if !fraction(self.gemm_peak_fraction) {
+            return Err(format!(
+                "{}: gemm_peak_fraction must be in (0, 1]",
+                self.name
+            ));
         }
-        if p.num_sms == 0 {
-            return Err(format!("{}: needs at least one SM", p.name));
+        if self.num_sms == 0 {
+            return Err(format!("{}: needs at least one SM", self.name));
         }
-        if p.kernel_launch_s < 0.0 {
-            return Err(format!("{}: kernel_launch_s must be non-negative", p.name));
+        if self.kernel_launch_s.is_nan() || self.kernel_launch_s < 0.0 {
+            return Err(format!(
+                "{}: kernel_launch_s must be non-negative",
+                self.name
+            ));
         }
-        Ok(self.profile)
+        Ok(())
     }
 }
 
@@ -720,24 +674,33 @@ mod tests {
     }
 
     #[test]
-    fn builder_validates_and_builds() {
-        let d = DeviceProfileBuilder::new("toy", DeviceClass::ConsumerGpu)
-            .compute(100e12, 200e12, 50e12)
-            .tier("GDDR", 16e9, 500e9, 0.85, false)
-            .power(300.0, 0.25)
-            .build()
-            .expect("valid profile");
-        assert_eq!(d.mem_capacity(), 16e9);
-        assert!(!d.weights_stationary());
+    fn every_zoo_profile_validates() {
+        for d in zoo() {
+            assert_eq!(d.validate(), Ok(()), "{}", d.name);
+        }
+    }
 
-        let no_tier = DeviceProfileBuilder::new("bad", DeviceClass::EdgeSoc)
-            .compute(1e12, 2e12, 1e12)
-            .build();
-        assert!(no_tier.is_err());
-        let no_compute = DeviceProfileBuilder::new("bad", DeviceClass::EdgeSoc)
-            .tier("t", 1e9, 1e9, 0.8, false)
-            .build();
-        assert!(no_compute.is_err());
+    #[test]
+    fn validate_rejects_unpriceable_profiles() {
+        type Break = fn(&mut DeviceProfile);
+        let ok = profile("4090").unwrap();
+        let broken: [(&str, Break); 10] = [
+            ("needs a name", |d| d.name.clear()),
+            ("no memory tier", |d| d.tiers.clear()),
+            ("zero compute", |d| d.peak_flops_8bit = 0.0),
+            ("NaN compute", |d| d.peak_flops_16bit = f64::NAN),
+            ("zero capacity", |d| d.tiers[0].capacity = 0.0),
+            ("negative bandwidth", |d| d.tiers[0].bandwidth = -1.0),
+            ("peak fraction above 1", |d| d.tiers[0].peak_fraction = 1.5),
+            ("zero GEMM fraction", |d| d.gemm_peak_fraction = 0.0),
+            ("no SMs", |d| d.num_sms = 0),
+            ("negative launch", |d| d.kernel_launch_s = -1e-6),
+        ];
+        for (what, breaks) in broken {
+            let mut d = ok.clone();
+            breaks(&mut d);
+            assert!(d.validate().is_err(), "{what} must be rejected");
+        }
     }
 
     #[test]

@@ -51,8 +51,7 @@ pub mod spec;
 pub mod steptrace;
 
 pub use device::{
-    Cluster, DeviceClass, DeviceProfile, DeviceProfileBuilder, Interconnect, InterconnectPort,
-    MemoryTier, PowerPrice,
+    Cluster, DeviceClass, DeviceProfile, Interconnect, InterconnectPort, MemoryTier, PowerPrice,
 };
 pub use memory::{MemoryFootprint, OomError};
 pub use parallel::{ParallelMode, ParallelPlan, PlanError};

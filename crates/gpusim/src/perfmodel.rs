@@ -183,9 +183,11 @@ pub struct PerfModel {
 }
 
 impl PerfModel {
-    /// Build a model; validates that the plan matches the cluster and the
-    /// architecture.
+    /// Build a model; validates the device profile
+    /// ([`DeviceProfile::validate`](crate::device::DeviceProfile::validate))
+    /// and that the plan matches the cluster and the architecture.
     pub fn new(config: ModelConfig, cluster: Cluster, opts: EngineOptions) -> Result<Self, String> {
+        cluster.device.validate()?;
         if opts.plan.degree != cluster.num_devices {
             return Err(format!(
                 "plan degree {} != cluster devices {}",

@@ -22,15 +22,6 @@
 use moe_json::{FromJson, ToJson};
 use moe_trace::Histogram;
 
-/// Mean of a sample; 0 for empty input.
-pub fn mean(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        0.0
-    } else {
-        xs.iter().sum::<f64>() / xs.len() as f64
-    }
-}
-
 /// Percentile via nearest-rank on a sorted copy (`p` in [0, 100]).
 pub fn percentile(xs: &[f64], p: f64) -> f64 {
     assert!((0.0..=100.0).contains(&p), "percentile out of range");
@@ -120,7 +111,6 @@ mod tests {
 
     #[test]
     fn empty_inputs_are_zero() {
-        assert_eq!(mean(&[]), 0.0);
         assert_eq!(percentile(&[], 50.0), 0.0);
     }
 }

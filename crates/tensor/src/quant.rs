@@ -332,48 +332,6 @@ impl QuantizedMatrix {
     }
 }
 
-/// Round every element of a slice through the given precision's encoding
-/// (block-wise for the integer formats), in place. Used for KV-cache
-/// quantization, where values are quantized as they are written.
-pub fn fake_quant_slice(x: &mut [f32], p: Precision) {
-    match p {
-        Precision::F32 => {}
-        Precision::F16 => {
-            for v in x.iter_mut() {
-                *v = f16_bits_to_f32(f32_to_f16_bits(*v));
-            }
-        }
-        Precision::Bf16 => {
-            for v in x.iter_mut() {
-                *v = f32_round_bf16(*v);
-            }
-        }
-        Precision::Fp8E4M3 => {
-            for v in x.iter_mut() {
-                *v = fp8_e4m3_to_f32(f32_to_fp8_e4m3(*v));
-            }
-        }
-        Precision::Int8 => {
-            for block in x.chunks_mut(BLOCK) {
-                let amax = block.iter().fold(0.0f32, |m, v| m.max(v.abs()));
-                let scale = if amax > 0.0 { amax / 127.0 } else { 1.0 };
-                for v in block.iter_mut() {
-                    *v = (*v / scale).round().clamp(-127.0, 127.0) * scale;
-                }
-            }
-        }
-        Precision::Int4 => {
-            for block in x.chunks_mut(BLOCK) {
-                let amax = block.iter().fold(0.0f32, |m, v| m.max(v.abs()));
-                let scale = if amax > 0.0 { amax / 7.0 } else { 1.0 };
-                for v in block.iter_mut() {
-                    *v = (*v / scale).round().clamp(-7.0, 7.0) * scale;
-                }
-            }
-        }
-    }
-}
-
 fn quantize_int8(data: &[f32]) -> (Vec<i8>, Vec<f32>) {
     let nblocks = data.len().div_ceil(BLOCK);
     let mut q = Vec::with_capacity(data.len());
@@ -519,32 +477,6 @@ mod tests {
                 assert!((a - b).abs() < tol, "{p:?}: {a} vs {b} (tol {tol})");
             }
         }
-    }
-
-    #[test]
-    fn fake_quant_slice_matches_matrix_quantization() {
-        let m = Matrix::random(2, 64, 77, 1.0);
-        for p in [
-            Precision::F16,
-            Precision::Fp8E4M3,
-            Precision::Int8,
-            Precision::Int4,
-        ] {
-            let expect = QuantizedMatrix::quantize(&m, p).dequantize();
-            let mut got = m.as_slice().to_vec();
-            fake_quant_slice(&mut got, p);
-            for (a, b) in got.iter().zip(expect.as_slice()) {
-                assert!((a - b).abs() < 1e-6, "{p:?}: {a} vs {b}");
-            }
-        }
-    }
-
-    #[test]
-    fn fake_quant_slice_f32_identity() {
-        let mut x = vec![1.234, -5.678];
-        let orig = x.clone();
-        fake_quant_slice(&mut x, Precision::F32);
-        assert_eq!(x, orig);
     }
 
     // Deterministic randomized sweeps (replacing the former proptest versions).

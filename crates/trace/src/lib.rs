@@ -45,6 +45,6 @@ mod tracer;
 pub use chrome::chrome_trace_json;
 pub use flame::{flame_summary, timeline_coverage};
 pub use hist::Histogram;
-pub use sink::{MemorySink, NullSink, RingSink, TraceSink};
+pub use sink::{MemorySink, RingSink, TraceSink};
 pub use span::{ArgValue, Category, TraceEvent, TrackId, BENCH_TRACK, ENGINE_TRACK};
 pub use tracer::Tracer;

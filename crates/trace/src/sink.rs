@@ -25,18 +25,6 @@ pub trait TraceSink: Send {
     }
 }
 
-/// A sink that discards everything — the default when tracing is off.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NullSink;
-
-impl TraceSink for NullSink {
-    fn record(&mut self, _event: TraceEvent) {}
-
-    fn snapshot(&self) -> Vec<TraceEvent> {
-        Vec::new()
-    }
-}
-
 /// An unbounded in-memory sink; used for file export.
 #[derive(Debug, Default)]
 pub struct MemorySink {
@@ -156,14 +144,6 @@ mod tests {
                 _ => unreachable!(),
             })
             .collect()
-    }
-
-    #[test]
-    fn null_sink_drops_everything_silently() {
-        let mut s = NullSink;
-        s.record(ev(0));
-        assert!(s.snapshot().is_empty());
-        assert_eq!(s.dropped(), 0);
     }
 
     #[test]

@@ -10,7 +10,7 @@ fn fast_report(id: &str) -> Option<ExperimentReport> {
 
 #[test]
 fn every_paper_artifact_is_registered() {
-    let ids: Vec<&str> = REGISTRY.iter().map(|e| e.id()).collect();
+    let ids: Vec<&str> = REGISTRY.iter().map(|e| e.id).collect();
     // Table 1 plus figures 1 and 3-18 (fig 2 is a schematic).
     let expected = [
         "table1",
@@ -52,7 +52,7 @@ fn unknown_experiment_is_none() {
 
 #[test]
 fn all_experiments_produce_wellformed_reports() {
-    for id in REGISTRY.iter().map(|e| e.id()) {
+    for id in REGISTRY.iter().map(|e| e.id) {
         let report = fast_report(id).expect("registered id runs");
         assert_eq!(report.id, id);
         assert!(!report.title.is_empty());
