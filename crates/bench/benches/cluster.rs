@@ -1,7 +1,8 @@
 //! Cluster-core speed trajectory: times the 1000-replica diurnal
 //! scenario on the current event core, times a KV-pressure cell whose
-//! TTFT deadlines fire, probes the streaming-aggregation memory bound,
-//! checks sharded determinism across worker counts, and writes
+//! TTFT deadlines fire, probes the streaming-aggregation memory bound
+//! and the replica scheduler's record window, checks sharded
+//! determinism across worker counts, and writes
 //! `BENCH_cluster.json` at the repo root. CI runs this as the
 //! cluster-core timing smoke; `docs/SCALE.md` explains each field.
 //!
@@ -32,7 +33,7 @@ use moe_json::Json;
 use moe_model::registry::olmoe_1b_7b;
 use moe_runtime::metrics::percentile;
 use moe_runtime::simserver::scheduler_config_for;
-use moe_runtime::SchedulerConfig;
+use moe_runtime::{Request, Scheduler, SchedulerConfig, StepPlan};
 use moe_trace::Tracer;
 
 /// Replicas in the benchmark cell.
@@ -54,7 +55,8 @@ const EVENTS: u64 = 820_234;
 
 /// The core this build measures, named in its trajectory entry.
 const CORE_LABEL: &str = "event heap + TTFT deadline cursor + hashed decode prices + \
-                          one-pass least-outstanding scan + recycled step-plan buffers";
+                          one-pass least-outstanding scan + recycled step-plan buffers + \
+                          packed event keys";
 
 /// The benchmark scenario: ~0.6M simulated users (peak 2000 QPS at a
 /// 300 s think time) on a diurnal cycle, against 1000 single-H100
@@ -206,6 +208,42 @@ fn peak_live_streaming(requests: usize) -> usize {
         .peak_live
 }
 
+/// Requests a replica scheduler holds (waiting + running) while
+/// [`peak_record_window`] streams its trace.
+const RECORD_CONCURRENCY: usize = 48;
+
+/// The peak record window of one replica scheduler streaming `requests`
+/// requests, topped back up to [`RECORD_CONCURRENCY`] before every plan,
+/// over a KV pool tight enough to preempt (`max_running` 32): the churn
+/// `tests/scheduler_ops.rs` bounds. Its records follow concurrency, so
+/// the peak must not grow with `requests`.
+fn peak_record_window(requests: usize) -> usize {
+    let mut s = Scheduler::new(SchedulerConfig {
+        max_running: 32,
+        max_batched_tokens: 512,
+        block_tokens: 16,
+        total_blocks: 160,
+    });
+    let (mut submitted, mut peak) = (0, 0);
+    let mut finished = Vec::new();
+    loop {
+        while submitted < requests && s.num_waiting() + s.num_running() < RECORD_CONCURRENCY {
+            s.submit(Request::new(
+                1 + submitted * 37 % 96,
+                1 + submitted * 29 % 64,
+            ));
+            submitted += 1;
+        }
+        peak = peak.max(s.record_window());
+        let plan = s.plan_step();
+        if plan == StepPlan::Idle {
+            return peak;
+        }
+        s.commit_step(plan, &mut finished);
+        finished.clear();
+    }
+}
+
 /// The standard scenario sharded 50x20, serialized — the byte-identity
 /// probe across forced worker counts.
 fn sharded_json() -> String {
@@ -295,6 +333,15 @@ fn main() {
         peak_ratio < 2.0,
         "peak_live must track concurrency, not trace length"
     );
+    let (window_small, window_large) = (peak_record_window(20_000), peak_record_window(80_000));
+    println!(
+        "peak scheduler record window: {window_small} @ 20000 requests vs {window_large} @ \
+         80000 requests (concurrency {RECORD_CONCURRENCY}, max_running 32)"
+    );
+    assert_eq!(
+        window_small, window_large,
+        "the scheduler's record window must track concurrency, not trace length"
+    );
 
     // Sharded determinism: the merged report must be byte-identical for
     // any forced worker count (the tests/determinism.rs gate, re-run
@@ -379,6 +426,14 @@ fn main() {
                 (
                     "request_bytes".into(),
                     Json::Int(std::mem::size_of::<ClusterRequest>() as i128),
+                ),
+                (
+                    "record_window_small".into(),
+                    Json::Int(window_small as i128),
+                ),
+                (
+                    "record_window_large".into(),
+                    Json::Int(window_large as i128),
                 ),
             ]),
         ),

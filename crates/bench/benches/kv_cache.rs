@@ -68,17 +68,21 @@ fn main() {
     // finish and commits the prefill that admits them, keeping the batch
     // full.
     let (mut sched, mut submitted) = churning_scheduler(140);
+    let mut done = Vec::new();
     r.bench("scheduler/decode_step_140_finishing", || {
         let plan = sched.plan_step();
         assert!(matches!(plan, StepPlan::Decode { .. }), "the batch decodes");
-        let finished = black_box(sched.commit_step(plan)).len();
+        done.clear();
+        sched.commit_step(plan, &mut done);
+        let finished = black_box(&done).len();
         for _ in 0..finished {
             sched.submit(churn_request(submitted));
             submitted += 1;
         }
         if finished > 0 {
             let refill = sched.plan_step();
-            black_box(sched.commit_step(refill));
+            sched.commit_step(refill, &mut done);
+            black_box(&done);
         }
         finished
     });
@@ -104,7 +108,7 @@ fn churning_scheduler(running: usize) -> (Scheduler, usize) {
         s.submit(churn_request(n));
     }
     let admit = s.plan_step();
-    s.commit_step(admit);
+    s.commit_step(admit, &mut Vec::new());
     (s, running)
 }
 

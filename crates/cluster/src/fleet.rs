@@ -92,6 +92,9 @@ pub(crate) struct Fleet {
     pub dynamic: bool,
     /// Active canary split: `(generation, fraction)`.
     pub canary: Option<(u32, f64)>,
+    /// `loads` masked to one side of the canary split, refilled in place
+    /// by every canary-split [`Self::route`].
+    masked: Vec<ReplicaLoad>,
     /// Reconfiguration actions executed (replica adds + drain starts).
     pub reconfigs: usize,
     /// Spot preemptions applied.
@@ -153,22 +156,19 @@ impl Fleet {
     /// Pick the replica for request `id`. Under a canary split each side
     /// is restricted to its generations, falling back to the whole fleet
     /// if a side is empty (e.g. the old generation fully drained).
-    pub fn route(&self, router: &mut Router, id: u64, key: Option<u64>) -> Option<usize> {
+    pub fn route(&mut self, router: &mut Router, id: u64, key: Option<u64>) -> Option<usize> {
         let Some((generation, frac)) = self.canary else {
             return router.choose(&self.loads, key);
         };
         let is_canary = canary_pick(self.seed, id, frac);
-        let masked: Vec<ReplicaLoad> = self
-            .loads
-            .iter()
-            .zip(&self.meta)
-            .map(|(l, m)| ReplicaLoad {
+        self.masked.clear();
+        self.masked
+            .extend(self.loads.iter().zip(&self.meta).map(|(l, m)| ReplicaLoad {
                 alive: l.alive && (m.generation == generation) == is_canary,
                 ..*l
-            })
-            .collect();
-        if masked.iter().any(|l| l.alive) {
-            router.choose(&masked, key)
+            }));
+        if self.masked.iter().any(|l| l.alive) {
+            router.choose(&self.masked, key)
         } else {
             router.choose(&self.loads, key)
         }
@@ -307,5 +307,100 @@ impl Fleet {
                 completed: r.completed,
             })
             .collect()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use moe_gpusim::device::Cluster;
+    use moe_gpusim::perfmodel::EngineOptions;
+    use moe_model::registry::olmoe_1b_7b;
+
+    use super::*;
+    use crate::router::RoutePolicy;
+
+    /// The masked copy `route` built per dispatch before it kept a
+    /// buffer: the reference its in-place refill must match.
+    fn reference_route(
+        fleet: &Fleet,
+        router: &mut Router,
+        id: u64,
+        key: Option<u64>,
+    ) -> Option<usize> {
+        let Some((generation, frac)) = fleet.canary else {
+            return router.choose(&fleet.loads, key);
+        };
+        let is_canary = canary_pick(fleet.seed, id, frac);
+        let masked: Vec<ReplicaLoad> = fleet
+            .loads
+            .iter()
+            .zip(&fleet.meta)
+            .map(|(l, m)| ReplicaLoad {
+                alive: l.alive && (m.generation == generation) == is_canary,
+                ..*l
+            })
+            .collect();
+        if masked.iter().any(|l| l.alive) {
+            router.choose(&masked, key)
+        } else {
+            router.choose(&fleet.loads, key)
+        }
+    }
+
+    /// Five generation-0 replicas plus three canaries of generation 1,
+    /// one of them still provisioning.
+    fn canary_fleet(policy: RoutePolicy) -> Fleet {
+        let model = PerfModel::new(
+            olmoe_1b_7b(),
+            Cluster::h100_node(1),
+            EngineOptions::default(),
+        )
+        .unwrap();
+        let sched = SchedulerConfig::default();
+        let cfg = ClusterConfig {
+            replicas: 5,
+            policy,
+            seed: 9,
+            ..ClusterConfig::default()
+        };
+        let mut fleet = Fleet::new(&model, sched, &cfg);
+        for _ in 0..3 {
+            let spec = ReplicaSpec {
+                model: model.clone(),
+                sched,
+                generation: 1,
+                spot: false,
+                price_factor: 1.0,
+                ready_delay_s: 1.0,
+            };
+            fleet.provision(spec, 0.0, &mut Tracer::disabled());
+        }
+        assert!(fleet.activate(5) && fleet.activate(6));
+        fleet.canary = Some((1, 0.3));
+        fleet
+    }
+
+    #[test]
+    fn canary_routing_matches_the_masked_copy_reference() {
+        for policy in RoutePolicy::all() {
+            let mut fleet = canary_fleet(policy);
+            let (mut ours, mut reference) = (Router::new(policy, 3), Router::new(policy, 3));
+            for id in 0..400u64 {
+                // Vary loads, and drain the canaries for a stretch so the
+                // whole-fleet fallback runs too.
+                for (i, l) in fleet.loads.iter_mut().enumerate() {
+                    let h = mix(id, i as u64);
+                    l.queued = (h % 3) as usize;
+                    l.outstanding = l.queued + (h >> 8) as usize % 4;
+                }
+                let canaries_down = (150..200).contains(&id);
+                for idx in 5..7 {
+                    fleet.loads[idx].alive = !canaries_down;
+                }
+                let key = (id % 3 != 0).then_some(id % 7);
+                let want = reference_route(&fleet, &mut reference, id, key);
+                assert_eq!(fleet.route(&mut ours, id, key), want, "{policy:?}, id {id}");
+            }
+        }
     }
 }

@@ -217,30 +217,42 @@ impl Replica {
     }
 
     /// Commit the in-flight step at its completion time, tracing it into
-    /// `tracer` when enabled (see the module docs). Returns the requests
-    /// that finished, with `id` mapped to the cluster request id.
-    pub fn complete_step(&mut self, tracer: &mut Tracer) -> Option<Vec<Finished>> {
-        let InFlight {
+    /// `tracer` when enabled (see the module docs). Appends the requests
+    /// that finished to `done`, with `id` mapped to the cluster request
+    /// id; false if no step was in flight.
+    pub fn complete_step(&mut self, tracer: &mut Tracer, done: &mut Vec<Finished>) -> bool {
+        let Some(InFlight {
             step,
             end_s,
             start_s,
             slowdown,
             ..
-        } = self.in_flight.take()?;
+        }) = self.in_flight.take()
+        else {
+            return false;
+        };
         let shape = step.shape;
-        let mut done = self.core.commit(step, end_s);
+        let start = done.len();
+        self.core.commit(step, end_s, done);
         if tracer.is_enabled() {
             self.trace_step(tracer, shape, slowdown, start_s, end_s);
         }
-        done.retain_mut(|f| match self.active.remove(&f.id) {
-            Some(cluster_id) => {
-                f.id = cluster_id;
-                true
+        // Requests canceled mid-step have no cluster id left: compact
+        // them out of the appended tail, keeping commit order.
+        let mut kept = start;
+        for i in start..done.len() {
+            let f = done[i];
+            if let Some(cluster_id) = self.active.remove(&f.id) {
+                done[kept] = Finished {
+                    id: cluster_id,
+                    ..f
+                };
+                kept += 1;
             }
-            None => false,
-        });
-        self.completed += done.len();
-        Some(done)
+        }
+        done.truncate(kept);
+        self.completed += kept - start;
+        true
     }
 
     /// Emit a committed step and the scheduler decisions it carried onto
@@ -345,10 +357,10 @@ mod tests {
         let mut guard = 0;
         while let Some((end, _)) = r.try_start_step(now, &mut prices) {
             now = end;
-            let fin = r
-                .complete_step(&mut Tracer::disabled())
-                .expect("step in flight");
-            done.extend(fin);
+            assert!(
+                r.complete_step(&mut Tracer::disabled(), &mut done),
+                "step in flight"
+            );
             guard += 1;
             assert!(guard < 100_000);
         }
@@ -487,9 +499,11 @@ mod tests {
         r.try_start_step(0.0, &mut PriceCache::new())
             .expect("step starts");
         assert!(r.cancel(sid));
-        let done = r
-            .complete_step(&mut Tracer::disabled())
-            .expect("step in flight");
+        let mut done = Vec::new();
+        assert!(
+            r.complete_step(&mut Tracer::disabled(), &mut done),
+            "step in flight"
+        );
         assert!(done.is_empty(), "canceled request must not complete");
     }
 

@@ -3,9 +3,11 @@
 //!
 //! ## The heap-driven loop
 //!
-//! Every event source feeds one `std` binary heap of `events::Event`s
-//! keyed `(time, source, id, gen)`. Events that coincide (within `EPS`)
-//! form one round, processed in **fixed priority order** — faults, step
+//! Every event source feeds one `events::EventHeap`: a binary heap of
+//! `events::Event`s, each packed into one 16-byte integer key whose
+//! order is `(time, source, id, gen)`, so a sift step is one integer
+//! compare. Events that coincide (within `EPS`) form one round,
+//! processed in **fixed priority order** — faults, step
 //! completions, retry releases, arrivals, then timeouts — after which
 //! the router dispatches and idle replicas restart. Invalidated entries
 //! are skipped lazily via generation/liveness checks rather than
@@ -20,14 +22,14 @@
 //!
 //! ## Determinism
 //!
-//! The heap key is total (`f64::total_cmp`, then source, id,
-//! generation), every queue is FIFO, the router breaks ties by replica
-//! index, and all randomness was already materialized into the arrival
+//! The heap key is total (`f64::total_cmp` order on time, then source,
+//! id, generation, packed into one integer), every queue is FIFO, the
+//! router breaks ties by replica index, and all randomness was already materialized into the arrival
 //! source. The same `(source, config, fault plan)` therefore replays
 //! byte-identically — `tests/determinism.rs` pins this end to end
 //! through the report *and* trace JSON.
 
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 
 use moe_gpusim::perfmodel::PerfModel;
 use moe_json::{FromJson, ToJson};
@@ -36,11 +38,11 @@ use moe_runtime::metrics::LatencySummary;
 use moe_runtime::request::RequestId;
 use moe_runtime::scheduler::SchedulerConfig;
 use moe_runtime::simserver::scheduler_config_for;
-use moe_runtime::step::PriceCache;
+use moe_runtime::step::{Finished, PriceCache};
 use moe_trace::{ArgValue, Category, Histogram, Tracer};
 
 use crate::ctrl::{ControlAction, ControlHook, ControlObs};
-use crate::events::{sort_round, Deadlines, Event, Source, EPS};
+use crate::events::{sort_round, Deadlines, Event, EventHeap, Source, EPS};
 use crate::fault::{FaultEvent, FaultPlan};
 use crate::fleet::Fleet;
 use crate::router::{RoutePolicy, Router, RouterConfig};
@@ -270,10 +272,12 @@ pub struct ClusterSim {
     fault_idx: usize,
     /// The event heap: step ends, retry releases, reconfigs and the
     /// fault, arrival, timeout and control cursors.
-    heap: BinaryHeap<Event>,
+    heap: EventHeap,
     deadlines: Deadlines,
     /// Reusable buffer of one coalesced round's events.
     round: Vec<Event>,
+    /// Reusable buffer of the requests one step commit finished.
+    finished: Vec<Finished>,
     /// Router admission queue: trace ids, FIFO. May contain entries for
     /// requests that left the system (lazy deletion); `queue_dead`
     /// counts them so admission control sees the live length.
@@ -323,9 +327,10 @@ impl ClusterSim {
             live: HashMap::default(),
             faults,
             fault_idx: 0,
-            heap: BinaryHeap::new(),
+            heap: EventHeap::default(),
             deadlines: Deadlines::default(),
             round: Vec::new(),
+            finished: Vec::new(),
             queue: VecDeque::new(),
             queue_dead: 0,
             dirty: Vec::new(),
@@ -395,7 +400,7 @@ impl ClusterSim {
     /// deadlines, so the clock never jumps to a dead deadline.
     fn next_event_s(&mut self) -> Option<f64> {
         loop {
-            let ev = *self.heap.peek()?;
+            let ev = self.heap.peek()?;
             if !self.is_stale(&ev) {
                 return Some(ev.t_s);
             }
@@ -462,7 +467,7 @@ impl ClusterSim {
     fn process_round(&mut self) {
         let now = self.clock_s;
         let mut round = std::mem::take(&mut self.round);
-        while let Some(&ev) = self.heap.peek().filter(|ev| ev.t_s <= now + EPS) {
+        while let Some(ev) = self.heap.peek().filter(|ev| ev.t_s <= now + EPS) {
             self.heap.pop();
             if ev.source == Source::Timeout {
                 let live = &self.live;
@@ -582,7 +587,9 @@ impl ClusterSim {
             return;
         }
         self.tally.events += 1;
-        for f in replica.complete_step(&mut self.tracer).unwrap_or_default() {
+        let mut finished = std::mem::take(&mut self.finished);
+        replica.complete_step(&mut self.tracer, &mut finished);
+        for f in finished.drain(..) {
             // `f.id` is the cluster request id.
             if let Some(lv) = self.live.remove(&f.id) {
                 let row = ClusterOutput {
@@ -598,6 +605,7 @@ impl ClusterSim {
                 self.tally.finish(row, &self.cfg);
             }
         }
+        self.finished = finished;
         self.fleet.refresh_load(idx);
         self.dirty.push(idx);
         self.maybe_retire(idx, now);

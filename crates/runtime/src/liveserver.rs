@@ -12,7 +12,7 @@ use moe_tensor::ops::argmax;
 
 use crate::prefixcache::PrefixCache;
 use crate::request::{Request, RequestId};
-use crate::scheduler::{SchedEvent, Scheduler, SchedulerConfig, StepPlan};
+use crate::scheduler::{SchedEvent, Scheduler, SchedulerConfig, SeqRecord, StepPlan};
 
 /// One live sequence's token state.
 #[derive(Debug)]
@@ -28,6 +28,9 @@ pub struct LiveServer {
     scheduler: Scheduler,
     seqs: BTreeMap<RequestId, LiveSeq>,
     prefix_cache: Option<PrefixCache>,
+    /// The records a step's commit finished, kept across steps so a
+    /// finishing step allocates no list of its own.
+    finished: Vec<(RequestId, SeqRecord)>,
 }
 
 impl LiveServer {
@@ -40,6 +43,7 @@ impl LiveServer {
             scheduler,
             seqs: BTreeMap::new(),
             prefix_cache: None,
+            finished: Vec::new(),
         }
     }
 
@@ -161,7 +165,8 @@ impl LiveServer {
             StepPlan::Idle => return false,
         }
         // Sequences that finished this step free their KV now.
-        for (id, _) in self.scheduler.commit_step(plan) {
+        self.scheduler.commit_step(plan, &mut self.finished);
+        for (id, _) in self.finished.drain(..) {
             if let Some(live) = self.seqs.get_mut(&id) {
                 live.kv = None;
             }

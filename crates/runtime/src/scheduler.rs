@@ -46,10 +46,11 @@
 //!   moves it back, and fresh ids join the tail of `waiting`, so
 //!   `running` followed by `waiting` is ascending in id, and
 //!   [`Scheduler::cancel`] finds an id in either by binary search.
-//! * **A recycled plan buffer.** [`Scheduler::commit_step`] keeps the
+//! * **Recycled step buffers.** [`Scheduler::commit_step`] keeps the
 //!   id `Vec` of the plan it consumed, and the next
-//!   [`Scheduler::plan_step`] fills it, so a serving loop that commits
-//!   every plan allocates no id list per step.
+//!   [`Scheduler::plan_step`] fills it; it appends the finished records
+//!   to a `Vec` the caller keeps. A serving loop that commits every plan
+//!   therefore allocates no id list and no finished list per step.
 //! * **Running context sum.** Σ `context_len` over `running` is kept up
 //!   to date on admit, commit, finish, preemption and cancel, so pricing
 //!   a decode step reads its mean context without a pass over the batch.
@@ -480,34 +481,38 @@ impl Scheduler {
     /// between planning and commit (a serving front-end timing out a
     /// request mid-step) are skipped.
     pub fn commit_prefill(&mut self, ids: &[RequestId]) -> Vec<RequestId> {
-        self.commit_tokens(ids, true)
-            .into_iter()
-            .map(|(id, _)| id)
-            .collect()
+        let mut finished = Vec::new();
+        self.commit_tokens(ids, true, &mut finished);
+        finished.into_iter().map(|(id, _)| id).collect()
     }
 
     /// Commit a whole planned step: one token for every sequence it ran
-    /// (the first token, for a prefill). Returns the sequences that
-    /// finished with their final records, in plan order; the scheduler
-    /// keeps no record of them. Ids canceled while the step was in
-    /// flight are skipped.
-    pub fn commit_step(&mut self, plan: StepPlan) -> Vec<(RequestId, SeqRecord)> {
+    /// (the first token, for a prefill). Appends the sequences that
+    /// finished with their final records to `finished`, in plan order;
+    /// the scheduler keeps no record of them. Ids canceled while the
+    /// step was in flight are skipped. A serving loop that keeps
+    /// `finished` across steps allocates nothing per finishing step.
+    pub fn commit_step(&mut self, plan: StepPlan, finished: &mut Vec<(RequestId, SeqRecord)>) {
         let (mut ids, prefill) = match plan {
             StepPlan::Prefill { ids, .. } => (ids, true),
             StepPlan::Decode { ids } => (ids, false),
-            StepPlan::Idle => return Vec::new(),
+            StepPlan::Idle => return,
         };
-        let finished = self.commit_tokens(&ids, prefill);
+        self.commit_tokens(&ids, prefill, finished);
         ids.clear();
         self.spare_ids = ids;
-        finished
     }
 
-    /// Commit one token for each of `ids` and return the sequences that
-    /// finished, in order. The finished sequences leave `running`
-    /// together, in one pass at the end.
-    fn commit_tokens(&mut self, ids: &[RequestId], prefill: bool) -> Vec<(RequestId, SeqRecord)> {
-        let mut finished = Vec::new();
+    /// Commit one token for each of `ids` and append the sequences that
+    /// finished to `finished`, in order. The finished sequences leave
+    /// `running` together, in one pass at the end.
+    fn commit_tokens(
+        &mut self,
+        ids: &[RequestId],
+        prefill: bool,
+        finished: &mut Vec<(RequestId, SeqRecord)>,
+    ) {
+        let before = finished.len();
         for &id in ids {
             if prefill {
                 // The first token occupies KV beyond the prompt. Growth
@@ -522,10 +527,9 @@ impl Scheduler {
                 finished.push((id, seq));
             }
         }
-        if !finished.is_empty() {
+        if finished.len() > before {
             self.drop_finished();
         }
-        finished
     }
 
     /// The one token commit under every public commit: advance a known
@@ -734,7 +738,7 @@ mod tests {
             if plan == StepPlan::Idle {
                 break;
             }
-            finished.extend(s.commit_step(plan));
+            s.commit_step(plan, &mut finished);
         }
         assert_eq!(finished.len(), 2);
         assert!(finished.iter().any(|(_, seq)| seq.preemptions > 0));
@@ -757,7 +761,8 @@ mod tests {
         let long = s.submit(Request::new(10, 3));
         let short = s.submit(Request::new(10, 1));
         let plan = s.plan_step();
-        let done = s.commit_step(plan);
+        let mut done = Vec::new();
+        s.commit_step(plan, &mut done);
         assert_eq!(done.iter().map(|(id, _)| *id).collect::<Vec<_>>(), [short]);
         assert!(s.seq(short).is_none());
         assert_eq!(s.record_window(), 2, "`long` keeps `short`'s slot open");
@@ -766,7 +771,7 @@ mod tests {
         assert_eq!(s.record_window(), 3);
         while s.has_work() {
             let plan = s.plan_step();
-            s.commit_step(plan);
+            s.commit_step(plan, &mut done);
         }
         assert!(s.seq(long).is_none());
         assert_eq!(s.record_window(), 0);

@@ -14,7 +14,7 @@ use moe_trace::ArgValue;
 
 use crate::inthash::IntHash;
 use crate::request::{Request, RequestId};
-use crate::scheduler::{SchedEvent, Scheduler, SchedulerConfig, StepPlan};
+use crate::scheduler::{SchedEvent, Scheduler, SchedulerConfig, SeqRecord, StepPlan};
 
 /// The cost-relevant shape of one engine step.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -139,6 +139,8 @@ pub struct StepCore {
     /// survives preemption: a recompute keeps the original first token.
     /// Never iterated.
     first_token: HashMap<RequestId, f64, IntHash>,
+    /// The scheduler records a commit finished, kept across commits.
+    records: Vec<(RequestId, SeqRecord)>,
 }
 
 impl StepCore {
@@ -147,6 +149,7 @@ impl StepCore {
             model,
             scheduler: Scheduler::new(cfg),
             first_token: HashMap::default(),
+            records: Vec::new(),
         }
     }
 
@@ -213,9 +216,9 @@ impl StepCore {
         Some(PlannedStep { plan, shape, dt_s })
     }
 
-    /// Commit `step` at time `end_s`; returns the requests that finished,
-    /// in commit order.
-    pub fn commit(&mut self, step: PlannedStep, end_s: f64) -> Vec<Finished> {
+    /// Commit `step` at time `end_s`; appends the requests that finished
+    /// to `done`, in commit order.
+    pub fn commit(&mut self, step: PlannedStep, end_s: f64, done: &mut Vec<Finished>) {
         if let StepPlan::Prefill { ids, .. } = &step.plan {
             for &id in ids {
                 if self.scheduler.seq(id).is_some() {
@@ -223,17 +226,16 @@ impl StepCore {
                 }
             }
         }
-        self.scheduler
-            .commit_step(step.plan)
-            .into_iter()
-            .map(|(id, seq)| Finished {
+        self.scheduler.commit_step(step.plan, &mut self.records);
+        for (id, seq) in self.records.drain(..) {
+            done.push(Finished {
                 id,
                 generated: seq.generated,
                 preemptions: seq.preemptions,
                 first_token_s: self.first_token.remove(&id).unwrap_or(end_s),
                 finish_s: end_s,
-            })
-            .collect()
+            });
+        }
     }
 }
 
@@ -256,7 +258,7 @@ mod tests {
         let (mut now, mut done) = (0.0, Vec::new());
         while let Some(step) = core.plan(prices) {
             now += step.dt_s;
-            done.extend(core.commit(step, now));
+            core.commit(step, now, &mut done);
         }
         done
     }

@@ -93,7 +93,9 @@ fn check_invariants(s: &Scheduler, what: &str) {
 /// Commit `plan` the way a serving loop does, skipping ids canceled
 /// while it was in flight, and check each finished record it hands out.
 fn commit(s: &mut Scheduler, plan: StepPlan, ledger: &mut Ledger, hash: &mut u64) {
-    for (id, seq) in s.commit_step(plan) {
+    let mut finished = Vec::new();
+    s.commit_step(plan, &mut finished);
+    for (id, seq) in finished {
         hash_u64(hash, 3);
         hash_u64(hash, id);
         ledger.finished[id as usize] += 1;
@@ -209,6 +211,7 @@ fn peak_record_window(requests: usize) -> (usize, usize) {
         total_blocks: 160,
     });
     let (mut submitted, mut peak, mut preemptions) = (0, 0, 0);
+    let mut finished = Vec::new();
     loop {
         while submitted < requests && s.num_waiting() + s.num_running() < CONCURRENCY {
             // Spread by multiplicative steps: 1-96 prompt, 1-64 new tokens.
@@ -223,7 +226,8 @@ fn peak_record_window(requests: usize) -> (usize, usize) {
         if plan == StepPlan::Idle {
             break;
         }
-        for (_, seq) in s.commit_step(plan) {
+        s.commit_step(plan, &mut finished);
+        for (_, seq) in finished.drain(..) {
             preemptions += seq.preemptions;
         }
     }

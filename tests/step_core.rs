@@ -43,7 +43,7 @@ fn reference(
         match core.plan(&mut prices) {
             Some(step) => {
                 now += step.dt_s;
-                done.extend(core.commit(step, now));
+                core.commit(step, now, &mut done);
             }
             None => match rows.get(next) {
                 Some(&(arrival_s, ..)) => now = now.max(arrival_s),
